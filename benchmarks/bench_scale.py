@@ -15,7 +15,7 @@ the optimizations replaced):
   flight at once). The oracle pays one heap push + one eager
   ``Event`` per recipient per block while the wave path keeps one heap
   entry per broadcast and materializes ``Message`` objects lazily at
-  delivery. Digest parity (wave vs. oracle, fast and shard_parallel) is
+  delivery. Digest parity (wave vs. oracle) is
   asserted on a scaled-down traced twin of the profile **before** any
   timing, and the timed pair must fire the exact same event count — so
   the speedup compares identical logical work. Full mode gates
@@ -269,24 +269,21 @@ def _parity_gate() -> dict:
     from repro.observe import Tracer
 
     digests = {}
-    for engine in ("fast", "shard_parallel"):
-        for label, options in (("wave", {}), ("oracle", ORACLE)):
-            tracer = Tracer()
-            _horizon_run(
-                PARITY_MINERS,
-                PARITY_HORIZON,
-                HEAVY_INTERVAL,
-                latency=HEAVY_LATENCY,
-                trace=tracer,
-                engine=engine,
-                **options,
-            )
-            digests[f"{engine}/{label}"] = tracer.digest()
+    for label, options in (("wave", {}), ("oracle", ORACLE)):
+        tracer = Tracer()
+        _horizon_run(
+            PARITY_MINERS,
+            PARITY_HORIZON,
+            HEAVY_INTERVAL,
+            latency=HEAVY_LATENCY,
+            trace=tracer,
+            **options,
+        )
+        digests[f"fast/{label}"] = tracer.digest()
     agreed = len(set(digests.values())) == 1
     return {
         "miners": PARITY_MINERS,
         "horizon_s": PARITY_HORIZON,
-        "engines": sorted({k.split("/")[0] for k in digests}),
         "digests_agree": agreed,
         "trace_digest": digests["fast/wave"],
         "digests": digests,

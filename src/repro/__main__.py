@@ -403,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("output", help="JSONL output path")
     record.add_argument(
-        "--engine", choices=("fast", "legacy", "shard_parallel"), default="fast"
+        "--engine", choices=("fast", "legacy"), default="fast"
     )
     record.add_argument("--seed", type=int, default=7)
     record.add_argument(
@@ -517,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("name", help="scenario name (see 'scenario list')")
     scenario_run.add_argument("--seed", type=int, default=0)
     scenario_run.add_argument(
-        "--engine", choices=("fast", "legacy", "shard_parallel"), default="fast"
+        "--engine", choices=("fast", "legacy"), default="fast"
     )
     scenario_run.add_argument(
         "--trace", metavar="PATH", help="dump the run's JSONL trace here"
@@ -535,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep.add_argument("--seed", type=int, default=0)
     scenario_sweep.add_argument(
-        "--engine", choices=("fast", "legacy", "shard_parallel"), default="fast"
+        "--engine", choices=("fast", "legacy"), default="fast"
     )
     scenario_sweep.add_argument(
         "--points",

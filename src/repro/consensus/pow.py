@@ -146,11 +146,10 @@ class MiningCalendar:
     recorded seed-digest baselines verify this empirically).
 
     The armed event's callback is :meth:`_on_fire` with the winning
-    miner's id as its only argument (``event.args[0]``), matching the
-    per-miner scheme's event shape — the shard-parallel window loop
-    relies on ``args[0]`` naming the miner. ``fire(miner_id)`` runs the
-    engine's mine step; any :meth:`set_next` calls it makes are deferred
-    (array-only) and a single re-arm happens after it returns.
+    miner's id as its only argument, matching the per-miner scheme's
+    event shape. ``fire(miner_id)`` runs the engine's mine step; any
+    :meth:`set_next` calls it makes are deferred (array-only) and a
+    single re-arm happens after it returns.
 
     The argmin scan vectorizes over a persistent numpy mirror when numpy
     is available and the shard is large enough; the pure-python

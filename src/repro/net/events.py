@@ -317,48 +317,6 @@ class Scheduler:
         """
         return self._queue.peak_entries
 
-    @property
-    def next_time(self) -> float | None:
-        """Firing time of the earliest live event, or None when drained."""
-        return self._queue.peek_time()
-
-    def advance_due(self, bound: float | None = None) -> Event | None:
-        """Pop (and advance the clock to) the earliest event before ``bound``.
-
-        The shard-parallel engine's window loop: a worker fires every
-        event with ``time < bound`` (the next epoch barrier) but never
-        advances the clock *to* the barrier, so deliveries exchanged at
-        the barrier can still be scheduled between the last fired event
-        and the window end. The caller fires the returned event itself
-        (it may need to scope a tracer context around the callback);
-        the pop already counts toward :attr:`events_fired` so per-engine
-        accounting stays comparable. Returns ``None`` when no live
-        event falls inside the window.
-        """
-        next_time = self._queue.peek_time()
-        if next_time is None or (bound is not None and next_time >= bound):
-            return None
-        event = self._queue.pop()
-        assert event is not None
-        self._now = event.time
-        self._events_fired += 1
-        return event
-
-    def drain_pending(self) -> list[tuple[float, EventCallback, tuple]]:
-        """Remove and return every pending event as ``(time, callback, args)``.
-
-        Time-ordered; the clock does not advance. The shard-parallel
-        engine uses this to lift externally pre-scheduled events (e.g.
-        scenario probes registered before the run) off the serial
-        scheduler and onto its coordinator calendar.
-        """
-        drained: list[tuple[float, EventCallback, tuple]] = []
-        while True:
-            event = self._queue.pop()
-            if event is None:
-                return drained
-            drained.append((event.time, event.callback, event.args))
-
     def schedule_at(self, time: float, callback: EventCallback, *args) -> Event:
         """Schedule an absolute-time event; it must not be in the past.
 

@@ -319,16 +319,6 @@ class Network:
             )
         return sent
 
-    def deliver(self, target: "Node", message: Message) -> None:
-        """Execute one delivery immediately (fault filter, accounting).
-
-        The shard-parallel engine schedules coordinator-routed
-        deliveries as local worker events and runs them through this
-        entry point, so delivery-side fault filtering and the traffic
-        accounting stay identical to the serial path.
-        """
-        self._deliver(target, message)
-
     def _deliver(self, target: "Node", message: Message) -> None:
         if self._faults is not None and not self._faults.filter_delivery(
             message, self._scheduler.now

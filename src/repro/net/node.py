@@ -505,10 +505,7 @@ class FullNode(Node):
     def canonical_tip_blocks(self, count: int) -> list[Block]:
         """The last ``count`` canonical blocks, genesis excluded.
 
-        Exactly the slice the retransmission sweep re-gossips; the
-        shard-parallel engine ships it in worker state reports so the
-        coordinator's sweep sees the same tip set the serial sweep reads
-        directly off the node.
+        Exactly the slice the retransmission sweep re-gossips.
         """
         tip = self.ledger.canonical_chain()[-count:]
         return [block for block in tip if block.header.height != 0]

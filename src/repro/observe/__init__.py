@@ -14,9 +14,9 @@ behavior a first-class, *reproducible* output:
   (blocks forged, rounds to convergence, tasks fanned out).
 * :mod:`repro.observe.telemetry` — run heartbeats (events/s, per-shard
   mempool depth, peak RSS), per-shard load accounting with a
-  cross-shard traffic matrix and imbalance indices, and shard-parallel
-  worker busy/stall profiles. All wall-clock readings stay out of the
-  trace digest, so telemetry on/off never changes a recorded baseline.
+  cross-shard traffic matrix and imbalance indices. All wall-clock
+  readings stay out of the trace digest, so telemetry on/off never
+  changes a recorded baseline.
 * :mod:`repro.observe.export` — JSONL export plus a human-readable
   per-phase summary, the sharding-survey-style breakdown (per-phase
   latencies, per-shard timelines) end-to-end counters cannot give.
@@ -53,7 +53,6 @@ from repro.observe.analysis import (
 )
 from repro.observe.export import (
     digest_of_jsonl,
-    merge_tagged_records,
     read_jsonl,
     render_trace_summary,
     trace_digest,
@@ -127,7 +126,6 @@ __all__ = [
     "git_revision",
     "imbalance_indices",
     "load_bench_records",
-    "merge_tagged_records",
     "peak_rss_kb",
     "read_jsonl",
     "render_check",

@@ -8,7 +8,6 @@ string byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -19,32 +18,6 @@ from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observe.tracer import Tracer, TraceRecord
-
-
-def merge_tagged_records(
-    segments: "Iterable[Iterable[tuple[tuple, TraceRecord]]]",
-    base_seq: int = 0,
-) -> "list[TraceRecord]":
-    """Merge per-worker ``(tag, record)`` streams into one stable stream.
-
-    The shard-parallel engine's workers and its coordinator each emit
-    trace records into their own buffers, tagging every record with a
-    totally ordered sort key ``(time, lane, a, b, i)`` that reconstructs
-    the serial engine's emission order (see
-    :mod:`repro.runtime.shard_workers` for the key's derivation). This
-    helper flattens the segments, sorts them by tag (a *stable* sort, so
-    identically tagged records keep their segment order), and renumbers
-    the merged stream's ``seq`` from ``base_seq`` — producing the exact
-    record list a serial run would have appended, digest included.
-    """
-    tagged: list[tuple[tuple, "TraceRecord"]] = []
-    for segment in segments:
-        tagged.extend(segment)
-    tagged.sort(key=lambda pair: pair[0])
-    return [
-        dataclasses.replace(record, seq=base_seq + offset)
-        for offset, (__, record) in enumerate(tagged)
-    ]
 
 
 def trace_digest(records: "Iterable[TraceRecord]") -> str:

@@ -178,23 +178,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (shard-parallel workers).
-
-        Counters add, gauges take the other registry's value when set
-        (last-write-wins, matching their single-registry semantics),
-        histograms concatenate samples. Merging is deterministic when
-        callers merge worker registries in a fixed order; note that
-        float sums may associate differently than a serial run's single
-        registry, which is why metrics never enter trace digests.
-        """
-        for name, counter in sorted(other._counters.items()):
-            self.counter(name).inc(counter.value)
-        for name, gauge in sorted(other._gauges.items()):
-            self.gauge(name).set(gauge.value)
-        for name, histogram in sorted(other._histograms.items()):
-            self.histogram(name).samples.extend(histogram.samples)
-
     def snapshot(self) -> dict[str, object]:
         """A deterministic, JSON-ready dump of every metric."""
         return {

@@ -1,6 +1,6 @@
-"""Shard-load telemetry: heartbeats, per-shard stats, worker profiling.
+"""Shard-load telemetry: heartbeats and per-shard stats.
 
-Three measurement surfaces, all digest-neutral by construction:
+Two measurement surfaces, all digest-neutral by construction:
 
 * **Heartbeats** — periodic snapshots taken *during* a run at fixed
   sim-time intervals. The deterministic fields of a
@@ -19,11 +19,6 @@ Three measurement surfaces, all digest-neutral by construction:
   sink from Sec. III-A). Imbalance indices (max/mean, Gini) come from
   :mod:`repro.observe.analysis` and are the live signals the dynamic
   re-sharding roadmap item needs.
-* **Worker profiling** — the shard-parallel engine feeds per-loop busy
-  time, barrier stalls, lookahead window widths, and replayed
-  ``SendIntent`` counts into ``Telemetry.metrics`` (a
-  :class:`~repro.observe.metrics.MetricsRegistry`; fork workers are
-  folded in via ``MetricsRegistry.merge``).
 
 The module mirrors the tracer's scope plumbing: ``use_telemetry``
 installs an active collector, ``resolve_telemetry`` is what engines
@@ -40,7 +35,6 @@ from typing import TYPE_CHECKING, Iterable, TextIO
 
 from repro.errors import ConfigError
 from repro.observe.analysis import imbalance_indices
-from repro.observe.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chain.transaction import Transaction
@@ -115,13 +109,12 @@ class HeartbeatSample:
 
 
 class Telemetry:
-    """Run-scoped collector for heartbeats, shard stats and profiling.
+    """Run-scoped collector for heartbeats and shard stats.
 
     ``heartbeat_interval`` is in *simulated* seconds; ``None`` disables
-    periodic sampling but still collects shard stats and worker
-    profiles. ``progress=True`` prints one live line per heartbeat to
-    ``stream`` (stderr by default), the opt-in campaign monitor for
-    10^6-tx streamed runs.
+    periodic sampling but still collects shard stats. ``progress=True``
+    prints one live line per heartbeat to ``stream`` (stderr by
+    default), the opt-in campaign monitor for 10^6-tx streamed runs.
     """
 
     def __init__(
@@ -140,10 +133,6 @@ class Telemetry:
         self.stream = stream
         self.expected_txs = expected_txs
         self.samples: list[HeartbeatSample] = []
-        self.metrics = MetricsRegistry()
-        #: Per-worker busy/stall attribution, filled by the
-        #: shard-parallel engine: shard id -> {"busy_s", "stall_s", ...}.
-        self.worker_profile: dict[int, dict[str, float]] = {}
         self.shard_stats: "ShardStats | None" = None
         self._wall_start: float | None = None
         self._last_wall: float | None = None

@@ -180,11 +180,6 @@ class Tracer:
             wall=wall or {},
         )
         self._seq += 1
-        self._ingest(record)
-        return record
-
-    def _ingest(self, record: TraceRecord) -> None:
-        """Fold one record into the rolling digest/tally and buffer it."""
         self._hasher.update(record.to_json(include_wall=False).encode())
         self._hasher.update(b"\n")
         self._tally[(record.name, record.phase)] += 1
@@ -194,18 +189,7 @@ class Tracer:
             and len(self.records) >= self._buffer_limit
         ):
             self._flush_to_sink()
-
-    def absorb(self, records: list[TraceRecord]) -> None:
-        """Append pre-sequenced records (a merged shard-parallel stream).
-
-        The records must continue this tracer's ``seq`` numbering (as
-        :func:`~repro.observe.export.merge_tagged_records` guarantees
-        with ``base_seq=tracer._seq``); each one feeds the rolling
-        digest exactly as if :meth:`event` had emitted it.
-        """
-        for record in records:
-            self._ingest(record)
-        self._seq += len(records)
+        return record
 
     @contextlib.contextmanager
     def span(

@@ -36,13 +36,6 @@ from repro.runtime.executor import (
     use_executor,
 )
 
-# NOTE: the shard-parallel protocol engine lives in
-# ``repro.runtime.shard_workers`` but is deliberately NOT imported here:
-# it depends on the net/faults/observe layers, which themselves import
-# ``repro.runtime.cache`` — a package-level import would be circular.
-# Import it directly (``from repro.runtime.shard_workers import ...``);
-# the protocol simulation dispatches to it lazily.
-
 __all__ = [
     "Executor",
     "MemoCache",

@@ -96,23 +96,13 @@ class ProtocolConfig:
         tip-delta reorgs, cached fee-ranked mempool view. ``"legacy"``
         is the frozen pre-optimization engine
         (:mod:`repro.net.legacy`), kept as the differential oracle and
-        the benchmark baseline. ``"shard_parallel"`` partitions the fast
-        engine's loop by shard with deterministic epoch barriers
-        (:mod:`repro.runtime.shard_workers`); it needs a positive
-        ``latency.base_seconds`` for its lookahead bound and otherwise
-        falls back to the serial fast path. Same seed ⇒ bit-identical
-        trace digests across all engines (the engine-parity tests
-        enforce this).
-    shard_workers:
-        Worker processes for the shard-parallel engine. ``None`` or 1
-        runs every shard loop in-process (always available); > 1 forks
-        that many workers on platforms with ``os.fork``. Ignored by the
-        other engines.
+        the benchmark baseline. Same seed ⇒ bit-identical trace digests
+        across both engines (the engine-parity tests enforce this).
     delivery_waves:
         Wave-schedule fault-free broadcast/multicast fan-outs: one
         self-re-arming :class:`~repro.net.events.DeliveryWave` heap
         entry per broadcast instead of one push + ``Message`` per
-        recipient. Default on for the fast engines; ``False`` keeps the
+        recipient. Default on for the fast engine; ``False`` keeps the
         per-event scheduling as the differential oracle (bit-identical
         digests either way — the scale bench asserts it before timing).
         Ignored by the legacy engine and by faulty sends, which always
@@ -121,7 +111,7 @@ class ProtocolConfig:
         Keep each shard's next block times in a
         :class:`~repro.consensus.pow.MiningCalendar` array and schedule
         only the current winner, instead of one standing heap event per
-        miner. Default on for the fast engines; ``False`` restores the
+        miner. Default on for the fast engine; ``False`` restores the
         per-miner-event oracle. Draw order per miner is identical either
         way, so digests match bit for bit.
     inject_batch:
@@ -142,12 +132,10 @@ class ProtocolConfig:
         a paced injection tick defers (without consuming the stream)
         while any node's pool is at the limit. ``None`` = unbounded.
     max_events:
-        Event budget for the serial engines' run loop. ``None``
-        (default) keeps the scheduler's 10^7 runaway-loop guard;
-        million-transaction campaigns with a thousand miners legally
-        fire more events than that and raise the budget explicitly.
-        The shard-parallel coordinator paces its own windows and
-        ignores this knob.
+        Event budget for the run loop. ``None`` (default) keeps the
+        scheduler's 10^7 runaway-loop guard; million-transaction
+        campaigns with a thousand miners legally fire more events than
+        that and raise the budget explicitly.
     telemetry:
         Shard-load telemetry: a
         :class:`~repro.observe.telemetry.Telemetry` collector to feed,
@@ -175,7 +163,6 @@ class ProtocolConfig:
     trace: Tracer | bool | None = None
     engine: str = "fast"
     run_to_horizon: bool = False
-    shard_workers: int | None = None
     inject_batch: int | None = None
     inject_interval: float = 1.0
     mempool_limit: int | None = None
@@ -185,14 +172,27 @@ class ProtocolConfig:
     telemetry: Telemetry | bool | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "legacy", "shard_parallel"):
+        if self.engine not in ("fast", "legacy"):
             raise ConfigError(
                 f"unknown protocol engine {self.engine!r} "
-                "(expected 'fast', 'legacy' or 'shard_parallel')"
+                "(expected 'fast' or 'legacy')"
             )
-        if self.shard_workers is not None and self.shard_workers < 1:
+        if self.block_capacity < 1:
             raise ConfigError(
-                f"shard_workers must be at least 1: {self.shard_workers}"
+                f"block_capacity must be at least 1: {self.block_capacity}"
+            )
+        if self.max_duration <= 0:
+            raise ConfigError(
+                f"max_duration must be positive: {self.max_duration}"
+            )
+        interval = self.retransmit_interval
+        if interval is not None and interval <= 0:
+            raise ConfigError(
+                f"retransmit_interval must be positive or None: {interval}"
+            )
+        if self.max_events is not None and self.max_events < 1:
+            raise ConfigError(
+                f"max_events must be at least 1: {self.max_events}"
             )
         if self.inject_batch is not None and self.inject_batch < 1:
             raise ConfigError(
@@ -211,8 +211,7 @@ class ProtocolConfig:
                 raise ConfigError(
                     "paced streaming injection (inject_batch=) is not "
                     "supported by the legacy engine — it exists to freeze "
-                    "the pre-optimization t=0 path; use 'fast' or "
-                    "'shard_parallel'"
+                    "the pre-optimization t=0 path; use 'fast'"
                 )
             if self.fault_plan is not None and self.fault_plan.is_active:
                 raise ConfigError(
@@ -394,10 +393,7 @@ class ProtocolSimulation:
 
         # Engine selection: the fast path is the default; the frozen
         # legacy engine replays the identical seeded run through the
-        # pre-optimization scheduler/network/mempool/reorg code. The
-        # shard-parallel engine shares the fast data structures (nodes
-        # are built with fast paths; its coordinator replaces only the
-        # event loop), so everything below treats it as "fast".
+        # pre-optimization scheduler/network/mempool/reorg code.
         self._fast_engine = self._config.engine != "legacy"
         if self._fast_engine:
             self._scheduler = Scheduler()
@@ -421,7 +417,7 @@ class ProtocolSimulation:
         self._rewards = RewardLedger(policy=FeePolicy())
         self._nodes: dict[str, FullNode] = {}
         self._mining: dict[str, MiningProcess] = {}
-        # Mining-calendar scheduling (fast engines only): per-shard
+        # Mining-calendar scheduling (fast engine only): per-shard
         # calendars built lazily in _run(); empty dict = per-miner
         # standing events (the legacy engine and the oracle path).
         self._miner_calendar: dict[str, MiningCalendar] = {}
@@ -665,16 +661,6 @@ class ProtocolSimulation:
             return self._run()
 
     def _run(self) -> ProtocolResult:
-        if (
-            self._config.engine == "shard_parallel"
-            and self._config.latency.base_seconds > 0
-        ):
-            # The parallel engine's conservative lookahead is the base
-            # latency; a zero base gives empty windows, so logical-time
-            # runs stay on the (equivalent) serial fast path below.
-            from repro.runtime.shard_workers import run_shard_parallel
-
-            return run_shard_parallel(self)
         tracer = self._tracer
         if tracer is not None:
             tracer.event(
@@ -820,7 +806,11 @@ class ProtocolSimulation:
         self._scheduler.run(
             until=self._config.max_duration,
             stop_condition=drained,
-            max_events=self._config.max_events or 10_000_000,
+            max_events=(
+                10_000_000
+                if self._config.max_events is None
+                else self._config.max_events
+            ),
         )
         confirmed = self._confirmed_ids()
         evicted = sum(n.mempool.evictions for n in self._nodes.values())

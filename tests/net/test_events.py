@@ -265,23 +265,6 @@ class TestScheduler:
             event_scheduler.schedule_at(float(i + 1), lambda: None)
         assert event_scheduler.peak_pending == 100
 
-    def test_drain_pending_expands_waves(self):
-        scheduler = Scheduler()
-        sink = []
-
-        def emit(tag):
-            return sink.append, (tag,)
-
-        scheduler.schedule_wave([3.0, 1.0], ["late", "early"], emit)
-        scheduler.schedule_at(2.0, sink.append, "mid")
-        drained = scheduler.drain_pending()
-        times = [time for time, __, ___ in drained]
-        assert times == [1.0, 2.0, 3.0]
-        for __, callback, args in drained:
-            callback(*args)
-        assert sink == ["early", "mid", "late"]
-        assert scheduler.pending == 0
-
     def test_wave_in_past_rejected(self):
         scheduler = Scheduler()
         scheduler.schedule_in(1.0, lambda: None)

@@ -90,15 +90,3 @@ class TestSinkMode:
     def test_buffer_limit_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigError):
             Tracer(sink=tmp_path / "t.jsonl", buffer_limit=0)
-
-
-class TestAbsorb:
-    def test_absorb_equals_emission(self):
-        emitted = Tracer()
-        _emit_some(emitted, 6)
-        absorber = Tracer()
-        absorber.absorb(emitted.records)
-        assert absorber.digest() == emitted.digest()
-        assert len(absorber) == 6
-        assert absorber._seq == emitted._seq
-        assert absorber.count("step") == 6

@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
+    effective_cpu_count,
     executor_from_env,
     get_default_executor,
     parallel_map,
@@ -27,6 +28,15 @@ def _square(x: int) -> int:
 
 def _pid(_: int) -> int:
     return os.getpid()
+
+
+class TestEffectiveCpuCount:
+    def test_positive(self):
+        assert effective_cpu_count() >= 1
+
+    def test_matches_affinity_when_available(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert effective_cpu_count() == len(os.sched_getaffinity(0))
 
 
 class TestSerialExecutor:

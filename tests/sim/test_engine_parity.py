@@ -9,7 +9,9 @@ reorgs, cached fee-ranked mempool) must leave every seeded run
   faulty, unified and unified-faulty runs;
 * same-seed equality against the *recorded* baselines in
   ``seed_digests.json`` — so a silent draw-order change cannot slip
-  through by breaking both engines the same way;
+  through by breaking both engines the same way. Fast-engine modes the
+  legacy engine cannot run (paced streaming, with and without eviction,
+  and a fixed-horizon run) are pinned by their recorded digest alone;
 * targeted regressions for the RNG draw-order contract, scheduler
   compaction, and the tip-delta world-state against the
   replay-from-genesis oracle.
@@ -22,11 +24,17 @@ import random
 import pytest
 
 from repro.consensus.miner import MinerIdentity
+from repro.consensus.pow import PoWParameters
 from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
 from repro.net.network import LatencyModel
+from repro.observe import Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
-from repro.workloads.generators import uniform_contract_workload
+from repro.workloads.generators import (
+    TxStream,
+    streaming_uniform_contract_workload,
+    uniform_contract_workload,
+)
 
 SEED = 7
 MINERS = 6
@@ -75,6 +83,53 @@ def _simulate(
     return sim, result
 
 
+def _stream() -> TxStream:
+    return streaming_uniform_contract_workload(
+        total_txs=TXS, contract_shards=3, seed=SEED
+    )
+
+
+def _run_paced(limit: int | None = None, batch: int = 10):
+    """Paced streaming injection on the fast engine; ``(result, digest)``."""
+    tracer = Tracer()
+    config = ProtocolConfig(
+        seed=SEED,
+        trace=tracer,
+        max_duration=5000.0,
+        pow_params=PoWParameters.fast_confirmation(),
+        inject_batch=batch,
+        inject_interval=1.0,
+        mempool_limit=limit,
+    )
+    identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
+    sim = ProtocolSimulation(identities, _stream(), config=config)
+    result = sim.run()
+    return result, tracer.digest()
+
+
+def _run_to_horizon():
+    """A run that ignores the drain condition and plays out 600 s."""
+    identities = [MinerIdentity.create(f"m{i}") for i in range(4)]
+    workload = uniform_contract_workload(
+        total_txs=20, contract_shards=2, seed=11
+    )
+    config = ProtocolConfig(
+        seed=11, trace=True, max_duration=600.0, run_to_horizon=True
+    )
+    result = ProtocolSimulation(identities, workload, config=config).run()
+    assert result.duration == 600.0
+    return result
+
+
+#: Recorded baselines of fast-engine modes with no second engine to
+#: compare against, each mapped to the run that reproduces its digest.
+FAST_ONLY = {
+    "paced": lambda: _run_paced()[1],
+    "paced-evict": lambda: _run_paced(limit=4, batch=8)[1],
+    "horizon": lambda: _run_to_horizon().trace.digest(),
+}
+
+
 class TestEngineDigestParity:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_and_legacy_digests_identical(self, profile):
@@ -88,13 +143,17 @@ class TestEngineDigestParity:
         assert fast.trace.digest() == legacy.trace.digest()
         assert fast.confirmed_tx_ids == legacy.confirmed_tx_ids
 
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("profile", sorted(BASELINES))
     def test_fast_engine_matches_recorded_baseline(self, profile):
         """The committed digest pins the draw order across PR history:
         a change that altered both engines identically would still pass
         pairwise parity, but not this."""
-        __, result = _simulate("fast", **PROFILES[profile])
-        assert result.trace.digest() == BASELINES[profile]
+        if profile in FAST_ONLY:
+            digest = FAST_ONLY[profile]()
+        else:
+            __, result = _simulate("fast", **PROFILES[profile])
+            digest = result.trace.digest()
+        assert digest == BASELINES[profile]
 
     def test_engines_fire_identical_event_counts(self):
         sim_fast, __ = _simulate("fast", faulty=True)
@@ -107,7 +166,7 @@ class TestEngineDigestParity:
     def test_unknown_engine_rejected(self):
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="engine .*'fast' or 'legacy'"):
             ProtocolConfig(engine="turbo")
 
 

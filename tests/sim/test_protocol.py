@@ -4,6 +4,7 @@ import pytest
 
 from repro.consensus.miner import MinerIdentity, ShardLiarBehavior
 from repro.consensus.pow import PoWParameters
+from repro.errors import ConfigError
 from repro.net.network import LatencyModel
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import uniform_contract_workload
@@ -122,3 +123,17 @@ class TestValidationFailures:
             ProtocolSimulation([], txs)
         with pytest.raises(Exception):
             ProtocolSimulation(miners, [])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("block_capacity", 0),
+            ("max_duration", -1.0),
+            ("max_duration", 0.0),
+            ("retransmit_interval", 0.0),
+            ("max_events", 0),
+        ],
+    )
+    def test_nonsense_config_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ProtocolConfig(**{field: value})

@@ -4,11 +4,12 @@ The streaming layer's contract has three legs:
 
 * an **unpaced** ``TxStream`` is materialized at construction, so
   generator-built workloads reproduce the recorded ``seed_digests.json``
-  baselines bit-for-bit on every engine that list workloads do;
-* **paced** injection (``inject_batch=``) is deterministic and
-  engine-agnostic: the fast and shard-parallel engines (inline and fork
-  backends) emit identical trace digests, confirm identical counts, and
-  evict identically under a mempool bound;
+  baselines bit-for-bit, exactly as list workloads do;
+* **paced** injection (``inject_batch=``) is deterministic: reruns emit
+  identical trace digests, confirm identical counts, and evict
+  identically under a mempool bound (the recorded ``paced`` and
+  ``paced-evict`` baselines pin both digests in
+  ``test_engine_parity``);
 * every unsupported combination is refused loudly at construction, not
   degraded silently at runtime.
 """
@@ -21,32 +22,30 @@ import pathlib
 import pytest
 
 from repro.consensus.miner import MinerIdentity
-from repro.consensus.pow import PoWParameters
 from repro.errors import ConfigError, WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.observe import Tracer
-from repro.runtime.shard_workers import fork_available
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     MAX_MATERIALIZED_TXS,
-    TxStream,
     streaming_uniform_contract_workload,
     uniform_contract_workload,
 )
-from tests.sim.test_engine_parity import MINERS, PROFILES, SEED, TXS
+from tests.sim.test_engine_parity import (
+    MINERS,
+    PROFILES,
+    SEED,
+    TXS,
+    _run_paced,
+    _stream,
+)
 
 BASELINES = json.loads(
     (pathlib.Path(__file__).parent / "seed_digests.json").read_text()
 )
 
 
-def _stream() -> TxStream:
-    return streaming_uniform_contract_workload(
-        total_txs=TXS, contract_shards=3, seed=SEED
-    )
-
-
-def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
+def _simulate_stream(unified: bool = False, faulty: bool = False):
     """The exact `_simulate` setup of test_engine_parity, with the
     workload handed over as a TxStream instead of a list."""
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
@@ -55,7 +54,6 @@ def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
     )
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=True,
         max_duration=5000.0,
         fault_plan=plan,
@@ -65,41 +63,12 @@ def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
     return sim.run()
 
 
-def _run_paced(
-    engine: str,
-    workers: int | None = None,
-    limit: int | None = None,
-    batch: int = 10,
-):
-    tracer = Tracer()
-    config = ProtocolConfig(
-        seed=SEED,
-        engine=engine,
-        shard_workers=workers,
-        trace=tracer,
-        max_duration=5000.0,
-        pow_params=PoWParameters.fast_confirmation(),
-        inject_batch=batch,
-        inject_interval=1.0,
-        mempool_limit=limit,
-    )
-    identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
-    sim = ProtocolSimulation(identities, _stream(), config=config)
-    result = sim.run()
-    return result, tracer.digest()
-
-
 class TestUnpacedStreamParity:
-    """TxStream without pacing == materialized list, on every engine."""
+    """TxStream without pacing == materialized list."""
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_engine_stream_matches_recorded_baseline(self, profile):
-        result = _simulate_stream("fast", **PROFILES[profile])
-        assert result.trace.digest() == BASELINES[profile]
-
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_shard_parallel_stream_matches_recorded_baseline(self, profile):
-        result = _simulate_stream("shard_parallel", **PROFILES[profile])
+        result = _simulate_stream(**PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
     def test_stream_fields_match_list_generator(self):
@@ -116,51 +85,29 @@ class TestUnpacedStreamParity:
 
 
 class TestPacedStreamingParity:
-    """Paced injection: fast vs. shard-parallel, repeatably."""
+    """Paced injection, repeatably."""
 
     def test_fast_engine_paced_runs_are_deterministic(self):
-        first, digest_a = _run_paced("fast")
-        second, digest_b = _run_paced("fast")
+        first, digest_a = _run_paced()
+        second, digest_b = _run_paced()
         assert digest_a == digest_b
         assert first.confirmed_count() == second.confirmed_count()
         assert first.duration == second.duration
         assert first.evicted == second.evicted == 0
 
-    def test_shard_parallel_paced_digest_matches_fast(self):
-        fast, digest_fast = _run_paced("fast")
-        par, digest_par = _run_paced("shard_parallel")
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.per_shard_confirmed == fast.per_shard_confirmed
-        assert par.duration == fast.duration
-        assert par.evicted == fast.evicted
-        assert dict(par.rewards.blocks_mined) == dict(fast.rewards.blocks_mined)
-
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-    def test_fork_backend_paced_digest_matches_fast(self):
-        fast, digest_fast = _run_paced("fast")
-        par, digest_par = _run_paced("shard_parallel", workers=3)
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.duration == fast.duration
-
-    def test_eviction_determinism_across_engines(self):
+    def test_eviction_is_deterministic(self):
         """A tight mempool bound evicts the same transactions (counted
-        per node) at the same instants on every engine."""
-        fast, digest_fast = _run_paced("fast", limit=4, batch=8)
-        par, digest_par = _run_paced("shard_parallel", limit=4, batch=8)
-        assert fast.evicted > 0
-        assert par.evicted == fast.evicted
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.duration == fast.duration
-        again, digest_again = _run_paced("fast", limit=4, batch=8)
-        assert again.evicted == fast.evicted
-        assert digest_again == digest_fast
+        per node) at the same instants on every rerun."""
+        first, digest_a = _run_paced(limit=4, batch=8)
+        again, digest_b = _run_paced(limit=4, batch=8)
+        assert first.evicted > 0
+        assert again.evicted == first.evicted
+        assert digest_b == digest_a
+        assert again.confirmed_count() == first.confirmed_count()
+        assert again.duration == first.duration
 
     def test_defer_events_present_under_backpressure(self):
-        __, __digest = _run_paced("fast", limit=4, batch=8)
-        result, __ = _run_paced("fast", limit=4, batch=8)
+        result, __ = _run_paced(limit=4, batch=8)
         names = [record.name for record in result.trace.records]
         assert "inject.batch" in names
         assert "inject.done" in names

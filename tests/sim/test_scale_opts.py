@@ -2,13 +2,12 @@
 
 ``ProtocolConfig.delivery_waves`` and ``mining_calendar`` default to
 True; setting either to False keeps the pre-optimization per-event code
-as a differential oracle. These tests hold the optimized engines to the
+as a differential oracle. These tests hold the optimized engine to the
 *recorded* ``seed_digests.json`` baselines with the optimizations
 disabled (proving the oracle paths are still the historical stream) and
-to bit-identical digests oracle-vs-optimized on the fast and
-shard-parallel engines, list and paced-stream workloads alike — plus
-the heap-footprint claim (``scheduler.peak_pending`` collapses under
-waves + calendar).
+to bit-identical digests oracle-vs-optimized, list and paced-stream
+workloads alike — plus the heap-footprint claim
+(``scheduler.peak_pending`` collapses under waves + calendar).
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.faults.plan import FaultPlan
 from repro.observe import Tracer
-from repro.runtime.shard_workers import fork_available
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     streaming_uniform_contract_workload,
@@ -40,16 +38,13 @@ ORACLE = {"delivery_waves": False, "mining_calendar": False}
 
 
 def _simulate(
-    engine,
     unified=False,
     faulty=False,
-    workers=None,
-    stream=False,
     paced=False,
     **options,
 ):
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
-    if stream or paced:
+    if paced:
         workload = streaming_uniform_contract_workload(
             total_txs=TXS, contract_shards=3, seed=SEED
         )
@@ -63,8 +58,6 @@ def _simulate(
     tracer = Tracer()
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
-        shard_workers=workers,
         trace=tracer,
         max_duration=5000.0,
         fault_plan=plan,
@@ -87,14 +80,7 @@ class TestOracleBaselineParity:
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_oracle_matches_recorded_baseline(self, profile):
-        __, __result, digest = _simulate("fast", **PROFILES[profile], **ORACLE)
-        assert digest == BASELINES[profile]
-
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_shard_parallel_oracle_matches_recorded_baseline(self, profile):
-        __, __result, digest = _simulate(
-            "shard_parallel", **PROFILES[profile], **ORACLE
-        )
+        __, __result, digest = _simulate(**PROFILES[profile], **ORACLE)
         assert digest == BASELINES[profile]
 
 
@@ -110,31 +96,22 @@ class TestOptimizedVsOracle:
         ],
         ids=["calendar-only", "waves-only", "both"],
     )
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
-    def test_digest_matches_oracle(self, engine, options):
-        __, __r, oracle = _simulate(engine, **ORACLE)
-        __, __r, optimized = _simulate(engine, **options)
+    def test_digest_matches_oracle(self, options):
+        __, __r, oracle = _simulate(**ORACLE)
+        __, __r, optimized = _simulate(**options)
         assert optimized == oracle == BASELINES["clean"]
 
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
-    def test_faulty_digest_matches_oracle(self, engine):
+    def test_faulty_digest_matches_oracle(self):
         # Faulty sends take the per-event path; waves must still cover
         # the fault-free remainder without disturbing the stream.
-        __, __r, oracle = _simulate(engine, faulty=True, **ORACLE)
-        __, __r, optimized = _simulate(engine, faulty=True)
+        __, __r, oracle = _simulate(faulty=True, **ORACLE)
+        __, __r, optimized = _simulate(faulty=True)
         assert optimized == oracle == BASELINES["faulty"]
 
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
-    def test_paced_stream_digest_matches_oracle(self, engine):
-        __, __r, oracle = _simulate(engine, paced=True, **ORACLE)
-        __, __r, optimized = _simulate(engine, paced=True)
+    def test_paced_stream_digest_matches_oracle(self):
+        __, __r, oracle = _simulate(paced=True, **ORACLE)
+        __, __r, optimized = _simulate(paced=True)
         assert optimized == oracle
-
-    @pytest.mark.skipif(not fork_available(), reason="fork backend unavailable")
-    def test_fork_backend_digest_matches_oracle(self):
-        __, __r, oracle = _simulate("shard_parallel", workers=3, **ORACLE)
-        __, __r, optimized = _simulate("shard_parallel", workers=3)
-        assert optimized == oracle == BASELINES["clean"]
 
 
 class TestHeapFootprint:
@@ -165,8 +142,3 @@ class TestHeapFootprint:
         assert record.wall["peak_pending"] == sim_opt.scheduler.peak_pending
         gauge = result_opt.trace.metrics.gauge("scheduler.peak_pending")
         assert gauge.value == sim_opt.scheduler.peak_pending
-
-    def test_shard_parallel_reports_peak_pending(self):
-        __, result, __d = _simulate("shard_parallel")
-        record = result.trace.records_named("run.complete")[0]
-        assert record.wall["peak_pending"] > 0

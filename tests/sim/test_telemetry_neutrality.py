@@ -3,9 +3,8 @@
 Heartbeats sample scheduler and mempool state without emitting trace
 records or consuming RNG draws; shard-load accounting reads counters
 the run maintains anyway. These tests hold the whole telemetry layer
-against the *recorded* ``seed_digests.json`` baselines on every engine
-— serial fast, the frozen legacy oracle, and shard-parallel on both
-the inline and forked backends — so an instrumentation site that
+against the *recorded* ``seed_digests.json`` baselines on both engines
+— fast and the frozen legacy oracle — so an instrumentation site that
 accidentally perturbs event order or draw order cannot land.
 """
 
@@ -31,7 +30,7 @@ BASELINES = json.loads(
 )
 
 
-def _run(engine: str, telemetry, workers: int | None = None, stream=False):
+def _run(engine: str, telemetry, stream=False):
     miners = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     if stream:
         workload = streaming_uniform_contract_workload(
@@ -46,34 +45,26 @@ def _run(engine: str, telemetry, workers: int | None = None, stream=False):
         engine=engine,
         trace=True,
         max_duration=5000.0,
-        shard_workers=workers,
         telemetry=telemetry,
     )
     return ProtocolSimulation(miners, workload, config=config).run()
 
 
-ENGINES = [
-    ("fast", None),
-    ("legacy", None),
-    ("shard_parallel", 1),  # inline backend
-    ("shard_parallel", 2),  # forked workers
-]
+ENGINES = ["fast", "legacy"]
 
 
 class TestDigestNeutrality:
-    @pytest.mark.parametrize("engine,workers", ENGINES)
-    def test_heartbeats_leave_recorded_baseline_untouched(
-        self, engine, workers
-    ):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_heartbeats_leave_recorded_baseline_untouched(self, engine):
         telemetry = Telemetry(heartbeat_interval=25.0)
-        result = _run(engine, telemetry, workers=workers)
+        result = _run(engine, telemetry)
         assert result.trace.digest() == BASELINES["clean"]
         assert telemetry.samples, "heartbeats should have fired"
 
-    @pytest.mark.parametrize("engine,workers", ENGINES)
-    def test_on_off_digests_identical(self, engine, workers):
-        on = _run(engine, Telemetry(heartbeat_interval=10.0), workers=workers)
-        off = _run(engine, False, workers=workers)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_on_off_digests_identical(self, engine):
+        on = _run(engine, Telemetry(heartbeat_interval=10.0))
+        off = _run(engine, False)
         assert on.trace.digest() == off.trace.digest()
         assert on.confirmed_count() == off.confirmed_count()
         assert on.shard_stats is not None
@@ -94,30 +85,3 @@ class TestDigestNeutrality:
         assert result.trace.digest() == BASELINES["clean"]
         assert len(telemetry.samples) == 1
 
-
-class TestWorkerProfiles:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_profiles_populated_per_shard(self, workers):
-        telemetry = Telemetry(heartbeat_interval=50.0)
-        result = _run("shard_parallel", telemetry, workers=workers)
-        profile = telemetry.worker_profile
-        assert profile, "per-loop profiles should be reported"
-        for shard, entry in profile.items():
-            assert entry["busy_s"] >= 0.0
-            assert entry["stall_s"] >= 0.0
-            assert entry["windows"] > 0
-            # The deterministic twins of the wall-clock figures travel
-            # through MetricsRegistry.merge (fork-safe aggregation).
-            counters = telemetry.metrics.snapshot()["counters"]
-            assert counters[f"worker.shard{shard}.windows"] == entry["windows"]
-            assert counters[f"worker.shard{shard}.events"] == entry["events"]
-        assert result.shard_stats.total_confirmed == result.confirmed_count()
-
-    def test_replayed_intents_counted(self):
-        telemetry = Telemetry(heartbeat_interval=None)
-        _run("shard_parallel", telemetry, workers=1)
-        counters = telemetry.metrics.snapshot()["counters"]
-        histograms = telemetry.metrics.snapshot()["histograms"]
-        assert "coordinator.windows" in counters
-        assert counters["coordinator.windows"] > 0
-        assert "coordinator.intents_per_barrier" in histograms
