@@ -1,11 +1,13 @@
 """Full nodes: the per-miner workflow of Sec. III-C.
 
-A :class:`FullNode` owns the local ledger, world-state view, mempool and
-call graph of one miner. It implements the receive-side protocol exactly
-as the paper describes it:
+A :class:`FullNode` owns the local ledger, world-state view and mempool
+of one miner. It implements the receive-side protocol exactly as the
+paper describes it:
 
 * on a transaction — check whether the sender belongs to this node's
-  shard (via the shard map / call graph) and pool it so;
+  shard (via the classifier it was built with) and pool it so; a
+  transaction already routed to this shard goes straight to
+  :meth:`FullNode.pool`;
 * on a block — run the two verifications (packer really in the claimed
   shard; claimed shard == own shard), then record, apply and de-pool.
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chain.block import Block
-from repro.chain.callgraph import CallGraph
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import BlockUndo, WorldState
@@ -78,7 +79,7 @@ class NodeStats:
 
 
 class FullNode(Node):
-    """One miner's complete local view and protocol behavior."""
+    """One miner's ledger, world state, mempool and protocol behavior."""
 
     __slots__ = (
         "identity",
@@ -87,7 +88,6 @@ class FullNode(Node):
         "mempool",
         "ledger",
         "state",
-        "callgraph",
         "stats",
         "_behavior_overridden",
         "_pristine_state",
@@ -130,7 +130,6 @@ class FullNode(Node):
         # Pre-genesis snapshot: the base for rebuilding the flat state
         # whenever a reorg rewrites the canonical history.
         self._pristine_state = self.state.snapshot()
-        self.callgraph = CallGraph()
         self.stats = NodeStats()
         self._tx_classifier = tx_classifier
         self._block_validator = BlockValidator(
@@ -187,18 +186,23 @@ class FullNode(Node):
     # transaction path
     # ------------------------------------------------------------------
     def on_transaction(self, tx: Transaction) -> bool:
-        """Pool the transaction iff it belongs to this node's shard."""
-        self.callgraph.observe(tx)
-        tx_shard = self._tx_classifier(tx)
-        if tx_shard != self.shard_id:
+        """Pool a delivered transaction iff it belongs to this node's shard."""
+        if self._tx_classifier(tx) != self.shard_id:
             self.stats.txs_ignored += 1
             return False
-        if self.mempool.add(tx):
-            self.stats.txs_pooled += 1
-            if self.on_pooled is not None:
-                self.on_pooled(self, tx)
-            return True
-        return False
+        return self.pool(tx)
+
+    def pool(self, tx: Transaction) -> bool:
+        """Pool a transaction already routed to this shard, unclassified.
+
+        False when the mempool refuses it (duplicate, or outbid when full).
+        """
+        if not self.mempool.add(tx):
+            return False
+        self.stats.txs_pooled += 1
+        if self.on_pooled is not None:
+            self.on_pooled(self, tx)
+        return True
 
     # ------------------------------------------------------------------
     # block path (the two Sec. III-C verifications)

@@ -516,7 +516,10 @@ class ProtocolSimulation:
 
     def _build_nodes(self) -> None:
         verifier = self._assignment.verifier()
-        classifier = self._classifier()
+        self._classify = self._classifier()
+        # Each shard's replicas, in node order: the coordinator classifies
+        # a transaction once and hands it to exactly these nodes.
+        self._shard_nodes: dict[int, list[FullNode]] = {}
         seed_rng = random.Random(self._config.seed)
         for miner in self._miners:
             shard = self._assignment.shard_of[miner.public]
@@ -542,7 +545,7 @@ class ProtocolSimulation:
                 identity=miner,
                 shard_id=shard,
                 membership_verifier=verifier,
-                tx_classifier=classifier,
+                tx_classifier=self._classify,
                 behavior=behavior,
                 state=state,
                 selection_replay=(
@@ -557,6 +560,7 @@ class ProtocolSimulation:
                 node.on_rejected = self._note_rejected
             self._network.register(node)
             self._nodes[miner.public] = node
+            self._shard_nodes.setdefault(shard, []).append(node)
             self._mining[miner.public] = MiningProcess(
                 self._config.pow_params,
                 hashrate_fraction=1.0,
@@ -688,11 +692,13 @@ class ProtocolSimulation:
                     MessageKind.TX, sender=f"user:{tx.sender}", payload=tx
                 )
         else:
-            # Fault-free fast path: hand every node the workload directly
-            # at t=0 (the paper injects up front).
+            # Fault-free fast path: hand the workload directly to each
+            # transaction's shard replicas at t=0 (the paper injects up
+            # front); foreign nodes would only ignore it.
+            classify, shard_nodes = self._classify, self._shard_nodes
             for tx in self._transactions:
-                for node in self._nodes.values():
-                    node.on_transaction(tx)
+                for node in shard_nodes.get(classify(tx), ()):
+                    node.pool(tx)
 
         if self._distribute_packet:
             self._scheduler.schedule_in(
@@ -1052,11 +1058,6 @@ class ProtocolSimulation:
         self._inject_iter = iter(self._stream)
         self._injected = 0
         self._inject_done = False
-        self._inject_classifier = self._classifier()
-        shard_nodes: dict[int, list[FullNode]] = {}
-        for node in self._nodes.values():
-            shard_nodes.setdefault(node.shard_id, []).append(node)
-        self._shard_nodes = shard_nodes
         self._inject_tick()
 
     def _pool_high_water(self) -> int:
@@ -1119,7 +1120,7 @@ class ProtocolSimulation:
         self._scheduler.schedule_in(config.inject_interval, self._inject_tick)
 
     def _inject_batch(self, batch: list[Transaction]) -> None:
-        classifier = self._inject_classifier
+        classifier = self._classify
         callgraph = self._callgraph
         shard_nodes = self._shard_nodes
         balance = self._config.initial_balance
@@ -1139,10 +1140,8 @@ class ProtocolSimulation:
                 row = self._traffic.setdefault(home, {})
                 row[shard] = row.get(shard, 0) + 1
             for node in shard_nodes.get(shard, ()):
-                state = node.state
-                if not state.has_account(tx.sender):
-                    state.create_account(tx.sender, balance=balance)
-                node.on_transaction(tx)
+                node.state.create_account(tx.sender, balance=balance)
+                node.pool(tx)
 
     # ------------------------------------------------------------------
     # failure handling: leader distribution, retransmission, fallback
@@ -1394,8 +1393,8 @@ class ProtocolSimulation:
     # ------------------------------------------------------------------
     def _relevant_tx_ids(self) -> set[str]:
         """Transactions some populated shard can actually confirm."""
-        populated = {node.shard_id for node in self._nodes.values()}
-        classifier = self._classifier()
+        populated = self._shard_nodes
+        classifier = self._classify
         return {
             tx.tx_id for tx in self._transactions if classifier(tx) in populated
         }

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.chain.callgraph import SenderClass
 from repro.chain.state import WorldState
 from repro.consensus.miner import MinerIdentity, ShardLiarBehavior
 from repro.core.shard_formation import MAXSHARD_ID
 from repro.net.messages import Message, MessageKind
 from repro.net.node import FullNode
+from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from tests.conftest import CONTRACT_A, CONTRACT_B, make_call, make_transfer
 
 
@@ -53,11 +55,19 @@ class TestTransactionPath:
         node = make_node(shard=MAXSHARD_ID)
         assert node.on_transaction(make_transfer("0xualice", "0xubob"))
 
-    def test_callgraph_tracks_all_traffic(self):
-        node = make_node(shard=1)
-        node.on_transaction(make_call("0xualice", CONTRACT_A))
-        node.on_transaction(make_transfer("0xubob", "0xucarol"))
-        assert node.callgraph.user_count() >= 2
+    def test_shared_callgraph_classifies_all_senders(self):
+        # Nodes keep no call graph of their own: the simulation's one
+        # shared graph has seen all traffic and classifies every sender.
+        txs = [
+            make_call("0xualice", CONTRACT_A),
+            make_transfer("0xubob", "0xucarol"),
+        ]
+        miners = [MinerIdentity.create(f"shared-{i}") for i in range(3)]
+        sim = ProtocolSimulation(miners, txs, config=ProtocolConfig(seed=1))
+        graph = sim._callgraph
+        assert graph.classify("0xualice") is SenderClass.SINGLE_CONTRACT
+        assert graph.classify("0xubob") is SenderClass.DIRECT_SENDER
+        assert not hasattr(sim.node(miners[0].public), "callgraph")
 
     def test_duplicate_tx_not_pooled_twice(self):
         node = make_node(shard=1)
@@ -65,6 +75,35 @@ class TestTransactionPath:
         node.on_transaction(tx)
         assert not node.on_transaction(tx)
         assert len(node.mempool) == 1
+
+    def test_pool_skips_classification(self):
+        # pool() trusts the caller's routing: a MaxShard transfer still
+        # lands in a shard-1 pool when handed over directly.
+        node = make_node(shard=1)
+        assert node.pool(make_transfer("0xualice", "0xubob"))
+        assert len(node.mempool) == 1
+        assert node.stats.txs_ignored == 0
+
+    def test_pool_refuses_duplicate(self):
+        node = make_node(shard=1)
+        tx = make_call("0xualice", CONTRACT_A)
+        assert node.pool(tx)
+        assert not node.pool(tx)
+        assert not node.on_transaction(tx)
+        assert len(node.mempool) == 1
+
+    def test_pool_counts_and_hooks_once_per_accepted_tx(self):
+        node = make_node(shard=1)
+        seen = []
+        node.on_pooled = lambda pooled_by, tx: seen.append((pooled_by, tx))
+        first = make_call("0xualice", CONTRACT_A, nonce=0)
+        second = make_call("0xualice", CONTRACT_A, nonce=1)
+        node.pool(first)
+        node.pool(first)
+        node.on_transaction(second)
+        node.on_transaction(second)
+        assert node.stats.txs_pooled == 2
+        assert seen == [(node, first), (node, second)]
 
     def test_receive_routes_tx_messages(self):
         node = make_node(shard=1)
