@@ -12,7 +12,9 @@ Gini) a dynamic re-sharding policy would act on.
 
 None of it moves a digest: heartbeats never emit trace records or
 consume RNG draws, so the same seed with telemetry on or off produces
-the same run, byte for byte.
+the same run, byte for byte. The run below is traced, and its digest
+is the recorded ``zipf-stream`` entry of ``tests/sim/seed_digests.json``
+(recorded with telemetry off).
 
 This walkthrough:
 
@@ -22,7 +24,8 @@ This walkthrough:
 2. prints the shard-load report — the hot shard dominates the
    confirmation column and the imbalance indices say so numerically;
 3. shows the empty-block rate splitting hot from cold shards, and the
-   eviction column pinning backpressure to the overloaded shard.
+   eviction column pinning backpressure to the overloaded shard;
+4. prints the run's trace digest.
 
 Run:  python examples/telemetry.py
 """
@@ -31,7 +34,7 @@ from repro import ProtocolConfig, ProtocolSimulation
 from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.net.network import LatencyModel
-from repro.observe import Telemetry
+from repro.observe import Telemetry, Tracer
 from repro.workloads import streaming_powerlaw_contract_workload
 
 FAST_POW = PoWParameters(difficulty=0x40000 // 60)  # ~1 s solo blocks
@@ -56,6 +59,7 @@ def main() -> None:
     print(f"declared skew: hottest shard {hot} txs, coldest {cold} txs")
 
     telemetry = Telemetry(heartbeat_interval=10.0, progress=True)
+    tracer = Tracer()
     config = ProtocolConfig(
         pow_params=FAST_POW,
         latency=LOW_LATENCY,
@@ -64,6 +68,7 @@ def main() -> None:
         inject_batch=200,
         inject_interval=5.0,
         mempool_limit=30,
+        trace=tracer,
         telemetry=telemetry,
     )
     result = ProtocolSimulation(miners, stream, config=config).run()
@@ -88,6 +93,8 @@ def main() -> None:
         f"(gini {imbalance['gini']:.2f}) — the signal a re-sharding "
         f"policy would trigger on."
     )
+    print()
+    print(f"trace digest {tracer.digest()} (same with telemetry off)")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ change updates a canonical-hash set and a confirmed-transaction multiset
 by walking only the reorged branch delta, so ``confirmed_tx_ids()`` is
 O(1) instead of an O(chain) walk. Protocol stop conditions poll that
 view after *every* event, which made the full scan accidentally
-quadratic; the scan survives as :meth:`confirmed_tx_ids_scan`, the
-differential oracle the ledger tests compare against.
+quadratic. The ledger tests hold the view to a walk of
+:meth:`Ledger.canonical_chain` kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -231,15 +231,9 @@ class Ledger:
         """Ids of every transaction on the canonical chain — O(1).
 
         Returns the ledger's incrementally-maintained view; treat it as
-        read-only (copy before mutating). The full-walk implementation
-        survives as :meth:`confirmed_tx_ids_scan`, the differential
-        oracle and the legacy engine's code path.
+        read-only (copy before mutating).
         """
         return self._confirmed_ids
-
-    def confirmed_tx_ids_scan(self) -> set[str]:
-        """The original O(chain) canonical walk, kept as the oracle."""
-        return {tx.tx_id for tx in self.confirmed_transactions()}
 
     def count_empty_blocks(self, *, canonical_only: bool = True) -> int:
         """Number of empty non-genesis blocks (the wasted-power metric)."""

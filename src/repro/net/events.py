@@ -32,9 +32,9 @@ built for throughput:
   entries while the standing heap footprint per in-flight broadcast is
   O(1).
 
-The pre-optimization engine survives as
-:class:`repro.net.legacy.LegacyScheduler` and is held to bit-identical
-behavior by the engine-parity tests.
+The recorded trace digests in ``tests/sim/seed_digests.json`` pin the
+resulting event order: any change to tie-breaking or sequence
+allocation shows up as a digest mismatch.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class DeliveryWave:
     re-keys the wave on the next (``heapreplace``, one sift).
 
     ``cancelled`` is always False: waves are never cancelled as a unit
-    (the fault layer bypasses wave scheduling entirely), which lets the
+    (faulty sends are scheduled per recipient instead), which lets the
     queue's tombstone sweeps treat them as ordinary live entries.
     """
 

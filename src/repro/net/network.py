@@ -101,10 +101,15 @@ class Network:
     **RNG draw-order contract.** The latency RNG is consumed in exactly
     one order: one draw per scheduled recipient, in recipient order
     (registration order for :meth:`broadcast`, list order for
-    :meth:`multicast`). The fan-out fast paths pre-sample that latency
-    vector in a single pass and must never reorder or batch draws
-    differently — the engine-parity tests pin this against the
-    pre-optimization :class:`repro.net.legacy.LegacyNetwork`.
+    :meth:`multicast`), and the recorded digests in
+    ``tests/sim/seed_digests.json`` pin that stream.
+
+    Fault-free fan-outs are **wave-scheduled**: the latency vector is
+    pre-sampled in one pass and the whole fan-out is one self-re-arming
+    :class:`~repro.net.events.DeliveryWave` heap entry, with each
+    recipient's ``Message`` built only when its delivery pops. Under a
+    fault model every recipient is a separate :meth:`send`, because the
+    fault plan filters each send and each delivery.
     """
 
     def __init__(
@@ -113,17 +118,11 @@ class Network:
         latency: LatencyModel | None = None,
         seed: int | None = None,
         faults: "FaultModel | None" = None,
-        waves: bool = True,
     ) -> None:
         self._scheduler = scheduler
         self._latency = latency or LatencyModel()
         self._rng = random.Random(seed)
         self._faults = faults
-        #: Wave scheduling for the fault-free fan-out fast paths: one
-        #: self-re-arming DeliveryWave heap entry per broadcast instead
-        #: of one push + Message per recipient. ``waves=False`` keeps
-        #: the per-event path as the differential oracle.
-        self._waves = waves
         self._nodes: dict[str, "Node"] = {}
         self.messages_delivered = 0
         self.cross_shard_messages = 0
@@ -183,39 +182,15 @@ class Network:
         """Send a payload to every node except the sender.
 
         Returns the number of sends actually scheduled (the fault layer
-        may swallow some). Without a fault model this takes the fan-out
-        fast path: the shared payload is wrapped once per recipient and
-        scheduled against a pre-sampled latency vector, with bound-method
-        dispatch instead of a closure per send.
+        may swallow some). Without a fault model the fan-out is one
+        wave over a pre-sampled latency vector.
         """
         if self._faults is None:
-            nodes = self._nodes
-            recipients = [nid for nid in nodes if nid != sender]
-            delays = self._latency.sample_many(self._rng, len(recipients))
-            if self._waves and len(recipients) > 1:
-                now = self._scheduler.now
-                self._scheduler.schedule_wave(
-                    [now + delay for delay in delays],
-                    [nodes[recipient] for recipient in recipients],
-                    self._wave_emit(message_kind, sender, payload, shard_id),
-                )
-                return len(recipients)
-            schedule = self._scheduler.schedule_in
-            deliver = self._deliver
-            for recipient, delay in zip(recipients, delays):
-                schedule(
-                    delay,
-                    deliver,
-                    nodes[recipient],
-                    Message(
-                        kind=message_kind,
-                        sender=sender,
-                        recipient=recipient,
-                        payload=payload,
-                        shard_id=shard_id,
-                    ),
-                )
-            return len(recipients)
+            targets = [
+                node for nid, node in self._nodes.items() if nid != sender
+            ]
+            self._schedule_wave(targets, message_kind, sender, payload, shard_id)
+            return len(targets)
         sent = 0
         for recipient in self._nodes:
             if recipient == sender:
@@ -231,13 +206,16 @@ class Network:
             )
         return sent
 
-    def _wave_emit(self, message_kind: MessageKind, sender: str,
-                   payload: object, shard_id: int | None):
-        """The lazy per-recipient materializer for wave scheduling.
+    def _schedule_wave(self, targets: list["Node"], message_kind: MessageKind,
+                       sender: str, payload: object,
+                       shard_id: int | None) -> None:
+        """One wave delivering ``payload`` to ``targets``, in that order.
 
-        One closure per fan-out (not per recipient); the Message is only
-        built when the recipient's delivery actually pops.
+        Draws one latency per target, in target order. The emit closure
+        is built once per fan-out (not per recipient); the Message is
+        only built when the recipient's delivery actually pops.
         """
+        delays = self._latency.sample_many(self._rng, len(targets))
         deliver = self._deliver
 
         def emit(target: "Node"):
@@ -252,21 +230,25 @@ class Network:
                 ),
             )
 
-        return emit
+        now = self._scheduler.now
+        self._scheduler.schedule_wave(
+            [now + delay for delay in delays], targets, emit
+        )
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
                   recipients: list[str], shard_id: int | None = None) -> int:
         """Send a payload to an explicit recipient list; returns sends made.
 
         The sender is skipped and does not count toward the fan-out.
-        Fault-free sends take the same pre-sampled fast path as
-        :meth:`broadcast`, preserving the per-recipient draw order.
+        Fault-free sends are one wave, like :meth:`broadcast`, in list
+        order.
         """
         if self._faults is None:
             nodes = self._nodes
-            actual = [nid for nid in recipients if nid != sender]
             targets = []
-            for recipient in actual:
+            for recipient in recipients:
+                if recipient == sender:
+                    continue
                 try:
                     targets.append(nodes[recipient])
                 except KeyError:
@@ -274,31 +256,8 @@ class Network:
                         f"unknown recipient {recipient} in "
                         f"{message_kind.name} multicast from {sender}"
                     ) from None
-            delays = self._latency.sample_many(self._rng, len(actual))
-            if self._waves and len(actual) > 1:
-                now = self._scheduler.now
-                self._scheduler.schedule_wave(
-                    [now + delay for delay in delays],
-                    targets,
-                    self._wave_emit(message_kind, sender, payload, shard_id),
-                )
-                return len(actual)
-            schedule = self._scheduler.schedule_in
-            deliver = self._deliver
-            for recipient, target, delay in zip(actual, targets, delays):
-                schedule(
-                    delay,
-                    deliver,
-                    target,
-                    Message(
-                        kind=message_kind,
-                        sender=sender,
-                        recipient=recipient,
-                        payload=payload,
-                        shard_id=shard_id,
-                    ),
-                )
-            return len(actual)
+            self._schedule_wave(targets, message_kind, sender, payload, shard_id)
+            return len(targets)
         sent = 0
         for recipient in recipients:
             if recipient == sender:

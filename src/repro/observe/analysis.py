@@ -17,7 +17,7 @@ streams — :func:`as_payloads` normalizes either):
   (p50/p95/p99) the reproduction exists to measure (Sec. IV-B).
   Lineage events are opt-in (``Tracer(lineage=True)``) and refer to
   transactions by workload index, so digests stay process-portable.
-* **trace diff** — the debugging entry point for engine-parity
+* **trace diff** — the debugging entry point for digest-parity
   failures: locate the *first* record whose deterministic identity
   diverges between two traces and render a windowed context report,
   instead of the all-or-nothing digest compare. Wall-sidecar-only

@@ -32,7 +32,6 @@ class DetectionReport:
 
     scenario: str
     seed: int
-    engine: str
     safety_violated: bool
     detected: bool
     time_to_detect: float | None

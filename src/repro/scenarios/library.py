@@ -1,7 +1,7 @@
 """The adversarial scenario library: five attacks, one registry.
 
 Each scenario compiles to a :class:`~repro.scenarios.base.ScenarioRun`
-and executes through the full engine (fast or legacy). The attacks and
+and executes through the full protocol engine. The attacks and
 their paper anchors:
 
 ========== ========================================================
@@ -69,7 +69,7 @@ def _distinct_fees(seed_tag: str, count: int, high: int = 1000) -> list[int]:
     serial — a tie would make the packing order (and hence the trace
     digest) depend on how many transactions the process created before
     the scenario. Distinct fees keep (scenario, seed) digests stable
-    across processes and engines.
+    across processes.
     """
     rng = random.Random(f"fees-{seed_tag}")
     return rng.sample(range(1, high + 1), count)
@@ -164,7 +164,6 @@ class ShardTakeoverScenario(Scenario):
         return DetectionReport(
             scenario=self.name,
             seed=outcome.seed,
-            engine=outcome.engine,
             safety_violated=bool(reverted) or censored > 0,
             detected=detected,
             time_to_detect=time_to_detect,
@@ -290,7 +289,6 @@ class CrossShardDoubleSpendScenario(Scenario):
         return DetectionReport(
             scenario=self.name,
             seed=outcome.seed,
-            engine=outcome.engine,
             safety_violated=both > 0,
             detected=blocked == len(pairs) and both == 0,
             time_to_detect=time_to_detect,
@@ -409,7 +407,6 @@ class FeeGriefingScenario(Scenario):
         return DetectionReport(
             scenario=self.name,
             seed=outcome.seed,
-            engine=outcome.engine,
             safety_violated=False,
             detected=rejected > 0,
             time_to_detect=first_event_time(outcome.payloads, "block.rejected"),
@@ -579,7 +576,6 @@ class EclipseScenario(Scenario):
         return DetectionReport(
             scenario=self.name,
             seed=outcome.seed,
-            engine=outcome.engine,
             safety_violated=len(reverted) > 0,
             detected=time_to_detect is not None,
             time_to_detect=time_to_detect,
@@ -752,7 +748,6 @@ class AdaptiveConcentrationScenario(Scenario):
         return DetectionReport(
             scenario=self.name,
             seed=outcome.seed,
-            engine=outcome.engine,
             safety_violated=censored > 0
             or any(idx in target_idx for idx in reverted),
             detected=p_value < 0.01,

@@ -5,7 +5,7 @@ import pytest
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.errors import LedgerError
-from tests.conftest import make_call
+from tests.conftest import confirmed_ids_scan, make_call
 
 
 def extend(ledger: Ledger, parent_hash: str, height: int, txs=(), miner="pk"):
@@ -123,25 +123,25 @@ class TestStatistics:
 
 
 class TestIncrementalViews:
-    """The incremental canonical/confirmed views vs. the walk oracle."""
+    """The incremental canonical/confirmed views vs. a chain walk."""
 
     def test_incremental_matches_scan_through_reorg(self):
         ledger = Ledger()
         tx_a, tx_b, tx_c = make_call("0xua"), make_call("0xub"), make_call("0xuc")
         a1 = extend(ledger, ledger.head_hash, 1, txs=[tx_a], miner="pkA")
-        assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+        assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
         # A competing branch from genesis overtakes the head.
         b1 = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.1, [tx_b])
         ledger.add_block(b1)
         b2 = extend(ledger, b1.block_hash, 2, txs=[tx_c], miner="pkB")
         assert ledger.head_hash == b2.block_hash
-        assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+        assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
         assert tx_a.tx_id not in ledger.confirmed_tx_ids()
         # The original branch fights back and wins again.
         a2 = extend(ledger, a1.block_hash, 2, txs=[tx_b], miner="pkA")
         a3 = extend(ledger, a2.block_hash, 3, miner="pkA")
         assert ledger.head_hash == a3.block_hash
-        assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+        assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
         assert tx_a.tx_id in ledger.confirmed_tx_ids()
 
     def test_duplicate_tx_across_branches_survives_unwind(self):
@@ -154,7 +154,7 @@ class TestIncrementalViews:
         ledger.add_block(b1)
         extend(ledger, b1.block_hash, 2, miner="pkB")  # reorg to branch B
         assert shared.tx_id in ledger.confirmed_tx_ids()
-        assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+        assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
 
     def test_version_bumps_only_on_head_change(self):
         ledger = Ledger()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.mempool import Mempool
-from tests.conftest import make_call
+from tests.conftest import fee_sorted, make_call
 
 
 class TestBasics:
@@ -110,13 +110,13 @@ class TestIdSelection:
 
 
 class TestCachedRankedView:
-    """The fee-ranked cache vs. the full-sort oracle, differentially."""
+    """The fee-ranked cache vs. a full sort of the pool, differentially."""
 
     def test_differential_random_workload(self):
         import random
 
         rng = random.Random(31)
-        cached = Mempool(fee_cache=True)
+        cached = Mempool()
         txs = [make_call(f"0xu{i}", fee=rng.randrange(1, 50)) for i in range(80)]
         for tx in txs:
             cached.add(tx)
@@ -125,12 +125,12 @@ class TestCachedRankedView:
             if rng.random() < 0.4:
                 limit = rng.randrange(0, 20)
                 assert cached.select_by_fee(limit) == (
-                    cached.select_by_fee_sorted(limit)
+                    fee_sorted(cached, limit)
                 )
             if rng.random() < 0.3 and len(cached):
                 victims = rng.sample(list(cached.pending()), k=1)
                 cached.remove(victims[0].tx_id)
-        assert cached.select_by_fee(100) == cached.select_by_fee_sorted(100)
+        assert cached.select_by_fee(100) == fee_sorted(cached, 100)
 
     def test_cache_survives_bulk_confirmation(self):
         pool = Mempool()
@@ -138,15 +138,7 @@ class TestCachedRankedView:
         pool.add_many(txs)
         pool.select_by_fee(5)  # build the cache
         pool.remove_confirmed({tx.tx_id for tx in txs[:20]})
-        assert pool.select_by_fee(30) == pool.select_by_fee_sorted(30)
-
-    def test_fee_cache_disabled_uses_sort(self):
-        pool = Mempool(fee_cache=False)
-        txs = [make_call(f"0xu{i}", fee=i) for i in range(10)]
-        pool.add_many(txs)
-        assert pool._ranked is None
-        assert pool.select_by_fee(5) == pool.select_by_fee_sorted(5)
-        assert pool._ranked is None  # never built
+        assert pool.select_by_fee(30) == fee_sorted(pool, 30)
 
     def test_add_after_cache_built_keeps_order(self):
         pool = Mempool()
@@ -154,4 +146,4 @@ class TestCachedRankedView:
         pool.select_by_fee(3)
         pool.add(make_call("0xnew", fee=100))
         assert pool.select_by_fee(1)[0].fee == 100
-        assert pool.select_by_fee(11) == pool.select_by_fee_sorted(11)
+        assert pool.select_by_fee(11) == fee_sorted(pool, 11)

@@ -2,8 +2,8 @@
 eviction/compaction interaction with the cached ranked view.
 
 The load-bearing property: under any interleaving of add / evict /
-remove / re-add, ``select_by_fee`` stays bit-identical to the
-``select_by_fee_sorted`` oracle and ``_ranked_stale`` never over-counts
+remove / re-add, ``select_by_fee`` stays bit-identical to a full sort
+of the pool (``tests.conftest.fee_sorted``) and ``_ranked_stale`` never over-counts
 (over-counting would defer compaction forever and let stale entries
 shadow live ones).
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.chain.mempool import Mempool, _fee_rank
 from repro.errors import ConfigError
-from tests.conftest import make_call
+from tests.conftest import fee_sorted, make_call
 
 
 def _assert_cache_consistent(pool: Mempool) -> None:
@@ -80,12 +80,15 @@ class TestBound:
             t.tx_id for t in pool_b.pending()
         )
         assert pool_a.evictions == pool_b.evictions
-        assert pool_a.select_by_fee(10) == pool_b.select_by_fee_sorted(10)
+        assert pool_a.select_by_fee(10) == fee_sorted(pool_b, 10)
 
     def test_eviction_counted_without_cache(self):
-        pool = Mempool(fee_cache=False, limit=1)
+        # The default pool before any selection: no ranked view yet, so
+        # the worst resident comes from a scan of the pool.
+        pool = Mempool(limit=1)
         pool.add(make_call("0xua", fee=2))
         pool.add(make_call("0xub", fee=7))
+        assert pool._ranked is None
         assert pool.evictions == 1
         assert len(pool) == 1
         assert pool.pending()[0].fee == 7
@@ -111,7 +114,7 @@ class TestEvictionCompactionInteraction:
         for i in range(4):
             pool.add(make_call(f"0xv{i}", fee=50 + i))
         _assert_cache_consistent(pool)
-        assert pool.select_by_fee(10) == pool.select_by_fee_sorted(10)
+        assert pool.select_by_fee(10) == fee_sorted(pool, 10)
 
     def test_evict_skips_stale_tail_entries(self):
         pool = Mempool(limit=3)
@@ -131,7 +134,7 @@ class TestEvictionCompactionInteraction:
         pool.add(make_call("0xue", fee=8))
         assert mid.tx_id not in pool
         _assert_cache_consistent(pool)
-        assert pool.select_by_fee(10) == pool.select_by_fee_sorted(10)
+        assert pool.select_by_fee(10) == fee_sorted(pool, 10)
 
     def test_readd_after_remove_does_not_duplicate_ranked_entry(self):
         pool = Mempool()
@@ -144,7 +147,7 @@ class TestEvictionCompactionInteraction:
         pool.add(tx)  # faulty-network re-pooling
         _assert_cache_consistent(pool)
         assert pool._ranked is not None and len(pool._ranked) == 2
-        assert pool.select_by_fee(10) == pool.select_by_fee_sorted(10)
+        assert pool.select_by_fee(10) == fee_sorted(pool, 10)
 
     def test_differential_add_evict_remove_interleavings(self):
         """The satellite's differential test: cached selection vs. the
@@ -168,8 +171,8 @@ class TestEvictionCompactionInteraction:
                 else:
                     limit = rng.randrange(0, 15)
                     assert pool.select_by_fee(limit) == (
-                        pool.select_by_fee_sorted(limit)
+                        fee_sorted(pool, limit)
                     ), f"seed={seed} step={step}"
                 assert len(pool) <= 12
             _assert_cache_consistent(pool)
-            assert pool.select_by_fee(20) == pool.select_by_fee_sorted(20)
+            assert pool.select_by_fee(20) == fee_sorted(pool, 20)

@@ -67,3 +67,24 @@ def make_transfer(
         kind=TransactionKind.DIRECT_TRANSFER,
         nonce=nonce,
     )
+
+
+def fee_sorted(pool, limit: int) -> list[Transaction]:
+    """Reference fee-greedy selection: a full sort of the pool.
+
+    ``Mempool.select_by_fee`` serves the same answer from its cached
+    ranked view; the mempool tests compare the two.
+    """
+    return sorted(pool.pending(), key=lambda tx: (-tx.fee, tx.tx_id))[:limit]
+
+
+def confirmed_ids_scan(ledger) -> set[str]:
+    """Reference confirmed-id view: a walk of the canonical chain.
+
+    ``Ledger.confirmed_tx_ids`` maintains the same set incrementally.
+    """
+    return {
+        tx.tx_id
+        for block in ledger.canonical_chain()
+        for tx in block.transactions
+    }

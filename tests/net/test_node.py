@@ -9,7 +9,13 @@ from repro.core.shard_formation import MAXSHARD_ID
 from repro.net.messages import Message, MessageKind
 from repro.net.node import FullNode
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
-from tests.conftest import CONTRACT_A, CONTRACT_B, make_call, make_transfer
+from tests.conftest import (
+    CONTRACT_A,
+    CONTRACT_B,
+    confirmed_ids_scan,
+    make_call,
+    make_transfer,
+)
 
 
 def classifier(tx):
@@ -153,6 +159,15 @@ class TestMiningPath:
         assert node.ledger.height == 1
         assert len(node.mempool) == 0
         assert node.confirmed_tx_count() == 1
+
+    def test_canonical_tip_blocks_counts_from_the_tip(self):
+        node = make_node(shard=1)
+        for height in range(1, 4):
+            node.adopt_block(node.forge_block(timestamp=float(height), capacity=10))
+        heights = [b.header.height for b in node.canonical_tip_blocks(2)]
+        assert heights == [2, 3]
+        assert len(node.canonical_tip_blocks(10)) == 3  # genesis excluded
+        assert node.canonical_tip_blocks(0) == []
 
     def test_liar_behavior_changes_header_claim(self):
         node = make_node(shard=1, behavior=ShardLiarBehavior(fake_shard=9))
@@ -402,19 +417,17 @@ class TestUnificationPacketPath:
 class TestTipDeltaReorg:
     """The journaled reorg path vs. the replay-from-genesis oracle."""
 
-    def _forked_node(self, fast_paths=True):
+    def _forked_node(self):
         """A node driven through a multi-block reorg with value-moving
         bodies, so both branches actually mutate the world state."""
         from repro.chain.block import Block
 
-        node = make_node(shard=1, name=f"reorg-{fast_paths}")
+        node = make_node(shard=1, name="reorg")
         # Fund bob in the live state AND the pre-genesis snapshot: the
         # replay oracle rebuilds from the pristine snapshot, so genesis
         # funding must exist in both views.
         node.state.create_account("0xubob", balance=1_000)
         node._pristine_state.create_account("0xubob", balance=1_000)
-        if not fast_paths:
-            node._fast_paths = False
         genesis = node.ledger.head_hash
         tx_a = make_call("0xualice", fee=4)
         tx_b = make_transfer("0xubob", "0xucarol", amount=10, fee=2)
@@ -432,16 +445,9 @@ class TestTipDeltaReorg:
         return node
 
     def test_reorg_state_matches_oracle(self):
-        node = self._forked_node(fast_paths=True)
+        node = self._forked_node()
         assert node.state.fingerprint() == node.state_oracle_fingerprint()
-
-    def test_fast_and_slow_paths_agree(self):
-        fast = self._forked_node(fast_paths=True)
-        slow = self._forked_node(fast_paths=False)
-        assert fast.state.fingerprint() == slow.state.fingerprint()
-        assert (
-            fast.ledger.confirmed_tx_ids() == fast.ledger.confirmed_tx_ids_scan()
-        )
+        assert node.ledger.confirmed_tx_ids() == confirmed_ids_scan(node.ledger)
 
     def test_partial_depth_reorg(self):
         # Fork above genesis: the shared prefix must not be reverted.

@@ -40,7 +40,7 @@ def lineage_trace():
                  attrs={"tx": 0}),
         _payload(5, "run.complete", time=20.0, phase="result",
                  attrs={"confirmed": 1},
-                 wall={"engine": "fast"}),
+                 wall={"events_fired": 12}),
     ]
 
 
@@ -134,7 +134,7 @@ class TestTraceDiff:
     def test_wall_only_differences_are_not_divergence(self):
         left = lineage_trace()
         right = lineage_trace()
-        right[-1] = dict(right[-1], wall={"engine": "legacy"})
+        right[-1] = dict(right[-1], wall={"events_fired": 15})
         diff = diff_traces(left, right)
         assert not diff.divergent
         assert diff.wall_only == 1

@@ -1,56 +1,59 @@
-"""Scenario determinism: (scenario, seed) pins the trace on both engines.
+"""Scenario determinism: (scenario, seed) pins the trace.
 
-Satellite 3 of the adversarial-suite PR. Same (scenario, seed) must
-yield bit-identical trace digests in-process and across the fast and
-frozen-legacy engines; different seeds must vary the metrics while the
-report schema stays fixed.
+Same (scenario, seed) must yield bit-identical trace digests in-process
+and across PR history (each scenario's seed-0 digest is recorded in
+``tests/sim/seed_digests.json``); different seeds must vary the metrics
+while the report schema stays fixed.
 """
+
+import functools
+import json
+import pathlib
 
 import pytest
 
 from repro.scenarios import DetectionReport, get_scenario, run_scenario, scenario_names
 
-#: Cheap-but-representative subset for the per-scenario parity sweep.
-#: ("takeover" exercises behaviors + run_to_horizon, "double-spend" the
-#: vanilla path, "eclipse" fault plans + probes.)
-PARITY_SCENARIOS = ["takeover", "double-spend", "eclipse"]
+BASELINES = json.loads(
+    (
+        pathlib.Path(__file__).parents[1] / "sim" / "seed_digests.json"
+    ).read_text()
+)
+
+
+@functools.cache
+def _digest_and_report(name: str, seed: int):
+    """One run per (scenario, seed), shared by the tests below."""
+    outcome = run_scenario(get_scenario(name), seed=seed)
+    return outcome.digest, outcome.report
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_same_seed_same_digest_fast(name):
-    first = run_scenario(get_scenario(name), seed=1)
     second = run_scenario(get_scenario(name), seed=1)
-    assert first.digest == second.digest
-    assert first.report == second.report
+    assert _digest_and_report(name, 1) == (second.digest, second.report)
 
 
-@pytest.mark.parametrize("name", PARITY_SCENARIOS)
-def test_fast_legacy_digest_parity(name):
-    fast = run_scenario(get_scenario(name), seed=0, engine="fast")
-    legacy = run_scenario(get_scenario(name), seed=0, engine="legacy")
-    assert fast.digest == legacy.digest
-    fast_dict = fast.report.as_dict()
-    legacy_dict = legacy.report.as_dict()
-    assert fast_dict.pop("engine") == "fast"
-    assert legacy_dict.pop("engine") == "legacy"
-    # Identical runs must yield identical detection verdicts.
-    assert fast_dict == legacy_dict
+@pytest.mark.parametrize("name", scenario_names())
+def test_digest_matches_recorded(name):
+    digest, __ = _digest_and_report(name, 0)
+    assert digest == BASELINES[f"scenario-{name}"]
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_different_seeds_vary_metrics_not_schema(name):
-    a = run_scenario(get_scenario(name), seed=0)
-    b = run_scenario(get_scenario(name), seed=2)
-    assert a.digest != b.digest
+    a_digest, a_report = _digest_and_report(name, 0)
+    b_digest, b_report = _digest_and_report(name, 2)
+    assert a_digest != b_digest
     # Schema stability: same core keys, same extras keys, per scenario.
-    a_dict, b_dict = a.report.as_dict(), b.report.as_dict()
+    a_dict, b_dict = a_report.as_dict(), b_report.as_dict()
     assert set(a_dict) == set(b_dict) == set(DetectionReport.core_keys()) | {"extras"}
     assert set(a_dict["extras"]) == set(b_dict["extras"])
 
 
 def test_takeover_seeds_change_time_to_detect():
-    a = run_scenario(get_scenario("takeover"), seed=0)
-    b = run_scenario(get_scenario("takeover"), seed=2)
-    assert a.report.time_to_detect != b.report.time_to_detect
+    __, a = _digest_and_report("takeover", 0)
+    __, b = _digest_and_report("takeover", 2)
+    assert a.time_to_detect != b.time_to_detect
     # Both seeds still reach the same verdict at the default coalition.
-    assert a.report.safety_violated and b.report.safety_violated
+    assert a.safety_violated and b.safety_violated

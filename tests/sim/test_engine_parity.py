@@ -1,20 +1,26 @@
-"""Engine parity: the fast protocol engine vs. the frozen legacy oracle.
+"""Recorded-digest parity: every seeded run in ``seed_digests.json``.
 
-The fast-path rewrite (tuple-keyed heap, broadcast fan-out with
-pre-sampled latency vectors, incremental confirmed tracking, tip-delta
-reorgs, cached fee-ranked mempool) must leave every seeded run
-**bit-identical**. These tests hold that in three ways:
+The protocol engine has one scheduling path for fault-free runs (wave
+fan-outs, per-shard mining calendars) and one for faulty runs (one
+filtered send per recipient). The recorded trace digests pin both, bit
+for bit, across PR history:
 
-* same-seed trace-digest equality between the two engines, for clean,
-  faulty, unified and unified-faulty runs;
-* same-seed equality against the *recorded* baselines in
-  ``seed_digests.json`` — so a silent draw-order change cannot slip
-  through by breaking both engines the same way. Fast-engine modes the
-  legacy engine cannot run (paced streaming, with and without eviction,
-  and a fixed-horizon run) are pinned by their recorded digest alone;
-* targeted regressions for the RNG draw-order contract, scheduler
-  compaction, and the tip-delta world-state against the
-  replay-from-genesis oracle.
+* ``clean``/``faulty``/``unified``/``unified-faulty`` — 6 miners, 40
+  transactions, with and without loss and parameter unification;
+* ``paced``/``paced-evict`` — paced streaming injection, with and
+  without a mempool bound that evicts;
+* ``horizon`` — a run that ignores the drain condition;
+* ``wave-128`` — 128 miners with minute-scale propagation, so thousands
+  of wave deliveries are in flight at once;
+* ``zipf-stream`` — the 96-miner, 64-shard Zipf paced stream that
+  ``examples/telemetry.py`` runs and prints the digest of, checked in
+  ``tests/test_examples.py``;
+* ``scenario-<name>`` — the five adversarial scenarios at seed 0,
+  checked in ``tests/scenarios/test_determinism.py``.
+
+Targeted regressions for the RNG draw-order contract, scheduler
+compaction, and the tip-delta world state against a replay from the
+pre-genesis snapshot follow.
 """
 
 import json
@@ -24,17 +30,20 @@ import random
 import pytest
 
 from repro.consensus.miner import MinerIdentity
-from repro.consensus.pow import PoWParameters
+from repro.consensus.pow import REFERENCE_HASHRATE, PoWParameters
+from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
 from repro.net.network import LatencyModel
 from repro.observe import Tracer
+from repro.scenarios import scenario_names
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     TxStream,
     streaming_uniform_contract_workload,
     uniform_contract_workload,
 )
+from tests.conftest import confirmed_ids_scan
 
 SEED = 7
 MINERS = 6
@@ -52,27 +61,16 @@ PROFILES = {
 }
 
 
-def _simulate(
-    engine: str,
-    unified: bool = False,
-    faulty: bool = False,
-    workload=None,
-):
+def _simulate(unified: bool = False, faulty: bool = False):
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
-    if workload is None:
-        # Note: tx ids embed a process-global serial, so two separately
-        # generated same-seed workloads get *different* ids (while still
-        # producing identical trace digests, which never embed ids).
-        # Tests that compare confirmed-id sets must share one workload.
-        workload = uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
-        )
+    workload = uniform_contract_workload(
+        total_txs=TXS, contract_shards=3, seed=SEED
+    )
     plan = (
         FaultPlan.lossy(0.08, duplicate_probability=0.05) if faulty else None
     )
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=True,
         max_duration=5000.0,
         fault_plan=plan,
@@ -90,7 +88,7 @@ def _stream() -> TxStream:
 
 
 def _run_paced(limit: int | None = None, batch: int = 10):
-    """Paced streaming injection on the fast engine; ``(result, digest)``."""
+    """Paced streaming injection; ``(result, digest)``."""
     tracer = Tracer()
     config = ProtocolConfig(
         seed=SEED,
@@ -121,53 +119,55 @@ def _run_to_horizon():
     return result
 
 
-#: Recorded baselines of fast-engine modes with no second engine to
-#: compare against, each mapped to the run that reproduces its digest.
-FAST_ONLY = {
+def _run_wave_profile() -> str:
+    """128 miners, 40 s to the horizon, 60-150 s propagation delays."""
+    identities = [MinerIdentity.create(f"m{i}") for i in range(128)]
+    workload = uniform_contract_workload(total_txs=50, contract_shards=3, seed=13)
+    tracer = Tracer()
+    config = ProtocolConfig(
+        seed=13,
+        trace=tracer,
+        max_duration=40.0,
+        run_to_horizon=True,
+        pow_params=PoWParameters(difficulty=round(40.0 * REFERENCE_HASHRATE)),
+        latency=LatencyModel(base_seconds=60.0, jitter_seconds=90.0),
+    )
+    ProtocolSimulation(identities, workload, config=config).run()
+    return tracer.digest()
+
+
+def _profile_digest(profile: str) -> str:
+    return _simulate(**PROFILES[profile])[1].trace.digest()
+
+
+#: Every recorded baseline reproduced in this file, mapped to its run.
+RUNS = {
+    **{name: (lambda name=name: _profile_digest(name)) for name in PROFILES},
     "paced": lambda: _run_paced()[1],
     "paced-evict": lambda: _run_paced(limit=4, batch=8)[1],
     "horizon": lambda: _run_to_horizon().trace.digest(),
+    "wave-128": _run_wave_profile,
 }
 
 
 class TestEngineDigestParity:
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_fast_and_legacy_digests_identical(self, profile):
-        workload = uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
-        )
-        __, fast = _simulate("fast", workload=workload, **PROFILES[profile])
-        __, legacy = _simulate(
-            "legacy", workload=workload, **PROFILES[profile]
-        )
-        assert fast.trace.digest() == legacy.trace.digest()
-        assert fast.confirmed_tx_ids == legacy.confirmed_tx_ids
-
-    @pytest.mark.parametrize("profile", sorted(BASELINES))
+    @pytest.mark.parametrize("profile", sorted(RUNS))
     def test_fast_engine_matches_recorded_baseline(self, profile):
-        """The committed digest pins the draw order across PR history:
-        a change that altered both engines identically would still pass
-        pairwise parity, but not this."""
-        if profile in FAST_ONLY:
-            digest = FAST_ONLY[profile]()
-        else:
-            __, result = _simulate("fast", **PROFILES[profile])
-            digest = result.trace.digest()
-        assert digest == BASELINES[profile]
+        """The committed digest pins event and draw order across PR
+        history."""
+        assert RUNS[profile]() == BASELINES[profile]
 
-    def test_engines_fire_identical_event_counts(self):
-        sim_fast, __ = _simulate("fast", faulty=True)
-        sim_legacy, __ = _simulate("legacy", faulty=True)
-        assert (
-            sim_fast.scheduler.events_fired
-            == sim_legacy.scheduler.events_fired
-        )
+    def test_every_baseline_is_reproduced(self):
+        scenarios = {f"scenario-{name}" for name in scenario_names()}
+        assert set(BASELINES) == set(RUNS) | scenarios | {"zipf-stream"}
 
     def test_unknown_engine_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="engine .*'fast' or 'legacy'"):
+        with pytest.raises(ConfigError, match="engine must be 'fast'"):
             ProtocolConfig(engine="turbo")
+
+    def test_legacy_engine_rejected(self):
+        with pytest.raises(ConfigError, match="^engine .*'legacy'"):
+            ProtocolConfig(engine="legacy")
 
 
 class TestDrawOrderContract:
@@ -277,7 +277,7 @@ class TestStateOracle:
         """After a full run (reorgs included), every node's journaled
         world state must fingerprint identically to a from-scratch
         canonical replay."""
-        sim, __ = _simulate("fast", **PROFILES[profile])
+        sim, __ = _simulate(**PROFILES[profile])
         for public in sorted(sim.assignment.shard_of):
             node = sim.node(public)
             assert (
@@ -285,7 +285,7 @@ class TestStateOracle:
             ), f"state drift on node {public[:10]} in profile {profile}"
 
     def test_ledger_incremental_matches_scan(self):
-        sim, __ = _simulate("fast", faulty=True)
+        sim, __ = _simulate(faulty=True)
         for public in sorted(sim.assignment.shard_of):
             ledger = sim.node(public).ledger
-            assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+            assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)

@@ -132,6 +132,10 @@ class TestValidationFailures:
             ("max_duration", 0.0),
             ("retransmit_interval", 0.0),
             ("max_events", 0),
+            ("retransmit_blocks", -1),
+            ("leader_timeout", -1.0),
+            ("leader_broadcast_delay", -0.5),
+            ("engine", "legacy"),
         ],
     )
     def test_nonsense_config_rejected_naming_field(self, field, value):

@@ -165,6 +165,27 @@ class TestChaosDrain:
         assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
         assert result.drops > result.fault_stats.duplicates  # loss dominated
 
+    @pytest.mark.parametrize("blocks", [0, 4])
+    def test_retransmit_blocks_bounds_tip_regossip(self, blocks):
+        """``retransmit_blocks=0`` re-gossips no blocks at all; 4 caps
+        each node's sweep at its last four canonical blocks."""
+        __, __, sim = build(
+            prefix="regossip",
+            fault_plan=FaultPlan.lossy(0.2),
+            retransmit_interval=2.0,
+            retransmit_blocks=blocks,
+            trace=True,
+        )
+        result = sim.run()
+        sweeps = result.trace.records_named("retransmit.sweep")
+        assert sweeps
+        regossiped = [record.attrs["blocks_regossiped"] for record in sweeps]
+        assert max(regossiped) <= blocks * len(sim.network.node_ids)
+        if blocks == 0:
+            assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
+        else:
+            assert max(regossiped) > 0
+
 
 class TestFaultyLeader:
     """Withholding and equivocating leaders during parameter unification."""

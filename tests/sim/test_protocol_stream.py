@@ -119,10 +119,6 @@ class TestStreamingRefusals:
     def _identities(self):
         return [MinerIdentity.create(f"m{i}") for i in range(3)]
 
-    def test_paced_legacy_engine_refused(self):
-        with pytest.raises(ConfigError, match="legacy"):
-            ProtocolConfig(engine="legacy", inject_batch=10)
-
     def test_paced_active_fault_plan_refused(self):
         with pytest.raises(ConfigError, match="fault"):
             ProtocolConfig(

@@ -112,10 +112,10 @@ class TestTraceCommands:
         assert "per-phase attribution" in out
         assert "transaction lineage" in out
 
-    def test_fast_vs_legacy_diff_is_clean(self, tmp_path, capsys):
-        fast = self._record(tmp_path, "fast.jsonl", "--engine", "fast")
-        legacy = self._record(tmp_path, "legacy.jsonl", "--engine", "legacy")
-        assert main(["trace", "diff", str(fast), str(legacy)]) == 0
+    def test_same_seed_diff_is_clean(self, tmp_path, capsys):
+        first = self._record(tmp_path, "first.jsonl")
+        second = self._record(tmp_path, "second.jsonl")
+        assert main(["trace", "diff", str(first), str(second)]) == 0
         out = capsys.readouterr().out
         assert "no deterministic divergence" in out
 
@@ -232,7 +232,7 @@ class TestScenarioCommands:
         first = json.loads(trace.read_text().splitlines()[0])
         assert "seq" in first and "name" in first
         payload = json.loads(report.read_text())
-        for key in ("scenario", "seed", "engine", "safety_violated",
+        for key in ("scenario", "seed", "safety_violated",
                     "detected", "time_to_detect", "extras"):
             assert key in payload
 
