@@ -20,10 +20,9 @@ The record also demonstrates the capacity refusal: materializing a
 stream above ``MAX_MATERIALIZED_TXS`` — i.e. attempting list-based
 injection at campaign scale — must raise ``WorkloadError``, loudly.
 
-``events_per_s`` (big run) is the tracked observatory metric in full
-mode; ``--quick`` (the CI smoke profile, 10× smaller) records it under
-an informational key so a smoke run is never compared against the
-committed full-scale baseline.
+``events_per_s`` (big run) is recorded in full mode; ``--quick`` (the
+CI smoke profile, 10× smaller) records it under an informational key so
+a smoke run is never mistaken for the committed full-scale figure.
 """
 
 from __future__ import annotations

@@ -1,49 +1,20 @@
 """Microbenchmarks of the hot kernels underlying every experiment.
 
-Besides the pytest-benchmark cases, this module doubles as a standalone
-perf probe: ``PYTHONPATH=src python -m benchmarks.bench_kernels --quick``
-times each optimized kernel against its kept reference implementation
-(identical answers asserted) and emits ``BENCH_kernels.json``, the record
-CI uploads on every push.
+Each pytest-benchmark case times one real kernel in absolute seconds.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import os
-import pathlib
-import random
-import sys
-
-import numpy as np
-
-if __package__ in (None, ""):  # direct script execution
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-
-from benchmarks.common import timed, write_bench_record
-from repro.chain.callgraph import CallGraph
 from repro.core.merging.algorithm import OneTimeMerge
-from repro.core.merging.equilibrium import (
-    best_pure_deviation,
-    best_pure_deviation_reference,
-)
 from repro.core.merging.game import MergingGameConfig, ShardPlayer
 from repro.core.selection.best_reply import BestReplyDynamics
-from repro.core.selection.congestion_game import (
-    SelectionGameConfig,
-    profile_utilities,
-    profile_utilities_reference,
-)
+from repro.core.selection.congestion_game import SelectionGameConfig
 from repro.crypto.merkle import MerkleTree
 from repro.net.events import Scheduler
 from repro.sim.config import SimulationConfig, TimingModel
 from repro.sim.simulator import ShardGroupSpec, ShardedSimulation
 from repro.workloads.distributions import random_small_shard_sizes, uniform_fees
-from repro.workloads.generators import (
-    single_shard_workload,
-    uniform_contract_workload,
-)
+from repro.workloads.generators import single_shard_workload
 
 
 def test_kernel_best_reply_1000(benchmark):
@@ -126,143 +97,3 @@ def test_kernel_sharded_simulation(benchmark):
 
     result = benchmark(run)
     assert result.all_confirmed
-
-
-# ----------------------------------------------------------------------
-# standalone optimized-vs-reference kernel timings (BENCH_kernels.json)
-# ----------------------------------------------------------------------
-@contextlib.contextmanager
-def _env(name: str, value: str):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
-
-
-def _speedup_entry(reference_s: float, optimized_s: float, **detail) -> dict:
-    return {
-        **detail,
-        "reference_s": round(reference_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(reference_s / optimized_s, 2),
-    }
-
-
-def merging_kernel_timing(quick: bool) -> dict:
-    """Nash deviation scan: incremental O(n) vs full-table O(n^2)."""
-    n = 200 if quick else 600
-    profile_count = 8 if quick else 20
-    rng = random.Random(11)
-    sizes = random_small_shard_sizes(n, seed=11)
-    players = [ShardPlayer(i, s, 2.0) for i, s in enumerate(sizes, 1)]
-    config = MergingGameConfig(
-        shard_reward=10.0, lower_bound=max(2, n // 2), subslots=16, max_slots=200
-    )
-    profiles = [
-        [rng.random() < 0.5 for __ in range(n)] for __ in range(profile_count)
-    ]
-    for profile in profiles:  # identical verdicts before timing anything
-        assert best_pure_deviation(
-            players, profile, config
-        ) == best_pure_deviation_reference(players, profile, config)
-    reference_s = timed(
-        lambda: [
-            best_pure_deviation_reference(players, p, config) for p in profiles
-        ]
-    )
-    optimized_s = timed(
-        lambda: [best_pure_deviation(players, p, config) for p in profiles]
-    )
-    return _speedup_entry(
-        reference_s, optimized_s, players=n, profiles=profile_count
-    )
-
-
-def selection_kernel_timing(quick: bool) -> dict:
-    """Profile utilities: numpy segmented sum vs the scalar loop."""
-    tx_count = 1_500 if quick else 4_000
-    miners = 200 if quick else 500
-    capacity = 6
-    rounds = 20 if quick else 40
-    rng = random.Random(13)
-    fees = np.asarray(uniform_fees(tx_count, seed=13), dtype=np.float64)
-    profile = [
-        tuple(sorted(rng.sample(range(tx_count), capacity))) for __ in range(miners)
-    ]
-    vectorized = profile_utilities(fees, profile)
-    scalar = profile_utilities_reference(fees, profile)
-    assert np.allclose(vectorized, scalar, rtol=0, atol=1e-9)
-    reference_s = timed(
-        lambda: [profile_utilities_reference(fees, profile) for __ in range(rounds)]
-    )
-    optimized_s = timed(
-        lambda: [profile_utilities(fees, profile) for __ in range(rounds)]
-    )
-    return _speedup_entry(
-        reference_s, optimized_s, txs=tx_count, miners=miners, capacity=capacity
-    )
-
-
-def callgraph_kernel_timing(quick: bool) -> dict:
-    """Sender classification: memoized vs recomputed per query."""
-    tx_count = 1_000 if quick else 4_000
-    passes = 5
-    workload = uniform_contract_workload(
-        total_txs=tx_count, contract_shards=9, seed=17
-    )
-
-    def classify_stream() -> int:
-        graph = CallGraph()
-        graph.observe_many(workload)
-        hits = 0
-        for __ in range(passes):
-            for tx in workload:
-                hits += graph.is_single_contract(tx.sender)
-        return hits
-
-    cached_hits = classify_stream()
-    with _env("REPRO_DISABLE_CACHE", "1"):
-        assert classify_stream() == cached_hits
-        reference_s = timed(classify_stream)
-    optimized_s = timed(classify_stream)
-    return _speedup_entry(
-        reference_s, optimized_s, txs=tx_count, classify_passes=passes
-    )
-
-
-def kernel_timings(quick: bool) -> dict:
-    return {
-        "merging_best_pure_deviation": merging_kernel_timing(quick),
-        "selection_profile_utilities": selection_kernel_timing(quick),
-        "callgraph_classification": callgraph_kernel_timing(quick),
-    }
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(
-        description="Time optimized kernels against their reference "
-        "implementations and emit BENCH_kernels.json."
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller instances (CI smoke)"
-    )
-    args = parser.parse_args(argv)
-    record = {
-        "mode": "quick" if args.quick else "full",
-        "kernels": kernel_timings(args.quick),
-    }
-    write_bench_record("kernels", record)
-    for name, entry in record["kernels"].items():
-        print(
-            f"{name}: reference {entry['reference_s']:.4f}s -> "
-            f"optimized {entry['optimized_s']:.4f}s ({entry['speedup']}x)"
-        )
-
-
-if __name__ == "__main__":
-    main()

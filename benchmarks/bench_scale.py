@@ -26,9 +26,8 @@ propagation), not by this bench.
 
 ``--quick`` (the CI scale-smoke profile) shrinks both legs and records
 throughput under an informational key, so a smoke run on a cold shared
-runner is never compared against the committed full-scale baseline.
-Full mode records ``events_per_s`` (million leg) as the tracked
-observatory metric.
+runner is never mistaken for the committed full-scale figure. Full mode
+records ``events_per_s`` (million leg).
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ def _sweep(points, quick: bool) -> list[dict]:
                 "events_fired": sim.scheduler.events_fired,
                 "peak_pending": sim.scheduler.peak_pending,
                 # Informational even in full mode: per-point wall times
-                # on a grid this small are machine noise; the tracked
+                # on a grid this small are machine noise; the headline
                 # number lives on the million leg.
                 "events_per_s_informational": round(
                     sim.scheduler.events_fired / max(wall, 1e-9), 1

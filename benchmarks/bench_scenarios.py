@@ -5,14 +5,13 @@ Two things are priced and persisted:
 * **scenario throughput** — every library scenario (takeover,
   double-spend, griefing, eclipse, adaptive) is run end to end on the
   fast engine with lineage tracing and detection, and the suite's
-  aggregate rate is recorded as ``scenario_runs_per_s`` (a tracked
-  metric: ``bench check`` fails if it regresses). Per-scenario wall
-  times and trace digests ride along as determinism evidence.
+  aggregate rate is recorded as ``scenario_runs_per_s``. Per-scenario
+  wall times and trace digests ride along as determinism evidence.
 * **overlay fidelity** — a reduced-trial Eq. 3 sweep
   (:func:`repro.scenarios.takeover_corruption_sweep`) runs through the
   engine and the record stores empirical-vs-analytical corruption per
-  grid point plus the within-tolerance verdict, so the perf trajectory
-  also tracks whether the engine still reproduces Fig. 1d.
+  grid point plus the within-tolerance verdict, so the record also
+  shows whether the engine still reproduces Fig. 1d.
 
 Emits ``benchmarks/results/BENCH_scenarios.json``.
 """

@@ -16,19 +16,15 @@ Usage::
     python -m repro trace digest out.jsonl
     python -m repro trace shards s.json   # shard-load report + imbalance
 
-    python -m repro bench history         # BENCH_*.json trajectory table
-    python -m repro bench check           # nonzero exit on a regression
-
     python -m repro scenario list         # the adversarial scenario library
     python -m repro scenario run takeover --seed 0 --trace takeover.jsonl
     python -m repro scenario sweep        # empirical Eq. 3 / Fig. 1d overlay
 
 ``trace diff`` exits 1 when the traces deterministically diverge;
-``bench check`` exits 1 when a tracked metric regresses beyond the
-tolerance; ``scenario sweep`` exits 1 when an empirical corruption rate
-leaves binomial confidence of the Eq. 3 curve; trace/bench/scenario data
-errors (missing file, corrupt JSONL, unknown scenario) are reported on
-stderr with exit code 2.
+``scenario sweep`` exits 1 when an empirical corruption rate leaves
+binomial confidence of the Eq. 3 curve; trace/scenario data errors
+(missing file, corrupt JSONL, unknown scenario) are reported on stderr
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -39,9 +35,6 @@ import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.experiments import experiment_ids, run_experiment
-
-#: Default benchmark-record directory for ``bench history`` / ``check``.
-_RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def _print_result(result) -> None:
@@ -297,42 +290,6 @@ def _scenario_sweep(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench subcommands
-# ----------------------------------------------------------------------
-def _bench_history(args) -> int:
-    from repro.observe import load_bench_records, render_history
-
-    print(render_history(load_bench_records(args.results)))
-    return 0
-
-
-def _bench_check(args) -> int:
-    from repro.observe import (
-        check_regressions,
-        load_bench_records,
-        render_check,
-        render_history,
-    )
-
-    baselines = load_bench_records(args.baseline)
-    candidates = (
-        load_bench_records(args.candidate)
-        if args.candidate is not None
-        else baselines
-    )
-    if not baselines:
-        print(f"error: no BENCH_*.json records under {args.baseline}",
-              file=sys.stderr)
-        return 2
-    print(render_history(candidates))
-    findings = check_regressions(
-        candidates, baselines, tolerance=args.tolerance
-    )
-    print(render_check(findings, tolerance=args.tolerance))
-    return 1 if any(f.regressed for f in findings) else 0
-
-
-# ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
 def _build_parser() -> argparse.ArgumentParser:
@@ -535,37 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="write the sweep points as JSON"
     )
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark regression observatory over BENCH_*.json"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-
-    history = bench_sub.add_parser(
-        "history", help="trajectory table of every benchmark record"
-    )
-    history.add_argument(
-        "--results", default=str(_RESULTS_DIR), help="records directory"
-    )
-
-    check = bench_sub.add_parser(
-        "check", help="fail (exit 1) when a tracked metric regressed"
-    )
-    check.add_argument(
-        "--baseline",
-        default=str(_RESULTS_DIR),
-        help="baseline records directory (default: committed results)",
-    )
-    check.add_argument(
-        "--candidate",
-        default=None,
-        help="candidate records directory (default: the baseline itself)",
-    )
-    check.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="allowed relative drop per metric (default 0.1 = 10%%)",
-    )
     return parser
 
 
@@ -637,16 +563,6 @@ def main(argv: list[str] | None = None) -> int:
             "run": _scenario_run,
             "sweep": _scenario_sweep,
         }[args.scenario_command]
-        try:
-            return handler(args)
-        except (ReproError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "bench":
-        handler = {"history": _bench_history, "check": _bench_check}[
-            args.bench_command
-        ]
         try:
             return handler(args)
         except (ReproError, OSError) as exc:

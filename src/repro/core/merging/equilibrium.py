@@ -42,15 +42,6 @@ def expected_payoffs(
     ]
 
 
-def _payoff_of(
-    players: list[ShardPlayer],
-    profile: list[bool],
-    config: MergingGameConfig,
-    index: int,
-) -> float:
-    return expected_payoffs(players, profile, config)[index]
-
-
 def best_pure_deviation(
     players: list[ShardPlayer],
     profile: list[bool],
@@ -64,8 +55,7 @@ def best_pure_deviation(
     A flip only moves the merged size by the flipping player's own
     ``c_i`` (Eq. 7), so the whole scan needs the merged size once and an
     O(1) adjustment per player — O(n) total, where recomputing the full
-    Eq. (14) table per flip (see :func:`best_pure_deviation_reference`)
-    is O(n^2).
+    Eq. (14) table per flip is O(n^2).
     """
     if len(players) != len(profile):
         raise MergingError("profile length does not match player count")
@@ -91,29 +81,6 @@ def best_pure_deviation(
         deviated = realized_utility(
             not merges, flipped_satisfied, config.shard_reward, player.cost
         )
-        gain = deviated - current
-        if gain > 1e-12 and (best is None or gain > best[1]):
-            best = (i, gain)
-    return best
-
-
-def best_pure_deviation_reference(
-    players: list[ShardPlayer],
-    profile: list[bool],
-    config: MergingGameConfig,
-) -> tuple[int, float] | None:
-    """The O(n^2) textbook scan: one full payoff table per candidate flip.
-
-    Kept as the differential-testing oracle (and the benchmark baseline)
-    for :func:`best_pure_deviation`; both must return identical results
-    on every input.
-    """
-    best: tuple[int, float] | None = None
-    for i in range(len(players)):
-        current = _payoff_of(players, profile, config, i)
-        flipped = list(profile)
-        flipped[i] = not flipped[i]
-        deviated = _payoff_of(players, flipped, config, i)
         gain = deviated - current
         if gain > 1e-12 and (best is None or gain > best[1]):
             best = (i, gain)

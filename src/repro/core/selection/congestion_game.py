@@ -111,23 +111,6 @@ def profile_utilities(
     return [float(total) for total in totals]
 
 
-def profile_utilities_reference(
-    fees: np.ndarray, profile: list[tuple[int, ...]]
-) -> list[float]:
-    """The scalar-loop oracle for :func:`profile_utilities`.
-
-    Kept for differential tests and as the benchmark baseline; must
-    agree with the vectorized version to float64 round-off.
-    """
-    counts = selection_counts(len(fees), profile)
-    utilities = []
-    for chosen in profile:
-        utilities.append(
-            float(sum(fees[j] / counts[j] for j in chosen))
-        )
-    return utilities
-
-
 def selection_counts(tx_count: int, profile: list[tuple[int, ...]]) -> np.ndarray:
     """How many miners selected each transaction (``m_j``, self included)."""
     counts = np.zeros(tx_count, dtype=np.int64)

@@ -42,9 +42,10 @@ class MessageFaults:
         _check_probability("drop_probability", self.drop_probability)
         _check_probability("duplicate_probability", self.duplicate_probability)
         _check_probability("delay_spike_probability", self.delay_spike_probability)
-        if self.delay_spike_seconds < 0:
+        # ``not x >= 0`` also rejects NaN, which fails every comparison.
+        if not self.delay_spike_seconds >= 0:
             raise FaultConfigError(
-                f"delay_spike_seconds cannot be negative, "
+                f"delay_spike_seconds cannot be negative or NaN, "
                 f"got {self.delay_spike_seconds}"
             )
 
@@ -71,9 +72,11 @@ class CrashEvent:
     recover_at: float | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise FaultConfigError(f"at cannot be negative, got {self.at}")
-        if self.recover_at is not None and self.recover_at <= self.at:
+        if not self.at >= 0:
+            raise FaultConfigError(
+                f"at cannot be negative or NaN, got {self.at}"
+            )
+        if self.recover_at is not None and not self.recover_at > self.at:
             raise FaultConfigError(
                 f"recover_at ({self.recover_at}) must come strictly "
                 f"after at ({self.at})"
@@ -100,11 +103,11 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.members:
             raise FaultConfigError("members: a partition needs at least one")
-        if self.starts_at < 0:
+        if not self.starts_at >= 0:
             raise FaultConfigError(
-                f"starts_at cannot be negative, got {self.starts_at}"
+                f"starts_at cannot be negative or NaN, got {self.starts_at}"
             )
-        if self.heals_at is not None and self.heals_at <= self.starts_at:
+        if self.heals_at is not None and not self.heals_at > self.starts_at:
             raise FaultConfigError(
                 f"heals_at ({self.heals_at}) must come strictly after "
                 f"starts_at ({self.starts_at})"

@@ -43,11 +43,12 @@ class LatencyModel:
     jitter_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.base_seconds < 0:
+        # ``not x >= 0`` also rejects NaN, which fails every comparison.
+        if not self.base_seconds >= 0:
             raise ConfigError(
                 f"latency base_seconds must be non-negative: {self.base_seconds}"
             )
-        if self.jitter_seconds < 0:
+        if not self.jitter_seconds >= 0:
             raise ConfigError(
                 f"latency jitter_seconds must be non-negative: {self.jitter_seconds}"
             )

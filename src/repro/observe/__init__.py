@@ -24,9 +24,6 @@ behavior a first-class, *reproducible* output:
   (sim-time vs. wall sidecar attribution), per-transaction causal
   lineage with per-shard p50/p95/p99 confirmation latencies, and the
   first-divergence trace diff behind ``python -m repro trace ...``.
-* :mod:`repro.observe.history` — the benchmark regression observatory
-  over ``benchmarks/results/BENCH_*.json`` behind
-  ``python -m repro bench ...``.
 
 Enabling it: set ``REPRO_TRACE=1``, or pass ``trace=`` to
 :class:`~repro.sim.protocol.ProtocolConfig` /
@@ -58,19 +55,6 @@ from repro.observe.export import (
     trace_digest,
     write_jsonl,
 )
-from repro.observe.history import (
-    SCHEMA_VERSION,
-    BenchRecord,
-    RegressionFinding,
-    check_regressions,
-    git_revision,
-    load_bench_records,
-    render_check,
-    render_history,
-    resource_metrics,
-    tracked_metrics,
-    utc_timestamp,
-)
 from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observe.telemetry import (
     HeartbeatSample,
@@ -96,16 +80,13 @@ from repro.observe.tracer import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION",
     "TRACE_ENV",
-    "BenchRecord",
     "Counter",
     "Gauge",
     "HeartbeatSample",
     "Histogram",
     "MetricsRegistry",
     "PhaseProfile",
-    "RegressionFinding",
     "ShardLoad",
     "ShardStats",
     "Telemetry",
@@ -117,33 +98,25 @@ __all__ = [
     "build_lineages",
     "build_phase_profiles",
     "build_traffic_matrix",
-    "check_regressions",
     "diff_traces",
     "digest_of_jsonl",
     "get_telemetry",
     "get_tracer",
     "gini",
-    "git_revision",
     "imbalance_indices",
-    "load_bench_records",
     "peak_rss_kb",
     "read_jsonl",
-    "render_check",
     "render_diff",
-    "render_history",
     "render_profile",
     "render_trace_summary",
     "resolve_telemetry",
     "resolve_tracer",
-    "resource_metrics",
     "set_telemetry",
     "set_tracer",
     "shard_latency_histograms",
     "trace_digest",
-    "tracked_metrics",
     "tracing_enabled",
     "use_telemetry",
     "use_tracer",
-    "utc_timestamp",
     "write_jsonl",
 ]

@@ -124,7 +124,8 @@ class Telemetry:
         stream: TextIO | None = None,
         expected_txs: int | None = None,
     ) -> None:
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
+        # ``not x > 0`` also rejects NaN, which fails every comparison.
+        if heartbeat_interval is not None and not heartbeat_interval > 0:
             raise ConfigError(
                 f"heartbeat_interval must be positive: got {heartbeat_interval}"
             )

@@ -23,7 +23,7 @@ determinism the unification protocol depends on:
 
 from __future__ import annotations
 
-from repro.runtime.cache import MemoCache, caching_disabled
+from repro.runtime.cache import MemoCache
 from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
@@ -41,7 +41,6 @@ __all__ = [
     "MemoCache",
     "ProcessExecutor",
     "SerialExecutor",
-    "caching_disabled",
     "effective_cpu_count",
     "executor_from_env",
     "get_default_executor",

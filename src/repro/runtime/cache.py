@@ -6,16 +6,6 @@ every partition re-walks the same adjacency. Those answers only change
 when the graph itself changes, so a :class:`MemoCache` keyed by sender
 with explicit invalidation turns the O(degree) scans into dict hits.
 
-``REPRO_DISABLE_CACHE=1`` is a **construction-time** kill-switch: the
-environment is snapshotted into ``enabled`` when a cache is built, so
-set it before the caches you care about exist (used by the benchmarks
-to measure the un-memoized baseline, and available when debugging
-staleness). Flipping the variable after a cache exists deliberately
-does nothing — a cache that consulted the environment on every ``get``
-would put a syscall-shaped lookup on the hottest path in the system.
-Use ``enabled=`` (or toggle ``cache.enabled``) for per-instance
-control after construction.
-
 Caches built with a ``name`` additionally register themselves in a
 process-wide weak registry so the observability layer
 (:mod:`repro.observe`) can report aggregate hit rates per cache site
@@ -24,7 +14,6 @@ without keeping dead caches alive.
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Callable, Generic, Hashable, TypeVar
 
@@ -36,12 +25,6 @@ V = TypeVar("V")
 _NAMED_CACHES: "weakref.WeakSet[MemoCache]" = weakref.WeakSet()
 
 
-def caching_disabled() -> bool:
-    """Whether the environment kill-switch is set (checked at
-    construction time only; see the module docstring)."""
-    return os.environ.get("REPRO_DISABLE_CACHE", "") not in ("", "0")
-
-
 class MemoCache(Generic[K, V]):
     """A bounded memo table with explicit invalidation and hit stats.
 
@@ -50,16 +33,13 @@ class MemoCache(Generic[K, V]):
     bound exists only as a memory backstop — when full, the cache is
     cleared wholesale (the workloads it serves re-warm in one pass).
 
-    ``enabled`` defaults to the construction-time environment snapshot
-    (``REPRO_DISABLE_CACHE``); changing the environment afterwards does
-    not affect existing caches. ``name`` opts the cache into the
-    observability registry (see :func:`named_cache_stats`).
+    ``name`` opts the cache into the observability registry (see
+    :func:`named_cache_stats`).
     """
 
     __slots__ = (
         "_data",
         "_max_entries",
-        "enabled",
         "hits",
         "misses",
         "name",
@@ -69,12 +49,10 @@ class MemoCache(Generic[K, V]):
     def __init__(
         self,
         max_entries: int = 65_536,
-        enabled: bool | None = None,
         name: str | None = None,
     ) -> None:
         self._data: dict[K, V] = {}
         self._max_entries = max_entries
-        self.enabled = (not caching_disabled()) if enabled is None else enabled
         self.hits = 0
         self.misses = 0
         self.name = name
@@ -86,8 +64,6 @@ class MemoCache(Generic[K, V]):
 
     def get(self, key: K, compute: Callable[[], V]) -> V:
         """The memoized value of ``compute`` under ``key``."""
-        if not self.enabled:
-            return compute()
         try:
             value = self._data[key]
         except KeyError:

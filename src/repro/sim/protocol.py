@@ -163,19 +163,21 @@ class ProtocolConfig:
             raise ConfigError(
                 f"block_capacity must be at least 1: {self.block_capacity}"
             )
-        if self.max_duration <= 0:
+        # Bounds are written as ``not x > 0`` / ``not x >= 0`` so that NaN,
+        # which fails every comparison, is rejected too.
+        if not self.max_duration > 0:
             raise ConfigError(
                 f"max_duration must be positive: {self.max_duration}"
             )
         interval = self.retransmit_interval
-        if interval is not None and interval <= 0:
+        if interval is not None and not interval > 0:
             raise ConfigError(
                 f"retransmit_interval must be positive or None: {interval}"
             )
         for name in (
             "retransmit_blocks", "leader_broadcast_delay", "leader_timeout"
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(
                     f"{name} must be non-negative: {getattr(self, name)}"
                 )
@@ -187,7 +189,7 @@ class ProtocolConfig:
             raise ConfigError(
                 f"inject_batch must be at least 1: {self.inject_batch}"
             )
-        if self.inject_interval <= 0:
+        if not self.inject_interval > 0:
             raise ConfigError(
                 f"inject_interval must be positive: {self.inject_interval}"
             )

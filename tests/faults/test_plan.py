@@ -136,6 +136,21 @@ class TestConstructionErrors:
         with pytest.raises(SimulationError, match="recover_at"):
             CrashEvent("n1", at=3.0, recover_at=1.0)
 
+    def test_nan_times_name_the_field(self):
+        # NaN fails every comparison, so a bound written as ``x < 0``
+        # would let it through.
+        nan = float("nan")
+        with pytest.raises(SimulationError, match="delay_spike_seconds"):
+            MessageFaults(delay_spike_seconds=nan)
+        with pytest.raises(SimulationError, match="at cannot be negative or NaN"):
+            CrashEvent("n1", at=nan)
+        with pytest.raises(SimulationError, match="recover_at"):
+            CrashEvent("n1", at=3.0, recover_at=nan)
+        with pytest.raises(SimulationError, match="starts_at"):
+            Partition(members=("a",), starts_at=nan)
+        with pytest.raises(SimulationError, match="heals_at"):
+            Partition(members=("a",), starts_at=2.0, heals_at=nan)
+
     def test_partition_errors_name_the_field(self):
         with pytest.raises(SimulationError, match="members"):
             Partition(members=())

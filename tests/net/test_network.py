@@ -300,6 +300,13 @@ class TestLatencyModel:
         with pytest.raises(ConfigError):
             LatencyModel(jitter_seconds=-0.5)
 
+    @pytest.mark.parametrize("field", ["base_seconds", "jitter_seconds"])
+    def test_nan_rejected_naming_field(self, field):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            LatencyModel(**{field: float("nan")})
+
     def test_sample_many_count_and_bounds(self):
         import random
 

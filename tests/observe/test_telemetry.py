@@ -126,6 +126,11 @@ class TestShardStats:
 
 
 class TestScope:
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_bad_heartbeat_interval_rejected_naming_field(self, interval):
+        with pytest.raises(ConfigError, match="heartbeat_interval"):
+            Telemetry(heartbeat_interval=interval)
+
     def test_resolve_semantics(self):
         telemetry = Telemetry()
         assert resolve_telemetry(telemetry) is telemetry

@@ -1,6 +1,6 @@
 """Tests for repro.runtime.cache."""
 
-from repro.runtime.cache import MemoCache, caching_disabled
+from repro.runtime.cache import MemoCache
 
 
 class TestMemoCache:
@@ -34,40 +34,6 @@ class TestMemoCache:
         for key in ("a", "b", "c"):
             cache.get(key, lambda: key)
         assert len(cache) == 1  # a+b evicted when c arrived
-
-    def test_disabled_cache_always_computes(self):
-        cache = MemoCache(enabled=False)
-        values = iter([1, 2])
-        assert cache.get("k", lambda: next(values)) == 1
-        assert cache.get("k", lambda: next(values)) == 2
-        assert len(cache) == 0
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_CACHE", "1")
-        assert caching_disabled()
-        assert MemoCache().enabled is False
-        monkeypatch.setenv("REPRO_DISABLE_CACHE", "0")
-        assert not caching_disabled()
-        assert MemoCache().enabled is True
-
-    def test_kill_switch_is_snapshotted_at_construction(self, monkeypatch):
-        """The documented contract: REPRO_DISABLE_CACHE is read once when
-        a cache is constructed. Flipping it afterwards does not change an
-        existing cache's behavior — only new caches see the new value."""
-        monkeypatch.delenv("REPRO_DISABLE_CACHE", raising=False)
-        live = MemoCache()
-        monkeypatch.setenv("REPRO_DISABLE_CACHE", "1")
-        # The pre-existing cache keeps caching...
-        values = iter([1, 2])
-        assert live.get("k", lambda: next(values)) == 1
-        assert live.get("k", lambda: next(values)) == 1
-        assert live.enabled is True
-        # ...while a cache built under the flag is born disabled.
-        assert MemoCache().enabled is False
-
-    def test_explicit_enabled_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_CACHE", "1")
-        assert MemoCache(enabled=True).enabled is True
 
 
 class TestNamedCacheStats:

@@ -1,4 +1,8 @@
-"""Differential tests: optimized kernels vs. their kept references."""
+"""Differential tests: optimized kernels vs. straightforward oracles.
+
+The oracles live here rather than in ``src/``: each is the textbook
+form of a kernel the library ships only in its optimized form.
+"""
 
 import random
 
@@ -6,19 +10,53 @@ import numpy as np
 import pytest
 
 from repro.chain.callgraph import CallGraph
-from repro.core.merging.equilibrium import (
-    best_pure_deviation,
-    best_pure_deviation_reference,
-)
+from repro.chain.history import TransactionHistory
+from repro.core.merging.equilibrium import best_pure_deviation, expected_payoffs
 from repro.core.merging.game import MergingGameConfig, ShardPlayer
 from repro.core.selection.best_reply import BestReplyDynamics
 from repro.core.selection.congestion_game import (
     SelectionGameConfig,
     profile_utilities,
-    profile_utilities_reference,
     selection_counts,
 )
 from repro.workloads.generators import WorkloadBuilder
+
+
+def best_pure_deviation_reference(
+    players: list[ShardPlayer],
+    profile: list[bool],
+    config: MergingGameConfig,
+) -> tuple[int, float] | None:
+    """The O(n^2) textbook scan: one full payoff table per candidate flip.
+
+    Must return exactly what :func:`best_pure_deviation` returns.
+    """
+    best: tuple[int, float] | None = None
+    for i in range(len(players)):
+        current = expected_payoffs(players, profile, config)[i]
+        flipped = list(profile)
+        flipped[i] = not flipped[i]
+        deviated = expected_payoffs(players, flipped, config)[i]
+        gain = deviated - current
+        if gain > 1e-12 and (best is None or gain > best[1]):
+            best = (i, gain)
+    return best
+
+
+def profile_utilities_reference(
+    fees: np.ndarray, profile: list[tuple[int, ...]]
+) -> list[float]:
+    """The scalar-loop oracle for :func:`profile_utilities`.
+
+    Must agree with the vectorized version to float64 round-off.
+    """
+    counts = selection_counts(len(fees), profile)
+    utilities = []
+    for chosen in profile:
+        utilities.append(
+            float(sum(fees[j] / counts[j] for j in chosen))
+        )
+    return utilities
 
 
 def _random_game(rng: random.Random, n: int):
@@ -106,7 +144,10 @@ class TestProfileUtilities:
 
 class TestCallGraphMemo:
     def test_interleaved_stream_matches_uncached_graph(self):
-        """Memoized answers equal a cache-free graph's at every step."""
+        """Memoized answers equal an uncached classifier's at every step.
+
+        The oracle is the Sec. III-C "trivial" full-history scan, which
+        recomputes every answer from the recorded transactions."""
         builder = WorkloadBuilder(seed=4)
         rng = random.Random(4)
         txs = []
@@ -126,14 +167,13 @@ class TestCallGraphMemo:
                 )
 
         cached = CallGraph()
-        fresh = CallGraph()
-        fresh._analysis.enabled = False  # the recompute-every-time oracle
+        history = TransactionHistory()
         for tx in txs:
             cached.observe(tx)
-            fresh.observe(tx)
+            history.append(tx)
             for probe in (tx.sender, txs[0].sender):
-                assert cached.classify(probe) is fresh.classify(probe)
-                assert cached.sole_contract_of(probe) == fresh.sole_contract_of(
+                assert cached.classify(probe) is history.classify(probe)
+                assert cached.sole_contract_of(probe) == history.sole_contract_of(
                     probe
                 )
         hits, misses = cached.cache_stats()

@@ -1,7 +1,6 @@
 """Tests for the python -m repro command-line interface."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -146,62 +145,6 @@ class TestTraceCommands:
         bad.write_text('{"seq": 0, "name": "a"}\n{oops\n')
         assert main(["trace", "profile", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
-
-
-class TestBenchCommands:
-    RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
-
-    def test_history_over_committed_results(self, capsys):
-        assert main(["bench", "history"]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark records:" in out
-
-    def test_check_passes_on_committed_results(self, capsys):
-        assert main(["bench", "check"]) == 0
-        out = capsys.readouterr().out
-        assert "0 regression(s)" in out
-
-    def test_check_fails_on_injected_regression(self, tmp_path, capsys):
-        def degrade(node):
-            # Only *tracked* speedups count — "informational" keys (e.g.
-            # parallel-vs-serial on a 1-CPU host) are excluded from the
-            # gate on purpose, so degrading them must not trip it.
-            found = False
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    if (
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        and "speedup" in key
-                        and "informational" not in key
-                    ):
-                        node[key] = value * 0.5
-                        found = True
-                    elif isinstance(value, (dict, list)):
-                        found = degrade(value) or found
-            elif isinstance(node, list):
-                for value in node:
-                    found = degrade(value) or found
-            return found
-
-        for source in sorted(self.RESULTS.glob("BENCH_*.json")):
-            record = json.loads(source.read_text())
-            if degrade(record):
-                break
-        else:
-            raise AssertionError("no record with a tracked speedup metric")
-        candidate_dir = tmp_path / "candidate"
-        candidate_dir.mkdir()
-        (candidate_dir / source.name).write_text(json.dumps(record))
-        assert (
-            main(["bench", "check", "--candidate", str(candidate_dir)]) == 1
-        )
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-
-    def test_check_errors_on_empty_baseline_dir(self, tmp_path, capsys):
-        assert main(["bench", "check", "--baseline", str(tmp_path)]) == 2
-        assert "no BENCH_*.json records" in capsys.readouterr().err
 
 
 class TestScenarioCommands:
