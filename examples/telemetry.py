@@ -21,8 +21,9 @@ This walkthrough:
 1. streams a Zipf-skewed workload (shard 1 receives the lion's share)
    across 64 contract shards with paced injection and a bounded
    mempool, heartbeats live on stderr;
-2. prints the shard-load report — the hot shard dominates the
-   confirmation column and the imbalance indices say so numerically;
+2. prints the run report, whose shards section is the shard-load
+   picture — the hot shard dominates the confirmation column and the
+   imbalance indices say so numerically;
 3. shows the empty-block rate splitting hot from cold shards, and the
    eviction column pinning backpressure to the overloaded shard;
 4. prints the run's trace digest.
@@ -34,7 +35,7 @@ from repro import ProtocolConfig, ProtocolSimulation
 from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.net.network import LatencyModel
-from repro.observe import Telemetry, Tracer
+from repro.observe import RunReport, Telemetry, Tracer
 from repro.workloads import streaming_powerlaw_contract_workload
 
 FAST_POW = PoWParameters(difficulty=0x40000 // 60)  # ~1 s solo blocks
@@ -83,7 +84,7 @@ def main() -> None:
     print()
 
     stats = result.shard_stats
-    print(stats.render(title="skewed 64-shard run"))
+    print(RunReport.from_run(tracer, stats, title="skewed 64-shard run").render())
     print()
 
     imbalance = stats.imbalance()

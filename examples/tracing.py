@@ -10,10 +10,11 @@ and the SHA-256 trace digest is a one-line reproducibility check.
 This walkthrough:
 
 1. runs a seeded protocol simulation with an explicit :class:`Tracer`
-   (the ``trace=`` hook; ``REPRO_TRACE=1`` would enable the same thing
-   environment-wide);
-2. prints the human-readable summary — per-phase record counts, the
-   per-shard confirmation timeline, and the metrics registry;
+   (the ``trace=`` hook; a :func:`~repro.observe.use_tracer` scope
+   would enable the same thing for everything run inside it);
+2. prints the run report (:class:`~repro.observe.RunReport`) — the
+   digest, per-phase record counts and sim-time windows, and the
+   metrics registry;
 3. reruns with the same seed and verifies the digests match;
 4. exports the trace as JSONL and recomputes the digest from the file
    alone, the way the CI trace-smoke step does.
@@ -31,7 +32,7 @@ from repro import ProtocolConfig, ProtocolSimulation, uniform_contract_workload
 from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.net.network import LatencyModel
-from repro.observe import Tracer, digest_of_jsonl
+from repro.observe import RunReport, Tracer, digest_of_jsonl
 
 FAST_POW = PoWParameters(difficulty=0x40000 // 60)  # ~1 s solo blocks
 LOW_LATENCY = LatencyModel(base_seconds=0.01, jitter_seconds=0.01)
@@ -54,7 +55,7 @@ def traced_run(seed: int = 7) -> "Tracer":
 def main() -> None:
     print("=== traced protocol run ===")
     trace = traced_run()
-    print(trace.summary(title="protocol seed=7"))
+    print(RunReport.from_run(trace, title="protocol seed=7").render())
 
     print()
     print("=== determinism: same seed, same digest ===")

@@ -71,7 +71,6 @@ from repro.faults import (
 from repro.observe import (
     MetricsRegistry,
     Tracer,
-    tracing_enabled,
     use_tracer,
 )
 from repro.baselines import (
@@ -146,7 +145,6 @@ __all__ = [
     # observe
     "MetricsRegistry",
     "Tracer",
-    "tracing_enabled",
     "use_tracer",
     # baselines
     "run_ethereum",

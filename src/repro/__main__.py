@@ -10,11 +10,10 @@ Usage::
     python -m repro run fig3a --progress  # live heartbeat line on stderr
 
     python -m repro trace record out.jsonl --seed 7
-    python -m repro trace record out.jsonl --heartbeat 25 --shard-stats s.json
-    python -m repro trace profile out.jsonl
+    python -m repro trace record out.jsonl --heartbeat 25 --report r.json
+    python -m repro trace report out.jsonl   # or a saved r.json
     python -m repro trace diff run1.jsonl run2.jsonl
     python -m repro trace digest out.jsonl
-    python -m repro trace shards s.json   # shard-load report + imbalance
 
     python -m repro scenario list         # the adversarial scenario library
     python -m repro scenario run takeover --seed 0 --trace takeover.jsonl
@@ -91,7 +90,7 @@ def _trace_record(args) -> int:
     from repro.consensus.pow import PoWParameters
     from repro.faults.plan import FaultPlan
     from repro.net.network import LatencyModel
-    from repro.observe import Telemetry, Tracer
+    from repro.observe import RunReport, Telemetry, Tracer
     from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
     from repro.workloads import (
         streaming_uniform_contract_workload,
@@ -115,14 +114,12 @@ def _trace_record(args) -> int:
     tracer = Tracer(
         lineage=lineage, sink=args.output if args.sink else None
     )
-    telemetry: Telemetry | bool = False
-    if args.heartbeat is not None or args.progress or args.shard_stats:
-        interval = args.heartbeat
-        if interval is None and args.progress:
-            interval = 5.0
-        telemetry = Telemetry(
-            heartbeat_interval=interval, progress=args.progress
-        )
+    # Shard stats are always collected (digest-neutral); heartbeats only
+    # on request.
+    interval = args.heartbeat
+    if interval is None and args.progress:
+        interval = 5.0
+    telemetry = Telemetry(heartbeat_interval=interval, progress=args.progress)
     config = ProtocolConfig(
         pow_params=PoWParameters(difficulty=0x40000 // 60),
         latency=LatencyModel(base_seconds=0.01, jitter_seconds=0.01),
@@ -144,35 +141,29 @@ def _trace_record(args) -> int:
         miners, workload, config=config, unified=args.unified
     ).run()
     trace = result.trace
-    if args.sink:
-        target = trace.finish_sink()
-        records = trace.spilled
-    else:
-        target = trace.write_jsonl(args.output)
-        records = len(trace)
+    target = trace.finish_sink() if args.sink else trace.write_jsonl(args.output)
+    report = RunReport.from_run(trace, result.shard_stats, title=target.name)
+    print(report.render())
+    if args.report:
+        import json
+
+        with open(args.report, "w", encoding="utf-8") as handle:
+            json.dump(report.as_dict(), handle, indent=2)
+            handle.write("\n")
+        print(f"report written to {args.report}")
     print(
-        f"recorded {records} records to {target} "
+        f"recorded {len(trace)} records to {target} "
         f"(seed={args.seed}, "
         f"confirmed={result.confirmed_count()})"
     )
     print(f"digest {trace.digest()}")
-    if result.shard_stats is not None:
-        print(result.shard_stats.render(title="shard load"))
-        if args.shard_stats:
-            import json
-
-            with open(args.shard_stats, "w", encoding="utf-8") as handle:
-                json.dump(result.shard_stats.as_dict(), handle, indent=2)
-                handle.write("\n")
-            print(f"shard stats written to {args.shard_stats}")
     return 0
 
 
-def _trace_profile(args) -> int:
-    from repro.observe import as_payloads, render_profile
+def _trace_report(args) -> int:
+    from repro.observe import RunReport
 
-    payloads = as_payloads(args.trace)
-    print(render_profile(payloads, title=pathlib.Path(args.trace).name))
+    print(RunReport.read(args.path).render())
     return 0
 
 
@@ -191,27 +182,6 @@ def _trace_digest(args) -> int:
     from repro.observe import digest_of_jsonl
 
     print(digest_of_jsonl(args.trace))
-    return 0
-
-
-def _trace_shards(args) -> int:
-    """Render a recorded shard-load report (traffic matrix + imbalance)."""
-    import json
-
-    from repro.errors import SimulationError
-    from repro.observe import ShardStats
-
-    path = pathlib.Path(args.stats)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"{path}: corrupt shard-stats JSON: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise SimulationError(
-            f"{path}: expected a JSON object, got {type(payload).__name__}"
-        )
-    stats = ShardStats.from_dict(payload)
-    print(stats.render(title=path.name))
     return 0
 
 
@@ -349,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     trace_parser = subparsers.add_parser(
-        "trace", help="trace analytics: record, profile, diff, digest"
+        "trace", help="trace analytics: record, report, diff, digest"
     )
     trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
 
@@ -411,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="telemetry heartbeat interval in sim seconds "
-        "(digest-neutral; implies a final shard-load report)",
+        help="telemetry heartbeat interval in sim seconds (digest-neutral)",
     )
     record.add_argument(
         "--progress",
@@ -420,17 +389,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print a live heartbeat line per sample to stderr",
     )
     record.add_argument(
-        "--shard-stats",
+        "--report",
         metavar="PATH",
         default=None,
-        help="write the shard-load report as JSON (see 'trace shards')",
+        help="also save the printed run report as JSON (see 'trace report')",
     )
 
-    profile = trace_sub.add_parser(
-        "profile",
-        help="per-phase attribution + per-transaction lineage latencies",
+    report = trace_sub.add_parser(
+        "report",
+        help="run report: phases, lineage latencies, shard loads, metrics",
     )
-    profile.add_argument("trace", help="JSONL trace path")
+    report.add_argument("path", help="JSONL trace or saved report JSON")
 
     diff = trace_sub.add_parser(
         "diff", help="first deterministic divergence between two traces"
@@ -445,14 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "digest", help="recompute a trace file's wall-excluding digest"
     )
     digest.add_argument("trace", help="JSONL trace path")
-
-    shards = trace_sub.add_parser(
-        "shards",
-        help="shard-load report from a recorded shard-stats JSON file",
-    )
-    shards.add_argument(
-        "stats", help="shard-stats JSON path (trace record --shard-stats)"
-    )
 
     scenario_parser = subparsers.add_parser(
         "scenario", help="adversarial scenarios through the full engine"
@@ -546,10 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "trace":
         handler = {
             "record": _trace_record,
-            "profile": _trace_profile,
+            "report": _trace_report,
             "diff": _trace_diff,
             "digest": _trace_digest,
-            "shards": _trace_shards,
         }[args.trace_command]
         try:
             return handler(args)

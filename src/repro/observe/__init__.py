@@ -1,31 +1,23 @@
-"""Deterministic tracing and metrics (the observability layer).
+"""Deterministic tracing, metrics and telemetry (the observability layer).
 
-The simulation grew retransmission sweeps, leader timeouts, merging
-rounds, best-reply iterations, cache hits and executor fan-outs — all
-invisible behind final result counters. This package makes that
-behavior a first-class, *reproducible* output:
+The simulation's retransmission sweeps, leader timeouts, merging
+rounds, best-reply iterations, cache hits and executor fan-outs are
+invisible behind final result counters. This package makes them a
+first-class, *reproducible* output:
 
 * :class:`Tracer` — structured span/event records keyed by simulated
-  time, phase, shard, miner and epoch. Wall-clock measurements live in
-  an explicit sidecar excluded from record identity, so the same seed
-  yields the same :meth:`Tracer.digest` — a trace is itself a
-  regression oracle.
-* :class:`MetricsRegistry` — deterministic counters/gauges/histograms
-  (blocks forged, rounds to convergence, tasks fanned out).
-* :mod:`repro.observe.telemetry` — run heartbeats (events/s, per-shard
-  mempool depth, peak RSS), per-shard load accounting with a
-  cross-shard traffic matrix and imbalance indices. All wall-clock
-  readings stay out of the trace digest, so telemetry on/off never
-  changes a recorded baseline.
-* :mod:`repro.observe.export` — JSONL export plus a human-readable
-  per-phase summary, the sharding-survey-style breakdown (per-phase
-  latencies, per-shard timelines) end-to-end counters cannot give.
-* :mod:`repro.observe.analysis` — the query layer: per-phase profiles
-  (sim-time vs. wall sidecar attribution), per-transaction causal
-  lineage with per-shard p50/p95/p99 confirmation latencies, and the
-  first-divergence trace diff behind ``python -m repro trace ...``.
+  time, phase, shard, miner and epoch; wall-clock measurements ride in
+  a sidecar excluded from :meth:`Tracer.digest`, so a trace is itself
+  a regression oracle. :mod:`repro.observe.export` writes and digests
+  JSONL files; :mod:`repro.observe.analysis` folds per-transaction
+  lineages and finds the first divergence between two traces.
+* :class:`MetricsRegistry` — deterministic counters/gauges/histograms.
+* :mod:`repro.observe.telemetry` — digest-neutral heartbeats and
+  per-shard load accounting (:class:`ShardStats`).
+* :class:`RunReport` — one schema and one renderer over all of the
+  above for one run (``python -m repro trace report``).
 
-Enabling it: set ``REPRO_TRACE=1``, or pass ``trace=`` to
+Enabling it: pass ``trace=`` to
 :class:`~repro.sim.protocol.ProtocolConfig` /
 :class:`~repro.sim.campaign.Campaign`, or scope any code under
 :func:`use_tracer`. Disabled-mode overhead is a pointer check per
@@ -35,25 +27,20 @@ instrumentation site (guarded by ``benchmarks/bench_observe.py``).
 from __future__ import annotations
 
 from repro.observe.analysis import (
-    PhaseProfile,
     TraceDiff,
     TxLineage,
     as_payloads,
     build_lineages,
-    build_phase_profiles,
     diff_traces,
     gini,
     imbalance_indices,
     render_diff,
-    render_profile,
     shard_latency_histograms,
 )
 from repro.observe.export import (
     digest_of_jsonl,
     read_jsonl,
-    render_trace_summary,
     trace_digest,
-    write_jsonl,
 )
 from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observe.telemetry import (
@@ -61,32 +48,27 @@ from repro.observe.telemetry import (
     ShardLoad,
     ShardStats,
     Telemetry,
-    build_traffic_matrix,
     get_telemetry,
-    peak_rss_kb,
     resolve_telemetry,
-    set_telemetry,
     use_telemetry,
 )
 from repro.observe.tracer import (
-    TRACE_ENV,
     TraceRecord,
     Tracer,
     get_tracer,
     resolve_tracer,
     set_tracer,
-    tracing_enabled,
     use_tracer,
 )
+from repro.observe.report import RunReport
 
 __all__ = [
-    "TRACE_ENV",
     "Counter",
     "Gauge",
     "HeartbeatSample",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfile",
+    "RunReport",
     "ShardLoad",
     "ShardStats",
     "Telemetry",
@@ -96,27 +78,19 @@ __all__ = [
     "TxLineage",
     "as_payloads",
     "build_lineages",
-    "build_phase_profiles",
-    "build_traffic_matrix",
     "diff_traces",
     "digest_of_jsonl",
     "get_telemetry",
     "get_tracer",
     "gini",
     "imbalance_indices",
-    "peak_rss_kb",
     "read_jsonl",
     "render_diff",
-    "render_profile",
-    "render_trace_summary",
     "resolve_telemetry",
     "resolve_tracer",
-    "set_telemetry",
     "set_tracer",
     "shard_latency_histograms",
     "trace_digest",
-    "tracing_enabled",
     "use_telemetry",
     "use_tracer",
-    "write_jsonl",
 ]

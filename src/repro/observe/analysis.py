@@ -1,15 +1,9 @@
-"""Trace analytics: profiles, per-transaction lineage, and trace diffs.
+"""Trace analytics: per-transaction lineage and trace diffs.
 
-PR 3 made traces a deterministic *output*; this module makes them
-*queryable*. Three capabilities, all operating on the plain-dict
-payloads of an exported JSONL trace (or live :class:`TraceRecord`
-streams — :func:`as_payloads` normalizes either):
+Both operate on the plain-dict payloads of an exported JSONL trace (or
+live :class:`TraceRecord` streams — :func:`as_payloads` normalizes
+either); :mod:`repro.observe.report` renders what they compute:
 
-* **phase profile** — where a run spends itself: per-phase record
-  counts, the simulated-time window each phase was active in, and the
-  wall-clock sidecar seconds attributed to it (``wall.duration_s`` on
-  span ends, executor map timings). Deterministic sim-time and
-  measured wall time stay separate columns, never mixed.
 * **causal lineage** — per-transaction lifecycles reconstructed from
   the lineage event contract (``workload.inject`` → ``tx.seen`` →
   ``block.forged[tx_idx]`` → ``tx.confirmed``), yielding the
@@ -30,7 +24,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.observe.export import read_jsonl
 from repro.observe.metrics import Histogram
 
@@ -43,7 +37,7 @@ def as_payloads(source) -> list[dict]:
 
     Accepts a JSONL path, a :class:`~repro.observe.Tracer`, an iterable
     of :class:`~repro.observe.TraceRecord`, or an already-parsed list of
-    dicts. Wall sidecars are preserved (the profile wants them; the
+    dicts. Wall sidecars are preserved (the run report sums them; the
     diff ignores them).
     """
     if isinstance(source, (str, pathlib.Path)):
@@ -108,50 +102,6 @@ def imbalance_indices(values: Iterable[float]) -> dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# phase profile
-# ----------------------------------------------------------------------
-@dataclass
-class PhaseProfile:
-    """Aggregate of every record carrying one ``phase`` tag."""
-
-    phase: str
-    records: int = 0
-    sim_start: float | None = None
-    sim_end: float | None = None
-    wall_s: float = 0.0
-
-    @property
-    def sim_span(self) -> float:
-        """Simulated seconds between the phase's first and last record."""
-        if self.sim_start is None or self.sim_end is None:
-            return 0.0
-        return self.sim_end - self.sim_start
-
-
-def build_phase_profiles(payloads: Iterable[dict]) -> list[PhaseProfile]:
-    """Per-phase attribution, phases in first-appearance order."""
-    profiles: dict[str, PhaseProfile] = {}
-    for payload in payloads:
-        phase = payload.get("phase") or "-"
-        profile = profiles.get(phase)
-        if profile is None:
-            profile = profiles[phase] = PhaseProfile(phase=phase)
-        profile.records += 1
-        time = payload.get("time")
-        if time is not None:
-            if profile.sim_start is None or time < profile.sim_start:
-                profile.sim_start = time
-            if profile.sim_end is None or time > profile.sim_end:
-                profile.sim_end = time
-        wall = payload.get("wall")
-        if wall:
-            duration = wall.get("duration_s")
-            if isinstance(duration, (int, float)):
-                profile.wall_s += duration
-    return list(profiles.values())
-
-
-# ----------------------------------------------------------------------
 # causal lineage
 # ----------------------------------------------------------------------
 @dataclass
@@ -208,6 +158,21 @@ class TxLineage:
         return spans
 
 
+#: The record names :func:`build_lineages` reads.
+LINEAGE_EVENTS = frozenset(
+    {"workload.inject", "tx.seen", "block.forged", "tx.confirmed", "tx.reverted"}
+)
+
+
+def _tx_index(payload: dict, value: object, key: str) -> int:
+    if not isinstance(value, int):
+        raise SimulationError(
+            f"record seq {payload.get('seq')}: {payload.get('name')} has "
+            f"missing or mistyped attrs.{key}"
+        )
+    return value
+
+
 def build_lineages(payloads: Iterable[dict]) -> dict[int, TxLineage]:
     """Reconstruct per-transaction lifecycles from lineage events.
 
@@ -231,29 +196,29 @@ def build_lineages(payloads: Iterable[dict]) -> dict[int, TxLineage]:
         attrs = payload.get("attrs") or {}
         if name == "workload.inject":
             inject_time = payload.get("time") or 0.0
-            for tx in range(attrs.get("txs", 0)):
+            for tx in range(_tx_index(payload, attrs.get("txs", 0), "txs")):
                 lineage(tx)
         elif name == "tx.seen":
-            entry = lineage(attrs["tx"])
+            entry = lineage(_tx_index(payload, attrs.get("tx"), "tx"))
             if entry.seen_at is None:
                 entry.seen_at = payload.get("time")
                 entry.seen_shard = payload.get("shard")
                 entry.seen_by = payload.get("actor")
         elif name == "block.forged":
             for tx in attrs.get("tx_idx", ()):
-                entry = lineage(tx)
+                entry = lineage(_tx_index(payload, tx, "tx_idx"))
                 if entry.included_at is None:
                     entry.included_at = payload.get("time")
                     entry.included_height = attrs.get("height")
                     entry.included_shard = payload.get("shard")
                     entry.included_by = payload.get("actor")
         elif name == "tx.confirmed":
-            entry = lineage(attrs["tx"])
+            entry = lineage(_tx_index(payload, attrs.get("tx"), "tx"))
             if entry.confirmed_at is None:
                 entry.confirmed_at = payload.get("time")
                 entry.confirmed_shard = payload.get("shard")
         elif name == "tx.reverted":
-            entry = lineage(attrs["tx"])
+            entry = lineage(_tx_index(payload, attrs.get("tx"), "tx"))
             entry.reverted_count += 1
             entry.last_reverted_at = payload.get("time")
     if inject_time is not None:
@@ -278,88 +243,6 @@ def shard_latency_histograms(
             hist = by_shard[shard] = Histogram(f"latency.shard{shard}")
         hist.observe(latency)
     return by_shard
-
-
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
-def _fmt_time(value: float | None) -> str:
-    return "-" if value is None else f"{value:.1f}"
-
-
-def render_profile(payloads: list[dict], title: str = "trace") -> str:
-    """The ``trace profile`` report: phases, lineage latencies, pendings."""
-    lines = [f"[{title}] {len(payloads)} records"]
-    if not payloads:
-        lines.append("  (empty trace)")
-        return "\n".join(lines)
-
-    lines.append("per-phase attribution (sim-time window vs. wall sidecar):")
-    profiles = build_phase_profiles(payloads)
-    width = max(len(p.phase) for p in profiles)
-    lines.append(
-        f"  {'phase'.ljust(width)}  records  sim_start  sim_end  wall_s"
-    )
-    for p in profiles:
-        lines.append(
-            f"  {p.phase.ljust(width)}  {p.records:7d}  "
-            f"{_fmt_time(p.sim_start):>9}  {_fmt_time(p.sim_end):>7}  "
-            f"{p.wall_s:6.3f}"
-        )
-
-    lineages = build_lineages(payloads)
-    if not lineages:
-        lines.append("lineage: no lineage events in this trace "
-                     "(record it with lineage enabled for per-tx analysis)")
-        return "\n".join(lines)
-
-    confirmed = [e for e in lineages.values() if e.confirmed]
-    pending = [e for e in lineages.values() if not e.confirmed]
-    lines.append(
-        f"transaction lineage: {len(lineages)} tracked, "
-        f"{len(confirmed)} confirmed, {len(pending)} never confirmed"
-    )
-    by_shard = shard_latency_histograms(lineages)
-    if by_shard:
-        lines.append(
-            "per-shard end-to-end confirmation latency (sim seconds):"
-        )
-        lines.append("  shard      n      p50      p95      p99      max")
-        for shard in sorted(by_shard):
-            hist = by_shard[shard]
-            pct = hist.percentiles((50.0, 95.0, 99.0))
-            lines.append(
-                f"  {shard:5d}  {hist.count:5d}  {pct[50.0]:7.1f}  "
-                f"{pct[95.0]:7.1f}  {pct[99.0]:7.1f}  {hist.maximum:7.1f}"
-            )
-    # Mean per-phase sim-time attribution across confirmed lifecycles.
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for entry in confirmed:
-        for phase, span in entry.phase_times().items():
-            totals[phase] = totals.get(phase, 0.0) + span
-            counts[phase] = counts.get(phase, 0) + 1
-    if totals:
-        lines.append("mean per-phase lifecycle attribution (sim seconds):")
-        for phase in ("gossip", "queue", "confirm"):
-            if phase in totals:
-                lines.append(
-                    f"  {phase:7s}  {totals[phase] / counts[phase]:8.2f}"
-                )
-    if pending:
-        shown = ", ".join(str(e.tx) for e in sorted(
-            pending, key=lambda e: e.tx)[:10])
-        suffix = ", …" if len(pending) > 10 else ""
-        lines.append(f"never confirmed: tx [{shown}{suffix}]")
-    reverted = [e for e in lineages.values() if e.reverted]
-    if reverted:
-        events = sum(e.reverted_count for e in reverted)
-        lines.append(
-            f"reverted: {len(reverted)} txs reorged out of every "
-            f"canonical view ({events} reversion events) — "
-            "adversarial forks in this trace"
-        )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

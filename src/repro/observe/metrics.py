@@ -75,34 +75,19 @@ class Histogram:
     def maximum(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
-    def quantile(self, q: float) -> float:
-        """The nearest-rank ``q``-quantile of the observed samples."""
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"quantile must be in [0, 1]: got {q}")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
     def percentile(self, p: float) -> float:
-        """Exact nearest-rank percentile over the recorded values.
+        """One nearest-rank percentile (see :meth:`percentiles`)."""
+        return self.percentiles((p,))[p]
 
-        ``p`` is in [0, 100]. The result is always one of the observed
+    def percentiles(self, ps: Iterable[float]) -> dict[float, float]:
+        """Exact nearest-rank percentiles from a single sort.
+
+        Each ``p`` is in [0, 100]. A result is always one of the observed
         samples (the smallest value with at least ``p``% of samples at
         or below it), so it is deterministic, exact under ties, and the
         single-sample histogram returns that sample for every ``p``.
-        An empty histogram returns 0.0, matching :meth:`quantile`.
+        An empty histogram returns 0.0.
         """
-        if not 0.0 <= p <= 100.0:
-            raise ConfigError(f"percentile must be in [0, 100]: got {p}")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        return self._nearest_rank(ordered, p)
-
-    def percentiles(self, ps: Iterable[float]) -> dict[float, float]:
-        """Several nearest-rank percentiles from a single sort."""
         points = list(ps)
         for p in points:
             if not 0.0 <= p <= 100.0:
@@ -110,25 +95,20 @@ class Histogram:
         if not self.samples:
             return {p: 0.0 for p in points}
         ordered = sorted(self.samples)
-        return {p: self._nearest_rank(ordered, p) for p in points}
-
-    @staticmethod
-    def _nearest_rank(ordered: list[float], p: float) -> float:
-        if p == 0.0:
-            return ordered[0]
-        rank = math.ceil(p / 100.0 * len(ordered))
-        return ordered[rank - 1]
+        n = len(ordered)  # rank ceil(p% of n); p = 0 is the smallest sample
+        return {p: ordered[max(math.ceil(p / 100.0 * n), 1) - 1] for p in points}
 
     def summary(self) -> dict[str, float]:
+        pct = self.percentiles((50.0, 95.0, 99.0))
         return {
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
             "min": self.minimum,
             "max": self.maximum,
-            "p50": self.quantile(0.5),
-            "p95": self.quantile(0.95),
-            "p99": self.percentile(99.0),
+            "p50": pct[50.0],
+            "p95": pct[95.0],
+            "p99": pct[99.0],
         }
 
 
@@ -189,19 +169,3 @@ class MetricsRegistry:
                 name: h.summary() for name, h in sorted(self._histograms.items())
             },
         }
-
-    def render(self) -> str:
-        """Human-readable metric lines (``repro.experiments.report`` style)."""
-        lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            lines.append(f"  {name} = {counter.value:g}")
-        for name, gauge in sorted(self._gauges.items()):
-            lines.append(f"  {name} = {gauge.value:g}")
-        for name, hist in sorted(self._histograms.items()):
-            s = hist.summary()
-            lines.append(
-                f"  {name}: n={s['count']} mean={s['mean']:.3f} "
-                f"min={s['min']:.3f} p50={s['p50']:.3f} "
-                f"p95={s['p95']:.3f} max={s['max']:.3f}"
-            )
-        return "\n".join(lines) if lines else "  (no metrics)"

@@ -30,15 +30,11 @@ from __future__ import annotations
 import contextlib
 import sys
 import time as _time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import TextIO
 
 from repro.errors import ConfigError
 from repro.observe.analysis import imbalance_indices
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.chain.transaction import Transaction
-    from repro.core.shard_formation import ShardMap
 
 
 def _maxshard_id() -> int:
@@ -122,7 +118,6 @@ class Telemetry:
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         progress: bool = False,
         stream: TextIO | None = None,
-        expected_txs: int | None = None,
     ) -> None:
         # ``not x > 0`` also rejects NaN, which fails every comparison.
         if heartbeat_interval is not None and not heartbeat_interval > 0:
@@ -132,7 +127,6 @@ class Telemetry:
         self.heartbeat_interval = heartbeat_interval
         self.progress = progress
         self.stream = stream
-        self.expected_txs = expected_txs
         self.samples: list[HeartbeatSample] = []
         self.shard_stats: "ShardStats | None" = None
         self._wall_start: float | None = None
@@ -199,9 +193,6 @@ class Telemetry:
             f"injected={sample.injected}",
             f"confirmed={sample.confirmed}",
         ]
-        if self.expected_txs:
-            pct = 100.0 * sample.confirmed / self.expected_txs
-            parts.append(f"({pct:5.1f}%)")
         parts.append(f"evicted={sample.evicted}")
         parts.append(f"pool={pool}")
         eps = sample.wall.get("events_per_s")
@@ -240,14 +231,7 @@ class ShardLoad:
         return self.blocks_empty / self.blocks_forged
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "shard": self.shard,
-            "blocks_forged": self.blocks_forged,
-            "blocks_empty": self.blocks_empty,
-            "txs_confirmed": self.txs_confirmed,
-            "mempool_peak": self.mempool_peak,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -326,7 +310,6 @@ class ShardStats:
             values.append(float(value))
         return imbalance_indices(values)
 
-    # -- (de)serialization --------------------------------------------
     def as_dict(self) -> dict[str, object]:
         return {
             "loads": [
@@ -342,104 +325,11 @@ class ShardStats:
             "imbalance": self.imbalance(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardStats":
-        stats = cls()
-        for entry in payload.get("loads", ()):
-            shard = int(entry["shard"])
-            stats.loads[shard] = ShardLoad(
-                shard=shard,
-                blocks_forged=int(entry.get("blocks_forged", 0)),
-                blocks_empty=int(entry.get("blocks_empty", 0)),
-                txs_confirmed=int(entry.get("txs_confirmed", 0)),
-                mempool_peak=int(entry.get("mempool_peak", 0)),
-                evictions=int(entry.get("evictions", 0)),
-            )
-        for home, row in payload.get("traffic", {}).items():
-            for executed, count in row.items():
-                stats.record_route(int(home), int(executed), int(count))
-        return stats
-
-    def render(self, title: str = "shard load") -> str:
-        """The ``trace shards`` report."""
-        lines = [f"[{title}] {len(self.loads)} shards, "
-                 f"{self.total_blocks} blocks, "
-                 f"{self.total_confirmed} txs confirmed"]
-        if self.loads:
-            lines.append(
-                "  shard   blocks   empty  empty%   txs_conf  pool_peak  evicted"
-            )
-            maxshard = _maxshard_id()
-            for shard in sorted(self.loads):
-                e = self.loads[shard]
-                tag = "max" if shard == maxshard else f"{shard:3d}"
-                lines.append(
-                    f"  {tag:>5}  {e.blocks_forged:7d}  {e.blocks_empty:6d}  "
-                    f"{100.0 * e.empty_block_rate:5.1f}%  {e.txs_confirmed:9d}  "
-                    f"{e.mempool_peak:9d}  {e.evictions:7d}"
-                )
-        if self.traffic:
-            shards = sorted(
-                set(self.traffic) | {s for row in self.traffic.values() for s in row}
-            )
-            lines.append(
-                "cross-shard traffic matrix (rows: home shard, "
-                "cols: executing shard; col 0 = MaxShard serialization):"
-            )
-            header = "  home\\exec" + "".join(f"{s:>8d}" for s in shards)
-            lines.append(header)
-            for home in shards:
-                row = self.traffic.get(home, {})
-                cells = "".join(f"{row.get(s, 0):>8d}" for s in shards)
-                lines.append(f"  {home:>9d}{cells}")
-            lines.append(
-                f"  routed={self.total_routed} "
-                f"maxshard_serialized={self.maxshard_serialized}"
-            )
-        imbalance = self.imbalance()
-        lines.append(
-            "imbalance over real shards (txs confirmed): "
-            f"max/mean={imbalance['max_over_mean']:.3f} "
-            f"gini={imbalance['gini']:.3f}"
-        )
-        return "\n".join(lines)
-
-
-def build_traffic_matrix(
-    transactions: Iterable[Transaction],
-    shard_map: ShardMap,
-    callgraph,
-) -> dict[int, dict[int, int]]:
-    """Home-shard → executed-shard counts for a *list* workload.
-
-    Streaming runs accumulate the matrix incrementally at injection
-    time instead (classification depends on the evolving call graph);
-    for list workloads the call graph saw every transaction before the
-    run started, so post-hoc classification is exact.
-    """
-    maxshard = _maxshard_id()
-    traffic: dict[int, dict[int, int]] = {}
-    for tx in transactions:
-        home = maxshard
-        if tx.contract is not None:
-            home = shard_map.contract_to_shard.get(tx.contract, maxshard)
-        executed = shard_map.shard_of_transaction(tx, callgraph)
-        row = traffic.setdefault(home, {})
-        row[executed] = row.get(executed, 0) + 1
-    return traffic
-
 
 # ----------------------------------------------------------------------
 # scope plumbing (mirrors repro.observe.tracer)
 # ----------------------------------------------------------------------
 _ACTIVE: list[Telemetry] = []
-
-
-def set_telemetry(telemetry: Telemetry | None) -> None:
-    """Install (or clear) the process-wide active telemetry collector."""
-    _ACTIVE.clear()
-    if telemetry is not None:
-        _ACTIVE.append(telemetry)
 
 
 def get_telemetry() -> Telemetry | None:
@@ -475,17 +365,3 @@ def resolve_telemetry(
         return None
     return get_telemetry()
 
-
-__all__ = [
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "HeartbeatSample",
-    "ShardLoad",
-    "ShardStats",
-    "Telemetry",
-    "build_traffic_matrix",
-    "get_telemetry",
-    "peak_rss_kb",
-    "resolve_telemetry",
-    "set_telemetry",
-    "use_telemetry",
-]

@@ -13,25 +13,18 @@ rounds, executor fan-outs, injected faults). The determinism contract:
   exclude — they are allowed to differ between otherwise identical
   runs.
 
-The digest is **rolling**: every emitted record feeds an incremental
-SHA-256 (byte-identical to hashing the full record list after the
-fact), so a digest never requires the records to still be resident.
-That is what lets ``sink=`` mode spill records to a JSONL file in
-bounded-size batches during million-transaction campaigns instead of
-buffering whole runs — :attr:`Tracer.records` then holds only the
-unflushed tail, while ``len(tracer)``, :meth:`count` and
-:meth:`digest` keep reporting whole-run totals. APIs that genuinely
-need every record (:meth:`records_named`, :meth:`to_jsonl`) refuse
-loudly once records have been spilled rather than silently answering
-from the tail.
+The digest is **rolling** (an incremental SHA-256), so it never needs
+the records to still be resident: ``sink=`` mode spills them to a JSONL
+file in bounded batches, and APIs that need every record
+(:meth:`records_named`, :meth:`to_jsonl`) refuse once records spilled.
 
 Tracing is off by default and must cost near nothing when off: every
 instrumentation site guards with a single ``tracer is None`` check (or
 one :func:`get_tracer` call per operation, not per inner-loop step).
-``REPRO_TRACE=1`` flips the default on; the ``trace=`` hooks on
+Two things turn it on: the ``trace=`` hooks on
 :class:`~repro.sim.protocol.ProtocolConfig` and
-:class:`~repro.sim.campaign.Campaign` enable it per run regardless of
-the environment.
+:class:`~repro.sim.campaign.Campaign` (per run), and a
+:func:`use_tracer` scope (for everything run inside it).
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import pathlib
 import time as _walltime
 from collections import Counter
@@ -49,16 +41,8 @@ from typing import Callable, Iterator
 from repro.errors import ConfigError, SimulationError
 from repro.observe.metrics import MetricsRegistry
 
-#: The environment switch: any value other than "" / "0" enables tracing.
-TRACE_ENV = "REPRO_TRACE"
-
 #: Sink mode keeps at most this many unflushed records resident.
 DEFAULT_SINK_BUFFER = 10_000
-
-
-def tracing_enabled() -> bool:
-    """Whether the ``REPRO_TRACE`` environment switch is set."""
-    return os.environ.get(TRACE_ENV, "") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -245,6 +229,8 @@ class Tracer:
         handle = self._sink_handle
         for record in self.records:
             handle.write(record.to_json(include_wall=True) + "\n")
+        # Flushed per batch: every spilled record is readable mid-run.
+        handle.flush()
         self._spilled += len(self.records)
         self.records.clear()
 
@@ -295,13 +281,6 @@ class Tracer:
             and (phase is None or r_phase == phase)
         )
 
-    def phase_name_counts(self) -> Counter:
-        """``(phase or "-", name) -> count`` over every emitted record."""
-        counts: Counter = Counter()
-        for (name, phase), tallied in self._tally.items():
-            counts[(phase or "-", name)] += tallied
-        return counts
-
     def digest(self) -> str:
         """SHA-256 over the identity projection of every record.
 
@@ -325,17 +304,11 @@ class Tracer:
         target.write_text(self.to_jsonl(include_wall=include_wall))
         return target
 
-    def summary(self, title: str = "trace") -> str:
-        from repro.observe.export import render_trace_summary
-
-        return render_trace_summary(self, title=title)
-
 
 # ----------------------------------------------------------------------
 # the process-wide active tracer
 # ----------------------------------------------------------------------
 _ACTIVE: Tracer | None = None
-_ENV_DEFAULT: Tracer | None = None
 
 
 def set_tracer(tracer: Tracer | None) -> None:
@@ -347,19 +320,11 @@ def set_tracer(tracer: Tracer | None) -> None:
 def get_tracer() -> Tracer | None:
     """The tracer instrumentation sites should emit into, or ``None``.
 
-    Resolution order: an explicitly installed tracer (via
-    :func:`set_tracer` / :func:`use_tracer`, or a running simulation's
-    ``trace=`` hook) wins; otherwise ``REPRO_TRACE`` lazily creates one
-    process-wide default; otherwise tracing is off.
+    That is the tracer installed via :func:`set_tracer` /
+    :func:`use_tracer` or by a running simulation's ``trace=`` hook;
+    with none installed, tracing is off.
     """
-    if _ACTIVE is not None:
-        return _ACTIVE
-    if tracing_enabled():
-        global _ENV_DEFAULT
-        if _ENV_DEFAULT is None:
-            _ENV_DEFAULT = Tracer()
-        return _ENV_DEFAULT
-    return None
+    return _ACTIVE
 
 
 @contextlib.contextmanager
@@ -378,12 +343,9 @@ def resolve_tracer(spec: "Tracer | bool | None") -> Tracer | None:
     """Turn a config-level ``trace=`` value into a tracer (or ``None``).
 
     ``Tracer`` instances pass through, ``True`` builds a fresh tracer,
-    ``False`` forces tracing off, and ``None`` defaults: a run created
-    inside a :func:`use_tracer` scope joins the enclosing trace (this is
-    how ``python -m repro run --trace`` collects whole experiments),
-    otherwise the ``REPRO_TRACE`` environment switch decides — and
-    builds a *fresh* tracer, so every run's digest covers exactly that
-    run.
+    ``False`` forces tracing off, and ``None`` joins the enclosing
+    :func:`use_tracer` scope (this is how ``python -m repro run --trace``
+    collects whole experiments), else leaves tracing off.
     """
     if isinstance(spec, Tracer):
         return spec
@@ -392,7 +354,5 @@ def resolve_tracer(spec: "Tracer | bool | None") -> Tracer | None:
     if spec is False:
         return None
     if spec is None:
-        if _ACTIVE is not None:
-            return _ACTIVE
-        return Tracer() if tracing_enabled() else None
+        return _ACTIVE
     raise ConfigError(f"trace must be a Tracer, bool, or None: got {spec!r}")

@@ -79,7 +79,7 @@ class Campaign:
         self._base_seed = base_seed
         self._executor = executor
         # Observability hook: a Tracer, True (fresh tracer), False (off),
-        # or None to follow the REPRO_TRACE environment switch.
+        # or None to join an active use_tracer scope (else untraced).
         self._tracer = resolve_tracer(trace)
 
     def _simulate_epoch(

@@ -39,7 +39,6 @@ from repro.observe import Tracer, resolve_tracer, use_tracer
 from repro.observe.telemetry import (
     ShardStats,
     Telemetry,
-    build_traffic_matrix,
     resolve_telemetry,
 )
 from repro.workloads.generators import MAX_MATERIALIZED_TXS, TxStream
@@ -86,8 +85,9 @@ class ProtocolConfig:
     trace:
         Observability hook: a :class:`~repro.observe.Tracer` to emit
         into, ``True`` for a fresh tracer, ``False`` to force tracing
-        off, or ``None`` (default) to follow the ``REPRO_TRACE``
-        environment switch. The resolved tracer is exposed as
+        off, or ``None`` (default) to join an active
+        :func:`~repro.observe.use_tracer` scope, else run untraced.
+        The resolved tracer is exposed as
         :attr:`ProtocolSimulation.tracer` and on the result.
     engine:
         Which protocol engine runs the event loop. ``"fast"`` is the
@@ -835,14 +835,6 @@ class ProtocolSimulation:
             tracer.metrics.gauge("scheduler.peak_pending").set(
                 self._scheduler.peak_pending
             )
-            if evicted:
-                tracer.metrics.gauge("protocol.txs_evicted").set(evicted)
-                for shard, count in sorted(
-                    self._evictions_by_shard().items()
-                ):
-                    tracer.metrics.gauge(
-                        f"mempool.evictions.shard{shard}"
-                    ).set(count)
         shard_stats: ShardStats | None = None
         if telemetry is not None:
             self._sample_heartbeat(telemetry)  # final snapshot
@@ -895,15 +887,6 @@ class ProtocolSimulation:
             peak_pending=getattr(self._scheduler, "peak_pending", None),
         )
 
-    def _evictions_by_shard(self) -> dict[int, int]:
-        by_shard: dict[int, int] = {}
-        for node in self._nodes.values():
-            if node.mempool.evictions:
-                by_shard[node.shard_id] = (
-                    by_shard.get(node.shard_id, 0) + node.mempool.evictions
-                )
-        return by_shard
-
     def _build_shard_stats(self) -> ShardStats:
         """Assemble the per-shard load picture at run end."""
         stats = ShardStats()
@@ -928,19 +911,25 @@ class ProtocolSimulation:
             entry.txs_confirmed = per_shard.get(shard, 0)
             entry.mempool_peak = pool_peaks.get(shard, 0)
             entry.evictions = pool_evictions.get(shard, 0)
-        if self._stream is not None:
-            # Streaming: the matrix was accumulated at injection time
-            # (classification follows the evolving call graph).
-            for home, row in self._traffic.items():
-                for executed, count in row.items():
-                    stats.record_route(home, executed, count)
-        else:
+        if self._stream is None:
             # List workloads: the call graph observed every transaction
             # before the run, so post-hoc classification is exact.
-            stats.traffic = build_traffic_matrix(
-                self._transactions, self._shard_map, self._callgraph
-            )
+            # Streams were routed at injection time instead
+            # (classification follows the evolving call graph).
+            for tx in self._transactions:
+                self._route(tx, self._classify(tx))
+        for home, row in self._traffic.items():
+            for executed, count in row.items():
+                stats.record_route(home, executed, count)
         return stats
+
+    def _route(self, tx: Transaction, shard: int) -> None:
+        """Count ``tx`` in the home-shard -> executed-shard matrix."""
+        home = MAXSHARD_ID
+        if tx.contract is not None:
+            home = self._shard_map.contract_to_shard.get(tx.contract, MAXSHARD_ID)
+        row = self._traffic.setdefault(home, {})
+        row[shard] = row.get(shard, 0) + 1
 
     def _make_lineage_probe(self):
         """Detector for the confirmation edge of transaction lineages.
@@ -1081,20 +1070,13 @@ class ProtocolSimulation:
         shard_nodes = self._shard_nodes
         balance = self._config.initial_balance
         telemetry = self._telemetry
-        contract_to_shard = self._shard_map.contract_to_shard
         for tx in batch:
             # The coordinator's call graph must see the edge before the
             # shard rule can classify the sender (observe is idempotent).
             callgraph.observe(tx)
             shard = classifier(tx)
             if telemetry is not None:
-                home = (
-                    contract_to_shard.get(tx.contract, MAXSHARD_ID)
-                    if tx.contract is not None
-                    else MAXSHARD_ID
-                )
-                row = self._traffic.setdefault(home, {})
-                row[shard] = row.get(shard, 0) + 1
+                self._route(tx, shard)
             for node in shard_nodes.get(shard, ()):
                 node.state.create_account(tx.sender, balance=balance)
                 node.pool(tx)

@@ -1,4 +1,4 @@
-"""Trace analytics: profiles, causal lineage, and the trace diff."""
+"""Trace analytics: the report's phase/latency fold, lineage, and the diff."""
 
 import json
 
@@ -6,14 +6,13 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.observe import (
+    RunReport,
     Tracer,
     as_payloads,
     build_lineages,
-    build_phase_profiles,
     diff_traces,
     read_jsonl,
     render_diff,
-    render_profile,
     shard_latency_histograms,
 )
 
@@ -90,12 +89,14 @@ class TestLineage:
 
 class TestPhaseProfile:
     def test_per_phase_attribution(self):
-        profiles = {p.phase: p for p in build_phase_profiles(lineage_trace())}
-        assert profiles["gossip"].records == 2
-        assert profiles["gossip"].sim_start == 0.5
-        assert profiles["gossip"].sim_end == 0.7
-        assert profiles["gossip"].sim_span == pytest.approx(0.2)
-        assert profiles["result"].records == 1
+        report = RunReport.from_payloads(lineage_trace())
+        phases = {p["phase"]: p for p in report.phases}
+        assert report.records == 6
+        assert list(phases) == ["inject", "gossip", "mine", "confirm", "result"]
+        assert phases["gossip"]["records"] == 2
+        assert phases["gossip"]["sim_start"] == 0.5
+        assert phases["gossip"]["sim_end"] == 0.7
+        assert phases["result"]["records"] == 1
 
     def test_wall_durations_summed_separately(self):
         payloads = [
@@ -103,24 +104,39 @@ class TestPhaseProfile:
             _payload(1, "b.end", phase="p", wall={"duration_s": 0.5}),
             _payload(2, "c", phase="p"),
         ]
-        profile = build_phase_profiles(payloads)[0]
-        assert profile.wall_s == pytest.approx(0.75)
-        assert profile.records == 3
-        assert profile.sim_span == 0.0  # untimed records
+        (phase,) = RunReport.from_payloads(payloads).phases
+        assert phase["wall_s"] == pytest.approx(0.75)
+        assert phase["records"] == 3
+        assert phase["sim_start"] is None  # untimed records
 
     def test_render_profile_reports_latencies_and_pendings(self):
-        text = render_profile(lineage_trace(), title="t")
+        report = RunReport.from_payloads(lineage_trace(), title="t")
+        assert report.latency["shards"] == [
+            {"shard": 1, "count": 1, "p50": 10.0, "p95": 10.0, "p99": 10.0,
+             "max": 10.0},
+        ]
+        assert report.latency["mean_split"] == {
+            "gossip": 0.5, "queue": 9.5, "confirm": 0.0,
+        }
+        text = report.render()
         assert "3 tracked, 1 confirmed, 2 never confirmed" in text
         assert "p50" in text and "p99" in text
-        assert "never confirmed: tx [1, 2]" in text
 
     def test_render_profile_empty_trace(self):
-        assert "(empty trace)" in render_profile([], title="t")
+        report = RunReport.from_payloads([], title="t")
+        assert (report.records, report.phases, report.latency) == (0, [], None)
+        assert report.render().splitlines() == [
+            "[t] 0 records",
+            "phases (sim-time window vs. wall sidecar):",
+            "  phase  records  sim_start  sim_end  wall_s",
+        ]
 
     def test_render_profile_without_lineage_events(self):
         payloads = [_payload(0, "block.forged", phase="mine",
                              attrs={"height": 1})]
-        assert "no lineage events" in render_profile(payloads)
+        report = RunReport.from_payloads(payloads)
+        assert report.latency is None
+        assert "latency:" not in report.render()
 
 
 class TestTraceDiff:

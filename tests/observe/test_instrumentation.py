@@ -17,7 +17,7 @@ from repro.core.selection.best_reply import BestReplyDynamics
 from repro.core.selection.congestion_game import SelectionGameConfig
 from repro.faults import FaultPlan
 from repro.net.network import LatencyModel
-from repro.observe import Tracer, use_tracer
+from repro.observe import RunReport, Telemetry, Tracer, use_tracer
 from repro.runtime import SerialExecutor, use_executor
 from repro.sim.campaign import Campaign
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
@@ -26,7 +26,7 @@ from repro.workloads.generators import uniform_contract_workload
 FAST_POW = PoWParameters(difficulty=0x40000 // 60)  # ~1 s blocks
 
 
-def traced_protocol_run(trace=True, drop_probability=0.0, seed=5):
+def traced_protocol_run(trace=True, drop_probability=0.0, seed=5, telemetry=None):
     miners = [MinerIdentity.create(f"obs-{i}") for i in range(5)]
     txs = uniform_contract_workload(total_txs=16, contract_shards=2, seed=3)
     config = ProtocolConfig(
@@ -37,6 +37,7 @@ def traced_protocol_run(trace=True, drop_probability=0.0, seed=5):
         trace=trace,
         fault_plan=FaultPlan.lossy(drop_probability) if drop_probability else None,
         retransmit_interval=5.0 if drop_probability else None,
+        telemetry=telemetry,
     )
     return ProtocolSimulation(miners, txs, config=config).run()
 
@@ -94,9 +95,18 @@ class TestProtocolTrace:
         assert other.trace.digest() != traced_run.trace.digest()
 
     def test_summary_includes_shard_timeline(self, traced_run):
-        text = traced_run.trace.summary(title="protocol")
-        assert "per-shard confirmation timeline" in text
-        assert "shard 0:" in text
+        result = traced_protocol_run(telemetry=Telemetry(heartbeat_interval=None))
+        assert result.trace.digest() == traced_run.trace.digest()
+        report = RunReport.from_run(result.trace, result.shard_stats)
+        loads = {entry["shard"]: entry for entry in report.shards["loads"]}
+        assert sum(e["blocks_forged"] for e in loads.values()) == (
+            result.trace.count(name="block.forged")
+        )
+        assert sum(e["txs_confirmed"] for e in loads.values()) == (
+            result.confirmed_count()
+        )
+        assert "shards: " in report.render()
+        assert "\n  max " in report.render()  # the MaxShard row
 
 
 class TestFaultTrace:

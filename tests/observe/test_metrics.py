@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.observe import Counter, Gauge, Histogram, MetricsRegistry
+from repro.observe import Counter, Gauge, Histogram, MetricsRegistry, RunReport
 
 
 class TestCounter:
@@ -37,14 +37,6 @@ class TestHistogram:
         assert h.minimum == 1.0
         assert h.maximum == 10.0
 
-    def test_nearest_rank_quantiles(self):
-        h = Histogram("h")
-        for v in range(1, 101):
-            h.observe(v)
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(0.5) == 51.0  # nearest rank on 0..99 positions
-        assert h.quantile(1.0) == 100.0
-
     def test_empty_histogram_is_all_zero(self):
         h = Histogram("h")
         assert h.summary() == {
@@ -57,10 +49,6 @@ class TestHistogram:
             "p95": 0.0,
             "p99": 0.0,
         }
-
-    def test_quantile_validation(self):
-        with pytest.raises(ConfigError):
-            Histogram("h").quantile(1.5)
 
     def test_nearest_rank_percentiles_are_exact_samples(self):
         h = Histogram("h")
@@ -109,6 +97,16 @@ class TestHistogram:
         with pytest.raises(ConfigError):
             Histogram("h").percentiles([-1.0])
 
+    @pytest.mark.parametrize("top", [4, 100])
+    def test_summary_percentiles_are_nearest_rank(self, top):
+        h = Histogram("h")
+        for v in range(1, top + 1):
+            h.observe(v)
+        summary = h.summary()
+        for p in (50, 95, 99):
+            assert summary[f"p{p}"] == h.percentile(p)
+        assert summary["p50"] == top / 2  # 2.0 on 1..4, 50.0 on 1..100
+
     def test_summary_includes_p99(self):
         h = Histogram("h")
         for v in range(1, 101):
@@ -148,10 +146,13 @@ class TestMetricsRegistry:
     def test_render_mentions_every_metric(self):
         reg = MetricsRegistry()
         reg.counter("blocks").inc()
+        reg.gauge("depth").set(2.5)
         reg.histogram("rounds").observe(4)
-        rendered = reg.render()
+        rendered = RunReport(title="t", metrics=reg.snapshot()).render()
         assert "blocks = 1" in rendered
-        assert "rounds: n=1" in rendered
+        assert "depth = 2.5" in rendered
+        assert "rounds: n=1" in rendered and "p99=4.000" in rendered
 
     def test_render_empty(self):
-        assert MetricsRegistry().render() == "  (no metrics)"
+        report = RunReport(title="t", metrics=MetricsRegistry().snapshot())
+        assert report.render() == "[t]\nmetrics:"

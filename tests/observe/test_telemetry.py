@@ -1,7 +1,7 @@
 """The telemetry layer: heartbeats, shard-load accounting, imbalance.
 
 Covers the pure pieces (gini, imbalance indices, ShardStats round-trip
-and rendering) and the integration contract: shard-load totals must
+through the run report and its rendering) and the integration contract: shard-load totals must
 equal the ``ProtocolResult`` counters, and the traffic matrix's row
 sums must account for every classified transaction.
 """
@@ -16,6 +16,7 @@ from repro.core.shard_formation import MAXSHARD_ID
 from repro.errors import ConfigError
 from repro.observe import (
     HeartbeatSample,
+    RunReport,
     ShardStats,
     Telemetry,
     get_telemetry,
@@ -111,18 +112,18 @@ class TestShardStats:
             self._stats().imbalance(key="nope")
 
     def test_round_trip(self):
-        stats = self._stats()
-        clone = ShardStats.from_dict(json.loads(json.dumps(stats.as_dict())))
-        assert clone.as_dict() == stats.as_dict()
-        assert clone.total_confirmed == stats.total_confirmed
-        assert clone.maxshard_serialized == stats.maxshard_serialized
+        report = RunReport(title="t", shards=self._stats().as_dict())
+        clone = RunReport.from_dict(json.loads(json.dumps(report.as_dict())))
+        assert clone == report
+        assert clone.render() == report.render()
 
     def test_render_mentions_matrix_and_imbalance(self):
-        text = self._stats().render(title="t")
+        text = RunReport(title="t", shards=self._stats().as_dict()).render()
+        assert "shards: 2 shards, 20 blocks, 100 txs confirmed" in text
         assert "traffic matrix" in text
-        assert "maxshard_serialized=10" in text
+        assert "routed=100 maxshard_serialized=10" in text
         assert "gini=" in text
-        assert "max/mean=" in text
+        assert "max/mean=1.800" in text
 
 
 class TestScope:

@@ -6,17 +6,15 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.observe import (
-    TRACE_ENV,
+    RunReport,
     TraceRecord,
     Tracer,
     digest_of_jsonl,
     get_tracer,
     read_jsonl,
-    render_trace_summary,
     resolve_tracer,
     set_tracer,
     trace_digest,
-    tracing_enabled,
     use_tracer,
 )
 
@@ -26,9 +24,7 @@ def _clean_tracer_state(monkeypatch):
     """Tests here poke the process-wide active tracer; isolate them."""
     import repro.observe.tracer as tracer_mod
 
-    monkeypatch.delenv(TRACE_ENV, raising=False)
     monkeypatch.setattr(tracer_mod, "_ACTIVE", None)
-    monkeypatch.setattr(tracer_mod, "_ENV_DEFAULT", None)
 
 
 class TestTraceRecord:
@@ -147,37 +143,22 @@ class TestTracer:
         tracer = Tracer()
         tracer.event("block.forged", phase="mine", shard=0, time=2.0, txs=4)
         tracer.metrics.counter("protocol.blocks_forged").inc()
-        text = render_trace_summary(tracer, title="unit")
-        assert "unit" in text
-        assert "mine" in text
-        assert "protocol.blocks_forged" in text
-        assert tracer.summary() == render_trace_summary(tracer, title="trace")
+        text = RunReport.from_run(tracer, title="unit").render()
+        assert text.startswith(f"[unit] 1 records, digest {tracer.digest()}")
+        assert "  mine " in text
+        assert "protocol.blocks_forged = 1" in text
 
 
 class TestActiveTracer:
     def test_off_by_default(self):
-        assert not tracing_enabled()
         assert get_tracer() is None
 
-    def test_env_switch_creates_process_default(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
-        assert tracing_enabled()
-        tracer = get_tracer()
-        assert isinstance(tracer, Tracer)
-        assert get_tracer() is tracer  # stable across calls
-
-    def test_env_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "0")
-        assert not tracing_enabled()
-        assert get_tracer() is None
-
-    def test_set_tracer_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
+    def test_set_tracer_installs_and_clears(self):
         mine = Tracer()
         set_tracer(mine)
         assert get_tracer() is mine
         set_tracer(None)
-        assert get_tracer() is not mine
+        assert get_tracer() is None
 
     def test_use_tracer_scopes_and_nests(self):
         outer, inner = Tracer(), Tracer()
@@ -206,16 +187,15 @@ class TestResolveTracer:
         assert isinstance(a, Tracer) and isinstance(b, Tracer)
         assert a is not b
 
-    def test_false_is_off_even_under_env(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
-        assert resolve_tracer(False) is None
+    def test_false_is_off_even_inside_scope(self):
+        with use_tracer(Tracer()):
+            assert resolve_tracer(False) is None
 
-    def test_none_follows_env_with_fresh_tracers(self, monkeypatch):
+    def test_none_joins_active_scope_else_off(self):
         assert resolve_tracer(None) is None
-        monkeypatch.setenv(TRACE_ENV, "1")
-        a, b = resolve_tracer(None), resolve_tracer(None)
-        assert isinstance(a, Tracer)
-        assert a is not b  # each run digests exactly its own records
+        with use_tracer(Tracer()) as active:
+            assert resolve_tracer(None) is active
+        assert resolve_tracer(None) is None
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.observe.export import digest_of_jsonl, trace_digest
+from repro.observe.report import RunReport
 from repro.observe.tracer import Tracer
 
 
@@ -79,9 +80,15 @@ class TestSinkMode:
     def test_summary_survives_spill(self, tmp_path):
         tracer = Tracer(sink=tmp_path / "t.jsonl", buffer_limit=2)
         _emit_some(tracer, 7)
-        text = tracer.summary()
-        assert "7 records" in text
-        assert "step: 7" in text
+        assert tracer.spilled and tracer.records  # mid-run: file + tail
+        report = RunReport.from_run(tracer)
+        assert report.records == 7
+        assert report.phases[0]["records"] == 7
+        assert (report.phases[0]["sim_start"], report.phases[0]["sim_end"]) == (
+            0.0,
+            6.0,
+        )
+        assert "7 records" in report.render()
 
     def test_finish_sink_requires_a_sink(self):
         with pytest.raises(ConfigError):

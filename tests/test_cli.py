@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.observe import RunReport
 
 
 class TestCLI:
@@ -106,10 +107,25 @@ class TestTraceCommands:
         trace = self._record(tmp_path, "run.jsonl")
         out = capsys.readouterr().out
         assert "digest" in out
-        assert main(["trace", "profile", str(trace)]) == 0
+        assert main(["trace", "report", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "per-phase attribution" in out
-        assert "transaction lineage" in out
+        assert out.startswith("[run.jsonl] ")
+        assert "phases (sim-time window vs. wall sidecar):" in out
+        assert "latency: 12 tracked, " in out
+        assert "per-shard end-to-end confirmation latency" in out
+
+    def test_saved_report_renders_as_recorded(self, tmp_path, capsys):
+        saved = tmp_path / "R.json"
+        self._record(tmp_path, "run.jsonl", "--report", str(saved))
+        recorded = capsys.readouterr().out
+        assert main(["trace", "report", str(saved)]) == 0
+        rendered = capsys.readouterr().out
+        assert recorded.startswith(rendered)
+        for section in ("phases", "latency:", "shards:", "metrics:"):
+            assert f"\n{section}" in rendered
+        payload = json.loads(saved.read_text())
+        assert payload["report"] == 1
+        assert RunReport.from_dict(payload).as_dict() == payload
 
     def test_same_seed_diff_is_clean(self, tmp_path, capsys):
         first = self._record(tmp_path, "first.jsonl")
@@ -137,14 +153,29 @@ class TestTraceCommands:
         assert capsys.readouterr().out.strip() == recorded
 
     def test_missing_trace_file_is_a_data_error(self, tmp_path, capsys):
-        assert main(["trace", "profile", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["trace", "report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_corrupt_trace_names_the_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"seq": 0, "name": "a"}\n{oops\n')
-        assert main(["trace", "profile", str(bad)]) == 2
+        assert main(["trace", "report", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_malformed_lineage_record_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"seq":0,"name":"tx.seen","attrs":{}}\n')
+        assert main(["trace", "report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl" in err and "seq 0" in err and "attrs.tx" in err
+
+    def test_malformed_saved_report_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        shards = {"loads": [{"blocks_forged": 3}], "traffic": {}, "imbalance": {}}
+        bad.write_text(json.dumps({"report": 1, "title": "t", "shards": shards}))
+        assert main(["trace", "report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "shards.loads[0]" in err and "'shard'" in err
 
 
 class TestScenarioCommands:
