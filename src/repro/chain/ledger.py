@@ -9,10 +9,9 @@ stale (orphaned) blocks.
 The canonical-chain views are maintained **incrementally**: every head
 change updates a canonical-hash set and a confirmed-transaction multiset
 by walking only the reorged branch delta, so ``confirmed_tx_ids()`` is
-O(1) instead of an O(chain) walk. Protocol stop conditions poll that
-view after *every* event, which made the full scan accidentally
-quadratic. The ledger tests hold the view to a walk of
-:meth:`Ledger.canonical_chain` kept in ``tests/``.
+O(1) instead of an O(chain) walk. The ledger tests hold the view to a
+walk of :meth:`Ledger.canonical_chain` kept in ``tests/``. The same
+transitions feed the per-event protocol stop check (:class:`ConfirmationTally`).
 """
 
 from __future__ import annotations
@@ -21,6 +20,24 @@ from dataclasses import dataclass
 
 from repro.chain.block import Block, GENESIS_PARENT
 from repro.errors import LedgerError
+
+
+class ConfirmationTally:
+    """``missing``: how many target txs no :meth:`Ledger.watch`-ing
+    ledger confirms, kept exact through confirms and reorgs."""
+
+    __slots__ = ("_ledgers", "missing")
+
+    def __init__(self, targets: set[str]) -> None:
+        self._ledgers = dict.fromkeys(targets, 0)  # confirming ledgers
+        self.missing = len(self._ledgers)
+
+    def moved(self, tx_id: str, step: int) -> None:
+        """A ledger confirmed (``step=1``) or unconfirmed (-1) ``tx_id``."""
+        count = self._ledgers.get(tx_id)
+        if count is not None:
+            self._ledgers[tx_id] = count + step
+            self.missing += (count + step == 0) - (count == 0)
 
 
 @dataclass(slots=True)
@@ -55,6 +72,7 @@ class Ledger:
         self._confirmed_counts: dict[str, int] = {}
         self._confirmed_ids: set[str] = set()
         self._version = 0
+        self._tally: ConfirmationTally | None = None
 
     # ------------------------------------------------------------------
     # insertion
@@ -97,16 +115,20 @@ class Ledger:
     def _add_confirmed(self, block: Block) -> None:
         counts = self._confirmed_counts
         confirmed = self._confirmed_ids
+        tally = self._tally
         for tx in block.transactions:
             tx_id = tx.tx_id
             new = counts.get(tx_id, 0) + 1
             counts[tx_id] = new
             if new == 1:
                 confirmed.add(tx_id)
+                if tally is not None:
+                    tally.moved(tx_id, 1)
 
     def _remove_confirmed(self, block: Block) -> None:
         counts = self._confirmed_counts
         confirmed = self._confirmed_ids
+        tally = self._tally
         for tx in block.transactions:
             tx_id = tx.tx_id
             new = counts[tx_id] - 1
@@ -115,6 +137,8 @@ class Ledger:
             else:
                 del counts[tx_id]
                 confirmed.discard(tx_id)
+                if tally is not None:
+                    tally.moved(tx_id, -1)
 
     def _reorg_canonical(self, old_head: str, new_head: str) -> None:
         """Rebase the canonical views across a fork switch.
@@ -145,6 +169,12 @@ class Ledger:
             canonical.add(block_hash)
             self._add_confirmed(entry.block)
 
+    def watch(self, tally: ConfirmationTally) -> None:
+        """Report confirm/unconfirm transitions to ``tally`` from now on."""
+        self._tally = tally
+        for tx_id in self._confirmed_ids:
+            tally.moved(tx_id, 1)
+
     def knows(self, block_hash: str) -> bool:
         return block_hash in self._entries
 
@@ -173,9 +203,9 @@ class Ledger:
     def version(self) -> int:
         """Monotone counter bumped on every head change.
 
-        Lets callers cache derived views (confirmed unions, stop
-        conditions) and refresh them only when some chain actually
-        moved, instead of recomputing after every event.
+        Lets callers cache derived views (the lineage probe's confirmed
+        union) and refresh them only when some chain actually moved,
+        instead of recomputing after every event.
         """
         return self._version
 

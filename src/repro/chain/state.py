@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain.account import Account, AccountKind
-from repro.chain.contract import SmartContract
+from repro.chain.contract import SmartContract, TransferCondition
 from repro.chain.transaction import Transaction, TransactionKind
 from repro.crypto.hashing import hash_items
 from repro.errors import (
@@ -42,6 +42,21 @@ class BlockUndo:
     def __init__(self) -> None:
         self.accounts: dict[str, tuple[int, int] | None] = {}
         self.contracts: dict[str, int] = {}
+
+
+@dataclass(slots=True)
+class BlockImage:
+    """One applied block body: pre-block values of all it read (``None``:
+    absent), post-block values of all it mutated, and its undo. The body
+    is a function of its reads, so a state holding them all ends where a
+    full apply would once the writes land. Shared read-only by replicas.
+    """
+
+    reads: dict[str, tuple[int, int] | None]
+    contract_reads: dict[str, tuple[int, str, TransferCondition] | None]
+    writes: dict[str, tuple[int, int]]
+    contract_writes: dict[str, int]
+    undo: BlockUndo
 
 
 @dataclass
@@ -103,7 +118,9 @@ class WorldState:
         return True
 
     def _check(self, tx: Transaction) -> None:
-        sender = self.account(tx.sender)
+        sender = self._resident(tx.sender)
+        if sender is None:
+            raise ValidationError(f"tx {tx.short_id()}: unknown sender")
         if tx.nonce != sender.nonce:
             raise NonceError(
                 f"tx {tx.short_id()}: nonce {tx.nonce} != account nonce {sender.nonce}"
@@ -114,7 +131,10 @@ class WorldState:
                 f"tx {tx.short_id()}: sender balance {sender.balance} < {total_cost}"
             )
         if tx.kind is TransactionKind.CONTRACT_CALL:
-            contract = self.contract(tx.contract)
+            try:
+                contract = self.contract(tx.contract)
+            except UnknownContractError:
+                raise ValidationError(f"tx {tx.short_id()}: no contract") from None
             if not contract.can_execute(self):
                 raise ValidationError(
                     f"tx {tx.short_id()}: contract {tx.contract[:10]} condition not met"
@@ -223,6 +243,55 @@ class WorldState:
                 account.balance, account.nonce = prior
         for address, invocation_count in undo.contracts.items():
             self.contracts[address].invocation_count = invocation_count
+
+    def _held(self, address: str) -> tuple[int, int] | None:
+        account = self.accounts.get(address)
+        return None if account is None else (account.balance, account.nonce)
+
+    def _terms(self, address: str) -> tuple[int, str, TransferCondition] | None:
+        c = self.contracts.get(address)
+        return None if c is None else (c.invocation_count, c.beneficiary, c.condition)
+
+    def record_image(
+        self, transactions: tuple[Transaction, ...], undo: BlockUndo
+    ) -> BlockImage:
+        """The image of a body just applied with ``undo``: what it only
+        read (a rejected sender, a contract, a condition's subject) still
+        holds its pre-block value."""
+        reads = dict(undo.accounts)
+        contract_reads: dict[str, tuple[int, str, TransferCondition] | None] = {}
+        for tx in transactions:
+            reads.setdefault(tx.sender, self._held(tx.sender))
+            address = tx.contract
+            if address is not None and address not in contract_reads:
+                terms = self._terms(address)
+                if terms is not None:
+                    terms = (undo.contracts.get(address, terms[0]),) + terms[1:]
+                    subject = terms[2].subject
+                    if subject is not None:
+                        reads.setdefault(subject, self._held(subject))
+                contract_reads[address] = terms
+        writes = {address: self._held(address) for address in undo.accounts}
+        counts = {a: self.contracts[a].invocation_count for a in undo.contracts}
+        return BlockImage(reads, contract_reads, writes, counts, undo)
+
+    def write_image(self, image: BlockImage) -> bool:
+        """Write ``image`` iff this state holds every value it read."""
+        held, terms = self._held, self._terms
+        if any(held(a) != value for a, value in image.reads.items()) or any(
+            terms(a) != value for a, value in image.contract_reads.items()
+        ):
+            return False
+        accounts = self.accounts
+        for address, (balance, nonce) in image.writes.items():
+            account = accounts.get(address)
+            if account is None:
+                accounts[address] = Account(address, balance=balance, nonce=nonce)
+            else:
+                account.balance, account.nonce = balance, nonce
+        for address, invocation_count in image.contract_writes.items():
+            self.contracts[address].invocation_count = invocation_count
+        return True
 
     # ------------------------------------------------------------------
     # snapshots

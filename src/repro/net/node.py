@@ -19,6 +19,9 @@ O(reorg depth) instead of a replay-from-genesis O(chain) rebuild.
 pre-genesis snapshot, so tests can check the journaled state against
 it; the recorded digests in ``tests/sim/seed_digests.json`` pin the
 runs themselves.
+Execute once per shard: the first replica to apply a block records its
+:class:`~repro.chain.state.BlockImage` in the shard's :class:`ImageTable`,
+and a replica whose state holds every value the image read writes it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable
 from repro.chain.block import Block
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
-from repro.chain.state import BlockUndo, WorldState
+from repro.chain.state import BlockImage, BlockUndo, WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.validation import BlockValidator, BlockVerdict
 from repro.consensus.miner import (
@@ -44,6 +47,39 @@ from repro.net.messages import Message, MessageKind
 
 # Which shard does a transaction belong to? (None = not this node's business.)
 TxShardClassifier = Callable[[Transaction], int | None]
+
+#: Cap on one shard's block images, oldest dropped first. It bounds stale
+#: blocks' images (the rest go at their last reuse); a drop costs a full apply.
+MAX_IMAGES = 64
+
+
+class ImageTable:
+    """The block images one shard's ``replicas`` share."""
+
+    __slots__ = ("_entries", "_reuses")
+
+    def __init__(self, replicas: int) -> None:
+        # block hash -> [image, reuses left before it is dropped]
+        self._entries: dict[str, list] = {}
+        self._reuses = replicas - 1
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, block_hash: str) -> BlockImage | None:
+        entry = self._entries.get(block_hash)
+        return None if entry is None else entry[0]
+
+    def add(self, block_hash: str, image: BlockImage) -> None:
+        if len(self._entries) >= MAX_IMAGES:
+            del self._entries[next(iter(self._entries))]
+        self._entries[block_hash] = [image, self._reuses]
+
+    def reused(self, block_hash: str) -> None:
+        entry = self._entries[block_hash]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._entries[block_hash]
 
 
 class Node(abc.ABC):
@@ -100,6 +136,8 @@ class FullNode(Node):
         "_orphan_count",
         "_applied",
         "_applied_index",
+        "_provisioned",
+        "images",
         "on_pooled",
         "on_rejected",
     )
@@ -150,6 +188,9 @@ class FullNode(Node):
         # pairs plus a hash -> position index for O(1) fork-point lookup.
         self._applied: list[tuple[str, BlockUndo]] = []
         self._applied_index: dict[str, int] = {}
+        self._provisioned: dict[int, list[str]] = {}
+        # The shard's shared block images; None runs every body in full.
+        self.images: ImageTable | None = None
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
         # transaction enters this node's mempool. Installed by the
         # protocol simulation only when lineage tracing is on, so the
@@ -202,6 +243,14 @@ class FullNode(Node):
             self.on_pooled(self, tx)
         return True
 
+    def provision(self, address: str, balance: int) -> None:
+        """Fund a streamed sender unless its account exists; recorded for
+        the oracle, which funds it pre-genesis (no block can carry a
+        sender's transactions before it is provisioned)."""
+        if address not in self.state.accounts:
+            self.state.create_account(address, balance=balance)
+            self._provisioned.setdefault(balance, []).append(address)
+
     # ------------------------------------------------------------------
     # block path (the two Sec. III-C verifications)
     # ------------------------------------------------------------------
@@ -247,14 +296,7 @@ class FullNode(Node):
         except LedgerError:
             return
         new_head = self.ledger.head_hash
-        if new_head == block.block_hash and block.header.parent_hash == old_head:
-            # Plain canonical extension: apply incrementally, journaled
-            # so a later reorg can unwind it in O(1) per block.
-            self._apply_canonical_block(block)
-            self.mempool.remove_confirmed(
-                {tx.tx_id for tx in block.transactions}
-            )
-        elif new_head != old_head:
+        if new_head != old_head:
             self._apply_reorg(new_head)
         # A side-branch block leaves the state untouched: the flat state
         # tracks the canonical chain only, otherwise transactions confirmed
@@ -262,17 +304,29 @@ class FullNode(Node):
         self.stats.blocks_recorded += 1
         self._connect_orphans(block.block_hash)
 
-    def _apply_canonical_block(self, block: Block) -> None:
-        """Apply one block at the tip, journaling its inverse."""
+    def _execute(self, block: Block) -> BlockUndo:
+        """Apply one block body and return its (possibly shared) inverse:
+        write the shard's image of it when this state holds its read
+        set, else run the body, recording the image on a first run."""
+        images = self.images
+        image = images.get(block.block_hash) if images is not None else None
+        if image is not None and self.state.write_image(image):
+            images.reused(block.block_hash)
+            return image.undo
         undo = BlockUndo()
         self.state.apply_block_body(
             block.transactions, miner=block.header.miner, journal=undo
         )
-        self._applied_index[block.block_hash] = len(self._applied)
-        self._applied.append((block.block_hash, undo))
+        if images is not None and image is None:
+            image = self.state.record_image(block.transactions, undo)
+            images.add(block.block_hash, image)
+        return undo
 
     def _apply_reorg(self, new_head: str) -> None:
-        """Tip-delta reorg: unwind to the fork point, apply the winner.
+        """Tip-delta head move: unwind to the fork point, apply the winner.
+
+        A plain tip extension is the depth-0 case: nothing to unwind,
+        one block to apply, journaled so a later reorg can unwind it.
 
         Leaves the same state as a replay of the canonical chain from
         genesis (:meth:`state_oracle_fingerprint`) but touches only the
@@ -299,14 +353,9 @@ class FullNode(Node):
         del applied[fork_pos + 1:]
         # Apply the winning suffix, oldest first.
         confirmed: set[str] = set()
-        state = self.state
         for block in reversed(suffix):
-            undo = BlockUndo()
-            state.apply_block_body(
-                block.transactions, miner=block.header.miner, journal=undo
-            )
             index[block.block_hash] = len(applied)
-            applied.append((block.block_hash, undo))
+            applied.append((block.block_hash, self._execute(block)))
             confirmed.update(tx.tx_id for tx in block.transactions)
         self.mempool.remove_confirmed(confirmed)
 
@@ -317,6 +366,9 @@ class FullNode(Node):
         against ``self.state.fingerprint()`` after tip-delta runs.
         """
         state = self._pristine_state.snapshot()
+        for balance, addresses in self._provisioned.items():
+            for address in addresses:
+                state.create_account(address, balance=balance)
         for canonical in self.ledger.canonical_chain():
             if canonical.transactions:
                 state.apply_block_body(

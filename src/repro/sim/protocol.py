@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.chain.callgraph import CallGraph
 from repro.chain.fees import FeePolicy
+from repro.chain.ledger import ConfirmationTally
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.consensus.miner import MinerBehavior, MinerIdentity
@@ -34,7 +35,7 @@ from repro.faults.plan import FaultPlan, FaultStats
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
-from repro.net.node import FullNode
+from repro.net.node import FullNode, ImageTable
 from repro.observe import Tracer, resolve_tracer, use_tracer
 from repro.observe.telemetry import (
     ShardStats,
@@ -543,6 +544,12 @@ class ProtocolSimulation:
                 )
             calendar.add(miner.public)
             self._miner_calendar[miner.public] = calendar
+        # Execute once per shard; a lone replica records no images.
+        for replicas in self._shard_nodes.values():
+            if len(replicas) > 1:
+                images = ImageTable(len(replicas))
+                for node in replicas:
+                    node.images = images
 
     def _note_pooled(self, node: FullNode, tx: Transaction) -> None:
         """Lineage: first-seen gossip — the first pooling of a tx anywhere."""
@@ -719,22 +726,14 @@ class ProtocolSimulation:
                 return all(len(node.mempool) == 0 for node in nodes)
 
         else:
-            # The stop condition runs after EVERY event. Recompute the
-            # confirmed union only when some chain's head actually moved
-            # (the ledgers' version counters are bumped on head changes);
-            # between head changes the cached verdict is exact.
-            ledgers = [node.ledger for node in self._nodes.values()]
-            cache = {"stamp": -1, "done": False}
+            # The stop condition runs after EVERY event: an O(1) read of
+            # a tally the ledgers keep through confirms and reorgs.
+            tally = ConfirmationTally(target_ids)
+            for node in self._nodes.values():
+                node.ledger.watch(tally)
 
             def drained() -> bool:
-                stamp = sum(ledger.version for ledger in ledgers)
-                if stamp != cache["stamp"]:
-                    cache["stamp"] = stamp
-                    confirmed: set[str] = set()
-                    for ledger in ledgers:
-                        confirmed |= ledger.confirmed_tx_ids()
-                    cache["done"] = confirmed >= target_ids
-                return cache["done"]
+                return not tally.missing
 
         if self._lineage:
             # The lineage probe piggybacks on the per-event stop-condition
@@ -1078,7 +1077,7 @@ class ProtocolSimulation:
             if telemetry is not None:
                 self._route(tx, shard)
             for node in shard_nodes.get(shard, ()):
-                node.state.create_account(tx.sender, balance=balance)
+                node.provision(tx.sender, balance)
                 node.pool(tx)
 
     # ------------------------------------------------------------------

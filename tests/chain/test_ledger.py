@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.block import Block
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import ConfirmationTally, Ledger
 from repro.errors import LedgerError
 from tests.conftest import confirmed_ids_scan, make_call
 
@@ -189,3 +189,54 @@ class TestIncrementalViews:
             ledger.block("f" * 64)
         with pytest.raises(LedgerError):
             ledger.parent_of("f" * 64)
+
+
+class TestConfirmationTally:
+    """The O(1) stop-check count vs. the union of confirmed sets."""
+
+    @staticmethod
+    def _missing_by_scan(targets, ledgers):
+        confirmed = set()
+        for ledger in ledgers:
+            confirmed |= confirmed_ids_scan(ledger)
+        return len(targets - confirmed)
+
+    def test_counts_targets_no_ledger_confirms_through_reorgs(self):
+        tx_a, tx_b, tx_c = make_call("0xua"), make_call("0xub"), make_call("0xuc")
+        stray = make_call("0xud")  # confirmed, but not a target
+        targets = {tx_a.tx_id, tx_b.tx_id, tx_c.tx_id}
+        one, two = Ledger(), Ledger()
+        tally = ConfirmationTally(targets)
+        one.watch(tally)
+        two.watch(tally)
+        assert tally.missing == 3
+
+        def check():
+            assert tally.missing == self._missing_by_scan(targets, (one, two))
+
+        a1 = extend(one, one.head_hash, 1, txs=[tx_a, stray], miner="pkA")
+        check()
+        extend(two, two.head_hash, 1, txs=[tx_a], miner="pkA")
+        check()
+        # Ledger one reorgs tx_a away; ledger two still confirms it.
+        b1 = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.1, [tx_b])
+        one.add_block(b1)
+        extend(one, b1.block_hash, 2, txs=[tx_c], miner="pkB")
+        check()
+        assert tally.missing == 0
+        # Branch A wins back on ledger one: tx_b and tx_c unconfirm.
+        a2 = extend(one, a1.block_hash, 2, miner="pkA")
+        extend(one, a2.block_hash, 3, miner="pkA")
+        check()
+        assert tally.missing == 2
+
+    def test_watch_counts_what_is_already_confirmed(self):
+        tx_a = make_call("0xua")
+        ledger = Ledger()
+        extend(ledger, ledger.head_hash, 1, txs=[tx_a])
+        tally = ConfirmationTally({tx_a.tx_id, make_call("0xub").tx_id})
+        ledger.watch(tally)
+        assert tally.missing == 1
+
+    def test_no_targets_is_drained(self):
+        assert ConfirmationTally(set()).missing == 0

@@ -234,3 +234,131 @@ class TestFingerprint:
         before = world.fingerprint()
         world.account("0xualice").credit(1)
         assert world.fingerprint() != before
+
+
+class TestUnknownReferencesAreInvalid:
+    """An unknown sender or an undeployed contract is a rejected tx,
+    not an error that escapes block application."""
+
+    def test_unknown_sender_cannot_apply(self, world):
+        assert not world.can_apply(make_transfer("0xughost", "0xubob"))
+
+    def test_undeployed_contract_cannot_apply(self, world):
+        assert not world.can_apply(make_call("0xualice", contract="0xcnowhere"))
+
+    def test_unknown_sender_is_a_validation_error(self, world):
+        with pytest.raises(ValidationError, match="unknown sender"):
+            world.apply_transaction(make_transfer("0xughost", "0xubob"))
+
+    def test_block_rejects_ghost_and_applies_the_rest(self, world):
+        from repro.chain.state import BlockUndo
+
+        ghost = make_transfer("0xughost", "0xubob", amount=10)
+        missing = make_call("0xubob", contract="0xcnowhere")
+        ok = make_transfer("0xualice", "0xubob", amount=10, fee=2)
+        undo = BlockUndo()
+        rejected = world.apply_block_body(
+            (ghost, missing, ok), miner="pk-m", journal=undo
+        )
+        assert rejected == [ghost, missing]
+        assert world.balance_of("0xualice") == 988
+        assert world.balance_of("0xubob") == 1_010
+        image = world.record_image((ghost, missing, ok), undo)
+        # The ghost sender is read as absent; the undeployed contract too.
+        assert image.reads["0xughost"] is None
+        assert image.contract_reads["0xcnowhere"] is None
+        assert "0xughost" not in image.writes
+
+
+class TestBlockImage:
+    """Record on one state, write on an equal one: same end state."""
+
+    BODY = (
+        make_transfer("0xualice", "0xubob", amount=10, fee=2),
+        make_call("0xubob", fee=5),
+        make_transfer("0xualice", "0xunew", amount=3, fee=1, nonce=1),
+    )
+
+    def _recorded(self, world):
+        from repro.chain.state import BlockUndo
+
+        replica = world.snapshot()
+        undo = BlockUndo()
+        world.apply_block_body(self.BODY, miner="pk-m", journal=undo)
+        return world.record_image(self.BODY, undo), replica
+
+    def test_write_matches_full_apply(self, world):
+        image, replica = self._recorded(world)
+        assert replica.write_image(image)
+        assert replica.fingerprint() == world.fingerprint()
+        # The shared undo is the replica's exact inverse too.
+        replica.revert_block_body(image.undo)
+        world.revert_block_body(image.undo)
+        assert replica.fingerprint() == world.fingerprint()
+
+    def test_image_holds_read_and_write_sets(self, world):
+        image, __ = self._recorded(world)
+        assert image.reads["0xualice"] == (1_000, 0)
+        assert image.reads["0xunew"] is None  # created by the body
+        assert image.writes["0xualice"] == (984, 2)
+        assert image.writes["0xunew"] == (3, 0)
+        assert image.contract_reads[CONTRACT_A] == (
+            0,
+            "0xudest-a",
+            TransferCondition(kind="always"),
+        )
+        assert image.contract_writes == {CONTRACT_A: 1}
+
+    @pytest.mark.parametrize("address", ["0xualice", "0xubob"])
+    def test_differing_read_refuses_write(self, world, address):
+        image, replica = self._recorded(world)
+        replica.account(address).credit(1)
+        before = replica.fingerprint()
+        assert not replica.write_image(image)
+        assert replica.fingerprint() == before  # nothing written
+
+    def test_present_where_image_read_absent_refuses_write(self, world):
+        image, replica = self._recorded(world)
+        replica.create_account("0xunew")
+        assert not replica.write_image(image)
+
+    def test_differing_contract_refuses_write(self, world):
+        image, replica = self._recorded(world)
+        replica.contract(CONTRACT_A).record_invocation()
+        assert not replica.write_image(image)
+
+    def test_rejected_sender_is_a_read(self, world):
+        from repro.chain.state import BlockUndo
+
+        broke = make_transfer("0xubob", "0xualice", amount=5_000)
+        undo = BlockUndo()
+        assert world.apply_block_body((broke,), "pk-m", journal=undo) == [broke]
+        image = world.record_image((broke,), undo)
+        assert image.reads == {"0xubob": (1_000, 0)}
+        assert image.writes == {}
+
+    def test_condition_subject_is_a_read(self, world):
+        from repro.chain.state import BlockUndo
+
+        guarded = "0xc" + "d" * 39
+        world.deploy_contract(
+            SmartContract(
+                address=guarded,
+                beneficiary="0xudest-d",
+                condition=TransferCondition(
+                    kind="balance_below", subject="0xuwatched", threshold=10
+                ),
+            )
+        )
+        world.create_account("0xuwatched", balance=3)
+        replica = world.snapshot()
+        call = make_call("0xualice", contract=guarded, fee=1)
+        undo = BlockUndo()
+        assert world.apply_block_body((call,), "pk-m", journal=undo) == []
+        image = world.record_image((call,), undo)
+        assert image.reads["0xuwatched"] == (3, 0)
+        assert "0xuwatched" not in image.writes
+        # The condition would fail on a replica where the subject is
+        # rich: the read set must send it to the full apply.
+        replica.account("0xuwatched").credit(100)
+        assert not replica.write_image(image)

@@ -7,7 +7,7 @@ from repro.chain.state import WorldState
 from repro.consensus.miner import MinerIdentity, ShardLiarBehavior
 from repro.core.shard_formation import MAXSHARD_ID
 from repro.net.messages import Message, MessageKind
-from repro.net.node import FullNode
+from repro.net.node import MAX_IMAGES, FullNode, ImageTable
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from tests.conftest import (
     CONTRACT_A,
@@ -469,3 +469,128 @@ class TestTipDeltaReorg:
         assert node.state.fingerprint() == node.state_oracle_fingerprint()
         # The shared-prefix tx stayed confirmed throughout.
         assert tx_base.tx_id in node.ledger.confirmed_tx_ids()
+
+
+class TestExecuteOnce:
+    """Replicas sharing an ImageTable: one full apply per block, every
+    other replica writes the image once its state proves equal."""
+
+    @staticmethod
+    def _replicas(*balances, prefix="once"):
+        nodes = [
+            make_node(shard=1, balance=balance, name=f"{prefix}-{i}")
+            for i, balance in enumerate(balances)
+        ]
+        table = ImageTable(len(nodes))
+        for node in nodes:
+            node.images = table
+            node.provision("0xubob", 1_000)
+        return nodes, table
+
+    @staticmethod
+    def _count_full_applies(monkeypatch):
+        calls = []
+        original = WorldState.apply_block_body
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(WorldState, "apply_block_body", counting)
+        return calls
+
+    def test_second_replica_writes_image_and_shares_undo(self, monkeypatch):
+        from repro.chain.block import Block
+
+        (first, second), table = self._replicas(1_000, 1_000)
+        applies = self._count_full_applies(monkeypatch)
+        body = [
+            make_call("0xualice", fee=4),
+            make_transfer("0xubob", "0xucarol", amount=10, fee=2),
+        ]
+        block = Block.build(first.ledger.head_hash, "pkA", 1, 1, 1.0, body)
+        first._record_block(block)
+        assert len(table) == 1
+        second._record_block(block)
+        assert applies == [first.state]
+        assert second._applied[-1][1] is first._applied[-1][1]
+        assert len(table) == 0  # dropped at its last reuse
+        for node in (first, second):
+            assert node.state.fingerprint() == node.state_oracle_fingerprint()
+        assert first.state.fingerprint() == second.state.fingerprint()
+
+    def test_perturbed_read_falls_back_to_full_apply(self, monkeypatch):
+        """Same parent hash, different pre-state: the replica must run
+        the body itself. Writing the image here would leave alice's
+        balance 1,000 short of the replica's own replay."""
+        from repro.chain.block import Block
+
+        (first, richer), table = self._replicas(1_000, 2_000)
+        applies = self._count_full_applies(monkeypatch)
+        block = Block.build(
+            first.ledger.head_hash, "pkA", 1, 1, 1.0,
+            [make_call("0xualice", fee=4)],
+        )
+        first._record_block(block)
+        richer._record_block(block)
+        assert applies == [first.state, richer.state]
+        assert richer.state.balance_of("0xualice") == 2_000 - 5
+        assert richer.state.fingerprint() == richer.state_oracle_fingerprint()
+        assert len(table) == 1  # a refused image is not a reuse
+
+    def test_reorg_after_image_hit_matches_oracle(self):
+        from repro.chain.block import Block
+
+        (first, second, third), __ = self._replicas(1_000, 1_000, 1_000)
+        genesis = first.ledger.head_hash
+        a1 = Block.build(genesis, "pkA", 1, 1, 1.0, [make_call("0xualice", fee=4)])
+        b1 = Block.build(
+            genesis, "pkB", 1, 1, 1.1,
+            [make_transfer("0xubob", "0xucarol", amount=7, fee=1)],
+        )
+        b2 = Block.build(
+            b1.block_hash, "pkB", 1, 2, 2.1, [make_call("0xualice", fee=2)]
+        )
+        for node in (first, second, third):
+            node._record_block(a1)
+        # Both later replicas hold the first one's undo for a1 ...
+        shared = first._applied[-1][1]
+        assert second._applied[-1][1] is shared
+        assert third._applied[-1][1] is shared
+        # ... and unwind it in the reorg onto branch B.
+        for node in (second, first, third):
+            for block in (b1, b2):
+                node._record_block(block)
+            assert node.ledger.head_hash == b2.block_hash
+            assert node.state.fingerprint() == node.state_oracle_fingerprint()
+        assert first.state.fingerprint() == third.state.fingerprint()
+
+    def test_table_is_bounded_fifo(self):
+        from repro.chain.state import BlockImage, BlockUndo
+
+        table = ImageTable(replicas=3)
+        for i in range(MAX_IMAGES + 5):
+            table.add(f"h{i}", BlockImage({}, {}, {}, {}, BlockUndo()))
+        assert len(table) == MAX_IMAGES
+        assert table.get("h0") is None
+        assert table.get(f"h{MAX_IMAGES + 4}") is not None
+        # Two replicas besides the recorder: dropped at the second reuse.
+        table.reused("h5")
+        assert table.get("h5") is not None
+        table.reused("h5")
+        assert table.get("h5") is None
+
+    def test_provision_feeds_the_oracle_only_when_it_takes_effect(self):
+        from repro.chain.block import Block
+
+        node = make_node(shard=1, name="provisioned")
+        node.provision("0xubob", 1_000)
+        node.provision("0xualice", 50)  # exists already: no-op
+        assert node.state.balance_of("0xualice") == 1_000
+        block = Block.build(
+            node.ledger.head_hash, "pkA", 1, 1, 1.0,
+            [make_transfer("0xubob", "0xucarol", amount=10, fee=2)],
+        )
+        node._record_block(block)
+        assert node.state.balance_of("0xubob") == 988
+        assert node.state.fingerprint() == node.state_oracle_fingerprint()

@@ -18,11 +18,15 @@ for bit, across PR history:
 * ``scenario-<name>`` — the five adversarial scenarios at seed 0,
   checked in ``tests/scenarios/test_determinism.py``.
 
-Targeted regressions for the RNG draw-order contract, scheduler
-compaction, and the tip-delta world state against a replay from the
-pre-genesis snapshot follow.
+Every one of those runs also checks execute-once agreement: honest
+replicas at the same ``(shard, head)`` hold equal world states, however
+many of them wrote another replica's block image instead of running the
+block. Targeted regressions for the RNG draw-order contract, scheduler
+compaction, the shard image tables, and the tip-delta world state
+against a replay from the pre-genesis snapshot follow.
 """
 
+import functools
 import json
 import pathlib
 import random
@@ -35,11 +39,13 @@ from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
 from repro.net.network import LatencyModel
+from repro.net.node import MAX_IMAGES
 from repro.observe import Tracer
-from repro.scenarios import scenario_names
+from repro.scenarios import get_scenario, run_scenario, scenario_names
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     TxStream,
+    streaming_powerlaw_contract_workload,
     streaming_uniform_contract_workload,
     uniform_contract_workload,
 )
@@ -89,6 +95,12 @@ def _stream() -> TxStream:
 
 def _run_paced(limit: int | None = None, batch: int = 10):
     """Paced streaming injection; ``(result, digest)``."""
+    __, result, digest = _paced_sim(limit, batch)
+    return result, digest
+
+
+def _paced_sim(limit: int | None = None, batch: int = 10):
+    """Paced streaming injection; ``(sim, result, digest)``."""
     tracer = Tracer()
     config = ProtocolConfig(
         seed=SEED,
@@ -102,7 +114,7 @@ def _run_paced(limit: int | None = None, batch: int = 10):
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     sim = ProtocolSimulation(identities, _stream(), config=config)
     result = sim.run()
-    return result, tracer.digest()
+    return sim, result, tracer.digest()
 
 
 def _run_to_horizon():
@@ -114,12 +126,13 @@ def _run_to_horizon():
     config = ProtocolConfig(
         seed=11, trace=True, max_duration=600.0, run_to_horizon=True
     )
-    result = ProtocolSimulation(identities, workload, config=config).run()
+    sim = ProtocolSimulation(identities, workload, config=config)
+    result = sim.run()
     assert result.duration == 600.0
-    return result
+    return sim, result.trace.digest()
 
 
-def _run_wave_profile() -> str:
+def _run_wave_profile():
     """128 miners, 40 s to the horizon, 60-150 s propagation delays."""
     identities = [MinerIdentity.create(f"m{i}") for i in range(128)]
     workload = uniform_contract_workload(total_txs=50, contract_shards=3, seed=13)
@@ -132,22 +145,53 @@ def _run_wave_profile() -> str:
         pow_params=PoWParameters(difficulty=round(40.0 * REFERENCE_HASHRATE)),
         latency=LatencyModel(base_seconds=60.0, jitter_seconds=90.0),
     )
-    ProtocolSimulation(identities, workload, config=config).run()
-    return tracer.digest()
+    sim = ProtocolSimulation(identities, workload, config=config)
+    sim.run()
+    return sim, tracer.digest()
 
 
-def _profile_digest(profile: str) -> str:
-    return _simulate(**PROFILES[profile])[1].trace.digest()
+def _run_zipf_stream():
+    """The run of ``examples/telemetry.py``, telemetry off."""
+    identities = [MinerIdentity.create(f"tel-{i}") for i in range(96)]
+    stream = streaming_powerlaw_contract_workload(
+        total_txs=1_600, contract_shards=64, alpha=1.1, seed=11
+    )
+    tracer = Tracer()
+    config = ProtocolConfig(
+        pow_params=PoWParameters(difficulty=0x40000 // 60),
+        latency=LatencyModel(base_seconds=0.01, jitter_seconds=0.01),
+        seed=11,
+        max_duration=3_000.0,
+        inject_batch=200,
+        inject_interval=5.0,
+        mempool_limit=30,
+        trace=tracer,
+    )
+    sim = ProtocolSimulation(identities, stream, config=config)
+    sim.run()
+    return sim, tracer.digest()
 
 
-#: Every recorded baseline reproduced in this file, mapped to its run.
+def _profile_run(profile: str):
+    sim, result = _simulate(**PROFILES[profile])
+    return sim, result.trace.digest()
+
+
+#: Every recorded baseline reproduced in this file, mapped to a run
+#: returning ``(sim, digest)``.
 RUNS = {
-    **{name: (lambda name=name: _profile_digest(name)) for name in PROFILES},
-    "paced": lambda: _run_paced()[1],
-    "paced-evict": lambda: _run_paced(limit=4, batch=8)[1],
-    "horizon": lambda: _run_to_horizon().trace.digest(),
+    **{name: functools.partial(_profile_run, name) for name in PROFILES},
+    "paced": lambda: _paced_sim()[::2],
+    "paced-evict": lambda: _paced_sim(limit=4, batch=8)[::2],
+    "horizon": _run_to_horizon,
     "wave-128": _run_wave_profile,
 }
+
+
+@functools.cache
+def _seeded_run(name: str):
+    """One run per recorded baseline, shared by the tests below."""
+    return RUNS[name]()
 
 
 class TestEngineDigestParity:
@@ -155,7 +199,7 @@ class TestEngineDigestParity:
     def test_fast_engine_matches_recorded_baseline(self, profile):
         """The committed digest pins event and draw order across PR
         history."""
-        assert RUNS[profile]() == BASELINES[profile]
+        assert _seeded_run(profile)[1] == BASELINES[profile]
 
     def test_every_baseline_is_reproduced(self):
         scenarios = {f"scenario-{name}" for name in scenario_names()}
@@ -272,12 +316,15 @@ class TestSchedulerCompaction:
 
 
 class TestStateOracle:
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize(
+        "profile", sorted(PROFILES) + ["paced", "paced-evict"]
+    )
     def test_tip_delta_state_matches_replay_oracle(self, profile):
-        """After a full run (reorgs included), every node's journaled
-        world state must fingerprint identically to a from-scratch
-        canonical replay."""
-        sim, __ = _simulate(**PROFILES[profile])
+        """After a full run (reorgs and image writes included), every
+        node's journaled world state must fingerprint identically to a
+        from-scratch canonical replay — streamed sender provisioning
+        included."""
+        sim, __ = _seeded_run(profile)
         for public in sorted(sim.assignment.shard_of):
             node = sim.node(public)
             assert (
@@ -289,3 +336,47 @@ class TestStateOracle:
         for public in sorted(sim.assignment.shard_of):
             ledger = sim.node(public).ledger
             assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
+
+
+def _agreement_run(name: str):
+    """``(sim, digest, honest publics)`` of one recorded baseline."""
+    if name.startswith("scenario-"):
+        outcome = run_scenario(get_scenario(name[len("scenario-"):]), seed=0)
+        return outcome.sim, outcome.digest, outcome.honest_publics()
+    sim, digest = _run_zipf_stream() if name == "zipf-stream" else _seeded_run(name)
+    return sim, digest, sorted(sim.assignment.shard_of)
+
+
+class TestExecuteOnce:
+    @pytest.mark.parametrize("name", sorted(BASELINES))
+    def test_honest_replicas_at_one_head_agree(self, name):
+        """Honest replicas of a shard at the same head hold the same
+        world state, image writes or not."""
+        sim, digest, honest = _agreement_run(name)
+        assert digest == BASELINES[name]
+        groups: dict[tuple[int, str], set[str]] = {}
+        for public in honest:
+            node = sim.node(public)
+            groups.setdefault(
+                (node.shard_id, node.ledger.head_hash), set()
+            ).add(node.state.fingerprint())
+        disagreeing = [key for key, prints in groups.items() if len(prints) > 1]
+        assert not disagreeing, f"{name}: replicas disagree at {disagreeing}"
+
+    def test_one_bounded_table_per_replicated_shard(self):
+        replicas = set()
+        for name in ("clean", "paced-evict", "wave-128"):
+            sim, __ = _seeded_run(name)
+            shards: dict[int, list] = {}
+            for public, shard in sim.assignment.shard_of.items():
+                shards.setdefault(shard, []).append(sim.node(public))
+            for nodes in shards.values():
+                replicas.add(min(len(nodes), 2))
+                tables = {id(node.images) for node in nodes}
+                assert len(tables) == 1, "a shard's replicas share one table"
+                table = nodes[0].images
+                if len(nodes) == 1:
+                    assert table is None, "a lone replica records no images"
+                else:
+                    assert len(table) <= MAX_IMAGES
+        assert replicas == {1, 2}  # both kinds of shard were checked
