@@ -14,7 +14,7 @@ This walkthrough:
    would enable the same thing for everything run inside it);
 2. prints the run report (:class:`~repro.observe.RunReport`) — the
    digest, per-phase record counts and sim-time windows, and the
-   metrics registry;
+   metrics folded from the trace records;
 3. reruns with the same seed and verifies the digests match;
 4. exports the trace as JSONL and recomputes the digest from the file
    alone, the way the CI trace-smoke step does.

@@ -69,7 +69,6 @@ from repro.faults import (
     Partition,
 )
 from repro.observe import (
-    MetricsRegistry,
     Tracer,
     use_tracer,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "MessageFaults",
     "Partition",
     # observe
-    "MetricsRegistry",
     "Tracer",
     "use_tracer",
     # baselines

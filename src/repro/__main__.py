@@ -108,8 +108,8 @@ def _trace_record(args) -> int:
         workload = uniform_contract_workload(
             total_txs=args.txs, contract_shards=args.shards, seed=args.seed
         )
-    # Lineage indexes a materialized workload; paced streaming refuses
-    # it, and sink mode spills records the lineage probes would re-read.
+    # Lineage indexes a materialized workload, so paced streaming refuses
+    # it; sink runs leave it off too, as it adds records per transaction.
     lineage = not args.no_lineage and not args.stream and not args.sink
     tracer = Tracer(
         lineage=lineage, sink=args.output if args.sink else None

@@ -6,38 +6,62 @@ longest-chain fork-choice rule used by PoW chains, and exposes the
 statistics the evaluation needs: confirmed transactions, empty blocks and
 stale (orphaned) blocks.
 
-The canonical-chain views are maintained **incrementally**: every head
-change updates a canonical-hash set and a confirmed-transaction multiset
-by walking only the reorged branch delta, so ``confirmed_tx_ids()`` is
-O(1) instead of an O(chain) walk. The ledger tests hold the view to a
-walk of :meth:`Ledger.canonical_chain` kept in ``tests/``. The same
-transitions feed the per-event protocol stop check (:class:`ConfirmationTally`).
+:meth:`Ledger.add_block` walks each head change once, over the reorged
+branch delta only, and returns that walk as a :class:`HeadMove`: the
+blocks that left the canonical chain and the blocks that joined it. The
+same walk keeps a canonical-hash set and a confirmed-transaction
+multiset current, so ``confirmed_tx_ids()`` is O(1) instead of an
+O(chain) walk; the ledger tests hold both to a walk of
+:meth:`Ledger.canonical_chain` kept in ``tests/``. Its confirm/unconfirm
+transitions feed the protocol's :class:`ConfirmationTally`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.chain.block import Block, GENESIS_PARENT
+from repro.chain.block import Block
 from repro.errors import LedgerError
 
 
 class ConfirmationTally:
-    """``missing``: how many target txs no :meth:`Ledger.watch`-ing
-    ledger confirms, kept exact through confirms and reorgs."""
+    """The :meth:`Ledger.watch`-ing ledgers' union of confirmed target
+    txs, kept exact through confirms and reorgs: ``confirming`` counts
+    each target's confirming ledgers, ``missing`` the targets none
+    confirms. A dict ``edges`` collects each target whose membership
+    flipped since it was emptied, with the shard of its latest flip; a
+    target that flips back drops out."""
 
-    __slots__ = ("_ledgers", "missing")
+    __slots__ = ("confirming", "missing", "edges")
 
     def __init__(self, targets: set[str]) -> None:
-        self._ledgers = dict.fromkeys(targets, 0)  # confirming ledgers
-        self.missing = len(self._ledgers)
+        self.confirming = dict.fromkeys(targets, 0)
+        self.missing = len(self.confirming)
+        self.edges: dict[str, int] | None = None
 
-    def moved(self, tx_id: str, step: int) -> None:
-        """A ledger confirmed (``step=1``) or unconfirmed (-1) ``tx_id``."""
-        count = self._ledgers.get(tx_id)
-        if count is not None:
-            self._ledgers[tx_id] = count + step
-            self.missing += (count + step == 0) - (count == 0)
+    def moved(self, tx_id: str, step: int, shard: int) -> None:
+        """A shard-``shard`` ledger confirmed (``step=1``) or unconfirmed
+        (-1) ``tx_id``."""
+        count = self.confirming.get(tx_id)
+        if count is None:
+            return
+        new = count + step
+        self.confirming[tx_id] = new
+        if count and new:
+            return  # still confirmed elsewhere: the union did not move
+        self.missing += (not new) - (not count)
+        edges = self.edges
+        if edges is not None and edges.pop(tx_id, None) is None:
+            edges[tx_id] = shard
+
+
+class HeadMove(NamedTuple):
+    """One head change: ``left`` the canonical chain (newest first),
+    ``joined`` it (oldest first). A tip extension leaves nothing."""
+
+    left: list[Block]
+    joined: list[Block]
 
 
 @dataclass(slots=True)
@@ -71,14 +95,13 @@ class Ledger:
         self._canonical: set[str] = {genesis_hash}
         self._confirmed_counts: dict[str, int] = {}
         self._confirmed_ids: set[str] = set()
-        self._version = 0
         self._tally: ConfirmationTally | None = None
 
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def add_block(self, block: Block) -> bool:
-        """Insert a block; returns True iff it became the new head.
+    def add_block(self, block: Block) -> HeadMove | None:
+        """Insert a block; returns the head move it caused, else ``None``.
 
         Raises :class:`LedgerError` when the parent is unknown or the
         block was already inserted.
@@ -106,11 +129,9 @@ class Ledger:
                 # Plain tip extension: one canonical block to add.
                 self._canonical.add(block_hash)
                 self._add_confirmed(block)
-            else:
-                self._reorg_canonical(old_head, block_hash)
-            self._version += 1
-            return True
-        return False
+                return HeadMove([], [block])
+            return self._reorg_canonical(old_head, block_hash)
+        return None
 
     def _add_confirmed(self, block: Block) -> None:
         counts = self._confirmed_counts
@@ -123,7 +144,7 @@ class Ledger:
             if new == 1:
                 confirmed.add(tx_id)
                 if tally is not None:
-                    tally.moved(tx_id, 1)
+                    tally.moved(tx_id, 1, self.shard_id)
 
     def _remove_confirmed(self, block: Block) -> None:
         counts = self._confirmed_counts
@@ -138,9 +159,9 @@ class Ledger:
                 del counts[tx_id]
                 confirmed.discard(tx_id)
                 if tally is not None:
-                    tally.moved(tx_id, -1)
+                    tally.moved(tx_id, -1, self.shard_id)
 
-    def _reorg_canonical(self, old_head: str, new_head: str) -> None:
+    def _reorg_canonical(self, old_head: str, new_head: str) -> HeadMove:
         """Rebase the canonical views across a fork switch.
 
         Walks the new branch back to the first block that is already
@@ -150,30 +171,34 @@ class Ledger:
         entries = self._entries
         canonical = self._canonical
         # New-branch suffix, tip first.
-        suffix: list[tuple[str, _ChainEntry]] = []
+        joined: list[Block] = []
         cursor = new_head
         while cursor not in canonical:
             entry = entries[cursor]
-            suffix.append((cursor, entry))
+            joined.append(entry.block)
             cursor = entry.parent
         fork_point = cursor
         # Unwind the old branch down to the fork point.
+        left: list[Block] = []
         cursor = old_head
         while cursor != fork_point:
             entry = entries[cursor]
             canonical.discard(cursor)
             self._remove_confirmed(entry.block)
+            left.append(entry.block)
             cursor = entry.parent
         # Connect the new branch, oldest first.
-        for block_hash, entry in reversed(suffix):
-            canonical.add(block_hash)
-            self._add_confirmed(entry.block)
+        joined.reverse()
+        for block in joined:
+            canonical.add(block.block_hash)
+            self._add_confirmed(block)
+        return HeadMove(left, joined)
 
     def watch(self, tally: ConfirmationTally) -> None:
         """Report confirm/unconfirm transitions to ``tally`` from now on."""
         self._tally = tally
         for tx_id in self._confirmed_ids:
-            tally.moved(tx_id, 1)
+            tally.moved(tx_id, 1, self.shard_id)
 
     def knows(self, block_hash: str) -> bool:
         return block_hash in self._entries
@@ -198,16 +223,6 @@ class Ledger:
     def height(self) -> int:
         """Height of the canonical chain head (genesis = 0)."""
         return self._entries[self._head_hash].height
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every head change.
-
-        Lets callers cache derived views (the lineage probe's confirmed
-        union) and refresh them only when some chain actually moved,
-        instead of recomputing after every event.
-        """
-        return self._version
 
     def block(self, block_hash: str) -> Block:
         """Look up a known block by hash."""

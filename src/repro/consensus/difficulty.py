@@ -7,8 +7,8 @@ difficulty every block toward a target interval: roughly
 
 A faster-than-10s block raises difficulty, a slower one lowers it, with
 an adjustment step of d/2048 per 10-second bucket. This module implements
-that controller and demonstrates (see the accompanying tests and
-`bench_ablation_retarget`) that a mining population governed by it
+that controller and demonstrates (see ``tests/consensus/test_difficulty.py``)
+that a mining population governed by it
 converges to a constant network interval regardless of miner count — the
 first-principles justification for the
 ``max(retarget_floor, solo/miners)`` shortcut in

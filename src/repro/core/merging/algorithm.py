@@ -140,10 +140,6 @@ class OneTimeMerge:
                 merged_size=merged_size,
                 satisfied=constraint_satisfied(merged_size, cfg.lower_bound),
             )
-            tracer.metrics.histogram("merging.slots_to_converge").observe(
-                slots_used
-            )
-            tracer.metrics.counter("merging.games").inc()
         return MergeOutcome(
             players=tuple(players),
             probabilities=tuple(float(v) for v in x),
@@ -249,7 +245,6 @@ class IterativeMerging:
                 new_shards=sum(1 for o in outcomes if o.satisfied),
                 leftovers=len(remaining),
             )
-            tracer.metrics.histogram("merging.rounds_per_run").observe(rounds)
         return IterativeMergingResult(
             new_shards=tuple(outcomes),
             leftover_players=tuple(remaining),

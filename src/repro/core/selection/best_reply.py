@@ -167,10 +167,6 @@ class BestReplyDynamics:
                 moves=moves,
                 converged=converged,
             )
-            tracer.metrics.histogram("selection.rounds_to_converge").observe(
-                rounds
-            )
-            tracer.metrics.counter("selection.deviations").inc(moves)
 
         return SelectionOutcome(
             fees=tuple(float(f) for f in fees),

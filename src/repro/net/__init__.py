@@ -10,11 +10,8 @@ from repro.net.events import Event, EventQueue, Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import Network, LatencyModel
 from repro.net.node import Node, FullNode
-from repro.net.gossip import GossipOverlay, GossipStats
 
 __all__ = [
-    "GossipOverlay",
-    "GossipStats",
     "Event",
     "EventQueue",
     "Scheduler",

@@ -12,9 +12,10 @@ paper describes it:
   shard; claimed shard == own shard), then record, apply and de-pool.
 
 The world-state bookkeeping is **tip-delta**: every applied canonical
-block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, so a
-reorg unwinds only the losing branch and applies only the winning one —
-O(reorg depth) instead of a replay-from-genesis O(chain) rebuild.
+block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, and
+each :class:`~repro.chain.ledger.HeadMove` the ledger returns is
+reverted and executed as is — O(reorg depth) instead of a
+replay-from-genesis O(chain) rebuild.
 :meth:`FullNode.state_oracle_fingerprint` still replays from the
 pre-genesis snapshot, so tests can check the journaled state against
 it; the recorded digests in ``tests/sim/seed_digests.json`` pin the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chain.block import Block
-from repro.chain.ledger import Ledger
+from repro.chain.ledger import HeadMove, Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import BlockImage, BlockUndo, WorldState
 from repro.chain.transaction import Transaction
@@ -134,8 +135,7 @@ class FullNode(Node):
         "_packet_commitment",
         "_orphans",
         "_orphan_count",
-        "_applied",
-        "_applied_index",
+        "_undos",
         "_provisioned",
         "images",
         "on_pooled",
@@ -184,10 +184,8 @@ class FullNode(Node):
         # lets the chain heal once the missing parent shows up.
         self._orphans: dict[str, list[Block]] = {}
         self._orphan_count = 0
-        # Tip-delta state: the applied canonical suffix as (hash, undo)
-        # pairs plus a hash -> position index for O(1) fork-point lookup.
-        self._applied: list[tuple[str, BlockUndo]] = []
-        self._applied_index: dict[str, int] = {}
+        # Tip-delta state: the undo journal of every canonical block.
+        self._undos: dict[str, BlockUndo] = {}
         self._provisioned: dict[int, list[str]] = {}
         # The shard's shared block images; None runs every body in full.
         self.images: ImageTable | None = None
@@ -290,14 +288,12 @@ class FullNode(Node):
             # parent): hold the block until its parent connects.
             self._buffer_orphan(block)
             return
-        old_head = self.ledger.head_hash
         try:
-            self.ledger.add_block(block)
+            move = self.ledger.add_block(block)
         except LedgerError:
             return
-        new_head = self.ledger.head_hash
-        if new_head != old_head:
-            self._apply_reorg(new_head)
+        if move is not None:
+            self._move_head(move)
         # A side-branch block leaves the state untouched: the flat state
         # tracks the canonical chain only, otherwise transactions confirmed
         # on a losing branch would poison sender nonces and never mine.
@@ -322,40 +318,23 @@ class FullNode(Node):
             images.add(block.block_hash, image)
         return undo
 
-    def _apply_reorg(self, new_head: str) -> None:
-        """Tip-delta head move: unwind to the fork point, apply the winner.
+    def _move_head(self, move: HeadMove) -> None:
+        """Tip-delta head move: undo what left the chain, apply what joined.
 
         A plain tip extension is the depth-0 case: nothing to unwind,
         one block to apply, journaled so a later reorg can unwind it.
 
         Leaves the same state as a replay of the canonical chain from
         genesis (:meth:`state_oracle_fingerprint`) but touches only the
-        branch delta: undo journals revert the losing suffix, then the
-        winning suffix is applied in order. Newly canonical transactions
-        are de-pooled; reverted ones are *not* re-pooled.
+        branch delta. Newly canonical transactions are de-pooled;
+        reverted ones are *not* re-pooled.
         """
-        ledger = self.ledger
-        index = self._applied_index
-        applied = self._applied
-        genesis = ledger.genesis_hash
-        # Winning suffix: new head back to the deepest applied ancestor.
-        suffix: list[Block] = []
-        cursor = new_head
-        while cursor != genesis and cursor not in index:
-            block = ledger.block(cursor)
-            suffix.append(block)
-            cursor = block.header.parent_hash
-        fork_pos = index.get(cursor, -1)
-        # Unwind the losing suffix, newest first.
-        for block_hash, undo in reversed(applied[fork_pos + 1:]):
-            self.state.revert_block_body(undo)
-            del index[block_hash]
-        del applied[fork_pos + 1:]
-        # Apply the winning suffix, oldest first.
+        undos = self._undos
+        for block in move.left:
+            self.state.revert_block_body(undos.pop(block.block_hash))
         confirmed: set[str] = set()
-        for block in reversed(suffix):
-            index[block.block_hash] = len(applied)
-            applied.append((block.block_hash, self._execute(block)))
+        for block in move.joined:
+            undos[block.block_hash] = self._execute(block)
             confirmed.update(tx.tx_id for tx in block.transactions)
         self.mempool.remove_confirmed(confirmed)
 

@@ -11,11 +11,11 @@ first-class, *reproducible* output:
   a regression oracle. :mod:`repro.observe.export` writes and digests
   JSONL files; :mod:`repro.observe.analysis` folds per-transaction
   lineages and finds the first divergence between two traces.
-* :class:`MetricsRegistry` — deterministic counters/gauges/histograms.
 * :mod:`repro.observe.telemetry` — digest-neutral heartbeats and
   per-shard load accounting (:class:`ShardStats`).
 * :class:`RunReport` — one schema and one renderer over all of the
-  above for one run (``python -m repro trace report``).
+  above for one run (``python -m repro trace report``); its counters,
+  gauges and histograms are a fold over the trace records.
 
 Enabling it: pass ``trace=`` to
 :class:`~repro.sim.protocol.ProtocolConfig` /
@@ -42,7 +42,7 @@ from repro.observe.export import (
     read_jsonl,
     trace_digest,
 )
-from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.observe.metrics import Histogram
 from repro.observe.telemetry import (
     HeartbeatSample,
     ShardLoad,
@@ -63,11 +63,8 @@ from repro.observe.tracer import (
 from repro.observe.report import RunReport
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "HeartbeatSample",
     "Histogram",
-    "MetricsRegistry",
     "RunReport",
     "ShardLoad",
     "ShardStats",

@@ -1,10 +1,10 @@
-"""Counters, gauges and histograms for simulation-level metrics.
+"""Exact-sample histograms.
 
-The registry is deliberately tiny: metrics here are *deterministic
-aggregates* of simulation behavior (blocks mined, rounds to
-convergence, cache hits), so two same-seed runs produce identical
-snapshots. Wall-clock quantities never enter a metric — they belong in
-the wall sidecar of a trace record (see :mod:`repro.observe.tracer`).
+The run report's metrics fold (:mod:`repro.observe.report`) and the
+lineage latency fold (:mod:`repro.observe.analysis`) summarize their
+samples here. Samples are deterministic simulation quantities (block
+fill, rounds to convergence, sim-time latencies), so two same-seed runs
+summarize identically.
 """
 
 from __future__ import annotations
@@ -14,30 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import ConfigError
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing count."""
-
-    name: str
-    value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ConfigError(f"counter {self.name}: cannot decrease by {amount}")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A last-write-wins level."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 @dataclass
@@ -111,61 +87,3 @@ class Histogram:
             "p99": pct[99.0],
         }
 
-
-class MetricsRegistry:
-    """Get-or-create store of named counters/gauges/histograms.
-
-    A name is bound to one metric type for the registry's lifetime;
-    asking for it as a different type raises, which catches the silent
-    shadowing a plain dict would allow.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def _check_unbound(self, name: str, want: str) -> None:
-        kinds = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }
-        for kind, table in kinds.items():
-            if kind != want and name in table:
-                raise ConfigError(
-                    f"metric {name!r} already registered as a {kind}"
-                )
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._check_unbound(name, "counter")
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self._gauges:
-            self._check_unbound(name, "gauge")
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._check_unbound(name, "histogram")
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
-
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-    def snapshot(self) -> dict[str, object]:
-        """A deterministic, JSON-ready dump of every metric."""
-        return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "histograms": {
-                name: h.summary() for name, h in sorted(self._histograms.items())
-            },
-        }

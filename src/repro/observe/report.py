@@ -13,7 +13,8 @@ source and is left out when that source is absent:
   Fig. 3h), the mean gossip/queue/confirm split and reverted txs;
 * **shards** — :meth:`ShardStats.as_dict` (Fig. 3b/c loads, the
   cross-shard traffic matrix, imbalance indices);
-* **metrics** — :meth:`MetricsRegistry.snapshot`;
+* **metrics** — the counters, gauges and histograms of :data:`METRICS`,
+  folded from the records;
 * **caches** — :func:`~repro.runtime.cache.named_cache_stats`.
 """
 
@@ -33,6 +34,7 @@ from repro.observe.analysis import (
     shard_latency_histograms,
 )
 from repro.observe.export import digest_of_jsonl, iter_jsonl
+from repro.observe.metrics import Histogram
 from repro.observe.telemetry import ShardLoad, _maxshard_id
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,6 +74,38 @@ SCHEMA: dict[str, object] = {
     "caches": {"*": {"*": _NUM}},
 }
 
+#: Each report metric: its kind, the record it folds from, and the path
+#: of the value in that record (``()`` counts the record). A counter
+#: sums its values, a gauge keeps the last and a histogram observes
+#: each; a record whose value is missing, non-numeric or false feeds
+#: nothing.
+METRICS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "campaign.confirmed": ("counters", "epoch.result", ("attrs", "confirmed")),
+    "campaign.epochs": ("counters", "epoch.result", ()),
+    "merging.games": ("counters", "merge.converge", ()),
+    "protocol.blocks_empty": ("counters", "block.forged", ("attrs", "empty")),
+    "protocol.blocks_forged": ("counters", "block.forged", ()),
+    "protocol.leader_fallbacks": ("counters", "leader.timeout", ("attrs", "fallbacks")),
+    "protocol.retransmit_sweeps": ("counters", "retransmit.sweep", ()),
+    "runtime.maps": ("counters", "executor.map", ()),
+    "runtime.tasks": ("counters", "executor.map", ("attrs", "tasks")),
+    "selection.deviations": ("counters", "selection.converged", ("attrs", "moves")),
+    "protocol.confirmed": ("gauges", "run.complete", ("attrs", "confirmed")),
+    "protocol.duration_sim_s": ("gauges", "run.complete", ("time",)),
+    "protocol.events_fired": ("gauges", "run.complete", ("wall", "events_fired")),
+    "protocol.queue_compactions": ("gauges", "run.complete", ("wall", "compactions")),
+    "scheduler.peak_pending": ("gauges", "run.complete", ("wall", "peak_pending")),
+    "merging.rounds_per_run": ("histograms", "merge.result", ("attrs", "rounds")),
+    "merging.slots_to_converge": ("histograms", "merge.converge", ("attrs", "slots")),
+    "protocol.block_txs": ("histograms", "block.forged", ("attrs", "txs")),
+    "selection.rounds_to_converge": (
+        "histograms", "selection.converged", ("attrs", "rounds")
+    ),
+}
+_FOLDS: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
+for _metric, (_kind, _record, _path) in METRICS.items():
+    _FOLDS.setdefault(_record, []).append((_metric, _kind, _path))
+
 
 def _check(value: object, shape: object, where: str) -> None:
     """Raise :class:`SimulationError` naming the first key off ``shape``."""
@@ -110,9 +144,10 @@ class RunReport:
     def from_payloads(
         cls, payloads: Iterable[dict], title: str = "trace"
     ) -> RunReport:
-        """The record count, phases and latency, folded in one pass."""
+        """The record count, phases, latency and metrics, folded in one pass."""
         phases: dict[str, dict] = {}
         lineage_payloads: list[dict] = []
+        folded: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         count = 0
         for count, payload in enumerate(payloads, start=1):
             seq, name = payload.get("seq"), payload.get("name")
@@ -136,11 +171,18 @@ class RunReport:
                 row["wall_s"] += wall["duration_s"]
             if name in LINEAGE_EVENTS:
                 lineage_payloads.append(payload)
+            for metric, kind, path in _FOLDS.get(name, ()):
+                _fold_metric(folded, payload, metric, kind, path)
+        histograms = folded["histograms"]
+        for metric, hist in histograms.items():
+            histograms[metric] = hist.summary()
+        metrics = {kind: dict(sorted(table.items())) for kind, table in folded.items()}
         return cls(
             title=title,
             records=count,
             phases=list(phases.values()),
             latency=_latency_section(lineage_payloads),
+            metrics=metrics if any(folded.values()) else None,
         )
 
     @classmethod
@@ -165,7 +207,6 @@ class RunReport:
             records = itertools.chain(spilled, as_payloads(trace.records))
             report = cls.from_payloads(records, title=title)
             report.digest = trace.digest()
-            report.metrics = trace.metrics.snapshot()
         if shard_stats is not None:
             report.shards = shard_stats.as_dict()
         report.caches = named_cache_stats() or None
@@ -231,6 +272,24 @@ class RunReport:
             if value is not None:
                 lines.extend(renderer(value))
         return "\n".join(lines)
+
+
+def _fold_metric(
+    folded: dict[str, dict], payload: dict, metric: str, kind: str, path: tuple
+) -> None:
+    """Feed one :data:`METRICS` entry from one record."""
+    value: object = payload if path else 1
+    for key in path:
+        value = value.get(key) if isinstance(value, dict) else None
+    if value is False or not isinstance(value, _NUM):
+        return
+    table = folded[kind]
+    if kind == "counters":
+        table[metric] = table.get(metric, 0) + value
+    elif kind == "gauges":
+        table[metric] = value
+    else:
+        table.setdefault(metric, Histogram(metric)).observe(value)
 
 
 def _latency_section(payloads: list[dict]) -> dict | None:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import ConfigError, SimulationError
-from repro.observe.metrics import MetricsRegistry
 
 #: Sink mode keeps at most this many unflushed records resident.
 DEFAULT_SINK_BUFFER = 10_000
@@ -84,7 +83,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects records and metrics for one (or more) runs.
+    """Collects the records of one (or more) runs.
 
     ``clock`` optionally supplies a default simulated-time source (for
     example a scheduler's ``now``); an explicit ``time=`` on
@@ -117,7 +116,6 @@ class Tracer:
         if buffer_limit <= 0:
             raise ConfigError(f"buffer_limit must be positive: got {buffer_limit}")
         self.records: list[TraceRecord] = []
-        self.metrics = MetricsRegistry()
         self.lineage = bool(lineage)
         self._clock: Callable[[], float] | None = clock
         self._seq = 0

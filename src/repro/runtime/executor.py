@@ -100,8 +100,6 @@ def _serial_map(
         workers=workers,
         wall=wall,
     )
-    tracer.metrics.counter("runtime.maps").inc()
-    tracer.metrics.counter("runtime.tasks").inc(len(tasks))
     return results
 
 
@@ -201,8 +199,6 @@ class ProcessExecutor:
                 workers=pool_size,
                 wall={"duration_s": round(time.perf_counter() - begin, 6)},
             )
-            tracer.metrics.counter("runtime.maps").inc()
-            tracer.metrics.counter("runtime.tasks").inc(len(tasks))
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -159,10 +159,6 @@ class Campaign:
                     makespan=result.makespan,
                     empty_blocks=result.total_empty_blocks,
                 )
-                tracer.metrics.counter("campaign.epochs").inc()
-                tracer.metrics.counter("campaign.confirmed").inc(
-                    result.confirmed_transactions
-                )
             campaign.epochs.append(
                 EpochOutcome(
                     epoch_index=epoch_index,

@@ -48,6 +48,14 @@ from repro.workloads.generators import MAX_MATERIALIZED_TXS, TxStream
 #: network's latency stream (both are seeded from ``config.seed``).
 _FAULT_SEED_SALT = 0xFA017
 
+#: What every sender holds: funded before genesis on every node for a
+#: materialized workload, provisioned at injection time for a stream.
+INITIAL_BALANCE = 1_000_000
+
+#: When (seconds into the run) the leader broadcasts the unification
+#: packet, in runs that distribute it over the network.
+LEADER_BROADCAST_DELAY = 0.0
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -69,9 +77,6 @@ class ProtocolConfig:
         retransmission (only sensible for fault-free runs).
     retransmit_blocks:
         How many canonical tip blocks each node re-gossips per sweep.
-    leader_broadcast_delay:
-        When (seconds into the run) the leader broadcasts the
-        unification packet, in runs that distribute it over the network.
     leader_timeout:
         Leader-silence deadline: a node without a verified unification
         packet by this time falls back to solo (un-unified) mining so
@@ -116,6 +121,8 @@ class ProtocolConfig:
         :attr:`ProtocolResult.evicted`. Also the backpressure signal:
         a paced injection tick defers (without consuming the stream)
         while any node's pool is at the limit. ``None`` = unbounded.
+        Only paced streams take a bound: a list run stops once every
+        transaction confirms, which an evicted one never does.
     max_events:
         Event budget for the run loop. ``None`` (default) keeps the
         scheduler's 10^7 runaway-loop guard; million-transaction
@@ -139,11 +146,9 @@ class ProtocolConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     seed: int = 0
     max_duration: float = 100_000.0
-    initial_balance: int = 1_000_000
     fault_plan: FaultPlan | None = None
     retransmit_interval: float | None = None
     retransmit_blocks: int = 4
-    leader_broadcast_delay: float = 0.0
     leader_timeout: float = 10.0
     trace: Tracer | bool | None = None
     engine: str = "fast"
@@ -175,9 +180,7 @@ class ProtocolConfig:
             raise ConfigError(
                 f"retransmit_interval must be positive or None: {interval}"
             )
-        for name in (
-            "retransmit_blocks", "leader_broadcast_delay", "leader_timeout"
-        ):
+        for name in ("retransmit_blocks", "leader_timeout"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(
                     f"{name} must be non-negative: {getattr(self, name)}"
@@ -279,6 +282,12 @@ class ProtocolSimulation:
                 "TxStream workload; a materialized list is already in "
                 "memory, so pacing it would bound nothing"
             )
+        if self._stream is None and self._config.mempool_limit is not None:
+            raise ConfigError(
+                "mempool_limit bounds paced streaming injection (inject_batch= "
+                "with a TxStream); a list run waits for every transaction to "
+                "confirm, and an evicted one never does"
+            )
         if self._stream is None and not transactions:
             raise SimulationError("a protocol run needs transactions")
         if self._stream is None and len(transactions) > MAX_MATERIALIZED_TXS:
@@ -329,6 +338,8 @@ class ProtocolSimulation:
         # Streaming-injection progress (only meaningful with a stream).
         self._inject_done = False
         self._injected = 0
+        # List runs only: built when the run starts.
+        self._tally: ConfirmationTally | None = None
 
         # Fault layer: a no-op plan must leave the run bit-identical, so
         # the model (with its dedicated RNG) only changes behavior when
@@ -502,7 +513,7 @@ class ProtocolSimulation:
                 for tx in self._transactions:
                     state.create_account(tx.sender)
                     account = state.account(tx.sender)
-                    account.balance = self._config.initial_balance
+                    account.balance = INITIAL_BALANCE
                 self._seed_contracts(state)
             else:
                 # Streaming: sender accounts are provisioned lazily at
@@ -686,7 +697,7 @@ class ProtocolSimulation:
 
         if self._distribute_packet:
             self._scheduler.schedule_in(
-                self._config.leader_broadcast_delay, self._broadcast_packet
+                LEADER_BROADCAST_DELAY, self._broadcast_packet
             )
             self._scheduler.schedule_in(
                 self._config.leader_timeout, self._leader_timeout_check
@@ -704,9 +715,14 @@ class ProtocolSimulation:
             # above happened in per-miner order.
             calendar.rearm()
 
-        target_ids = (
-            self._relevant_tx_ids() if self._stream is None else set()
-        )
+        if self._stream is None:
+            # The union of every ledger's confirmed set over the txs some
+            # populated shard can confirm, kept by the ledgers through
+            # confirms and reorgs: the stop check, the lineage probe and
+            # the retransmission sweep all read it.
+            self._tally = ConfirmationTally(self._relevant_tx_ids())
+            for node in self._nodes.values():
+                node.ledger.watch(self._tally)
 
         if self._config.run_to_horizon:
             # Scenario mode: chain races must play out over the whole
@@ -726,11 +742,8 @@ class ProtocolSimulation:
                 return all(len(node.mempool) == 0 for node in nodes)
 
         else:
-            # The stop condition runs after EVERY event: an O(1) read of
-            # a tally the ledgers keep through confirms and reorgs.
-            tally = ConfirmationTally(target_ids)
-            for node in self._nodes.values():
-                node.ledger.watch(tally)
+            # The stop condition runs after EVERY event: an O(1) read.
+            tally = self._tally
 
             def drained() -> bool:
                 return not tally.missing
@@ -753,10 +766,10 @@ class ProtocolSimulation:
                 # A self-re-arming probe event. Digest-neutral: the
                 # callback only *reads* simulation state (stop
                 # conditions are pure reads re-evaluated after every
-                # event, and the lineage probe's version stamp sees no
-                # head movement), emits no trace events, and draws no
-                # randomness. Extra scheduler entries shift only the
-                # wall-sidecar counters (events_fired, peak_pending).
+                # event, and the lineage probe sees no head movement),
+                # emits no trace events, and draws no randomness. Extra
+                # scheduler entries shift only the wall-sidecar counters
+                # (events_fired, peak_pending).
                 horizon = self._config.max_duration
 
                 def beat() -> None:
@@ -820,19 +833,6 @@ class ProtocolSimulation:
                     "compactions": self._scheduler.compactions,
                     "peak_pending": self._scheduler.peak_pending,
                 },
-            )
-            tracer.metrics.gauge("protocol.duration_sim_s").set(
-                self._scheduler.now
-            )
-            tracer.metrics.gauge("protocol.confirmed").set(len(confirmed))
-            tracer.metrics.gauge("protocol.events_fired").set(
-                self._scheduler.events_fired
-            )
-            tracer.metrics.gauge("protocol.queue_compactions").set(
-                self._scheduler.compactions
-            )
-            tracer.metrics.gauge("scheduler.peak_pending").set(
-                self._scheduler.peak_pending
             )
         shard_stats: ShardStats | None = None
         if telemetry is not None:
@@ -933,42 +933,37 @@ class ProtocolSimulation:
     def _make_lineage_probe(self):
         """Detector for the confirmation edge of transaction lineages.
 
-        Returns a closure the run loop calls after every event; when
-        some chain's head moved (ledger version counters) it emits one
-        ``tx.confirmed`` event per transaction newly present in any
-        node's canonical confirmed set — the first confirmation
-        anywhere, attributed to that ledger's shard. Node iteration
-        order and the per-batch index sort are both deterministic.
-
-        The probe also tracks the *union* of confirmed sets: a
-        transaction leaving the union (every node reorged it out) emits
-        a ``tx.reverted`` event — the safety-violation edge adversarial
-        scenarios detect shard takeovers by. ``tx.confirmed`` stays
-        first-only; ``tx.reverted`` fires on every downward transition.
+        Returns a closure the run loop calls after every event. It reads
+        the edges the run's :class:`ConfirmationTally` collected since
+        the last call: each transaction that entered the union of
+        confirmed sets for the first time emits one ``tx.confirmed``
+        event, attributed to the confirming ledger's shard, and each
+        that left it (every node reorged it out) emits ``tx.reverted``
+        — the safety-violation edge adversarial scenarios detect shard
+        takeovers by. ``tx.confirmed`` stays first-only; ``tx.reverted``
+        fires on every exit. Each batch is emitted in workload-index
+        order.
         """
         tracer = self._tracer
         tx_index = self._tx_index
-        nodes = list(self._nodes.values())
+        tally = self._tally
+        tally.edges = {}
+        confirming = tally.confirming
         known: set[str] = set()
-        state: dict = {"stamp": -1, "union": set()}
 
         def probe() -> None:
-            stamp = sum(node.ledger.version for node in nodes)
-            if stamp == state["stamp"]:
+            edges = tally.edges
+            if not edges:
                 return
-            state["stamp"] = stamp
+            tally.edges = {}
             fresh: list[tuple[int, int]] = []
-            union: set[str] = set()
-            for node in nodes:
-                shard = node.shard_id
-                for tx_id in node.ledger.confirmed_tx_ids():
-                    union.add(tx_id)
-                    if tx_id in known:
-                        continue
+            reverted: list[int] = []
+            for tx_id, shard in edges.items():
+                if not confirming[tx_id]:
+                    reverted.append(tx_index[tx_id])
+                elif tx_id not in known:
                     known.add(tx_id)
-                    idx = tx_index.get(tx_id)
-                    if idx is not None:
-                        fresh.append((idx, shard))
+                    fresh.append((tx_index[tx_id], shard))
             for idx, shard in sorted(fresh):
                 tracer.event(
                     "tx.confirmed",
@@ -977,21 +972,13 @@ class ProtocolSimulation:
                     shard=shard,
                     tx=idx,
                 )
-            gone = state["union"] - union
-            if gone:
-                reverted = sorted(
-                    idx
-                    for idx in (tx_index.get(tx_id) for tx_id in gone)
-                    if idx is not None
+            for idx in sorted(reverted):
+                tracer.event(
+                    "tx.reverted",
+                    time=self._scheduler.now,
+                    phase="confirm",
+                    tx=idx,
                 )
-                for idx in reverted:
-                    tracer.event(
-                        "tx.reverted",
-                        time=self._scheduler.now,
-                        phase="confirm",
-                        tx=idx,
-                    )
-            state["union"] = union
 
         return probe
 
@@ -1067,7 +1054,7 @@ class ProtocolSimulation:
         classifier = self._classify
         callgraph = self._callgraph
         shard_nodes = self._shard_nodes
-        balance = self._config.initial_balance
+        balance = INITIAL_BALANCE
         telemetry = self._telemetry
         for tx in batch:
             # The coordinator's call graph must see the edge before the
@@ -1143,9 +1130,6 @@ class ProtocolSimulation:
                 phase="leader",
                 fallbacks=fallbacks,
             )
-            self._tracer.metrics.counter("protocol.leader_fallbacks").inc(
-                fallbacks
-            )
 
     def _node_crashed(self, public: str) -> bool:
         return self._fault_model is not None and self._fault_model.crashed(
@@ -1161,11 +1145,11 @@ class ProtocolSimulation:
         honest leader re-sends the unification packet to nodes that have
         neither installed nor given up on it.
         """
-        confirmed = self._confirmed_ids()
+        confirming = self._tally.confirming
         txs_reannounced = 0
         blocks_regossiped = 0
         for tx in self._transactions:
-            if tx.tx_id in confirmed:
+            if confirming.get(tx.tx_id):
                 continue
             txs_reannounced += 1
             sent = self._network.broadcast(
@@ -1193,7 +1177,6 @@ class ProtocolSimulation:
                 blocks_regossiped=blocks_regossiped,
                 packet_resends=packet_resends,
             )
-            self._tracer.metrics.counter("protocol.retransmit_sweeps").inc()
         if self._scheduler.now + self._config.retransmit_interval <= (
             self._config.max_duration
         ):
@@ -1292,12 +1275,6 @@ class ProtocolSimulation:
                 empty=tx_count == 0,
                 confirmed_in_shard=len(node.ledger.confirmed_tx_ids()),
                 **attrs,
-            )
-            self._tracer.metrics.counter("protocol.blocks_forged").inc()
-            if tx_count == 0:
-                self._tracer.metrics.counter("protocol.blocks_empty").inc()
-            self._tracer.metrics.histogram("protocol.block_txs").observe(
-                tx_count
             )
         targets = node.behavior.broadcast_targets(self._network.node_ids)
         if targets is None:

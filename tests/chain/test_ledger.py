@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.block import Block
-from repro.chain.ledger import ConfirmationTally, Ledger
+from repro.chain.ledger import ConfirmationTally, HeadMove, Ledger
 from repro.errors import LedgerError
 from tests.conftest import confirmed_ids_scan, make_call
 
@@ -51,9 +51,11 @@ class TestAppend:
         ledger = Ledger()
         genesis_hash = ledger.head_hash
         b1 = Block.build(genesis_hash, "pk1", 0, 1, 1.0)
-        assert ledger.add_block(b1) is True
+        assert ledger.add_block(b1) == HeadMove(left=[], joined=[b1])
         fork = Block.build(genesis_hash, "pk2", 0, 1, 1.5)
-        assert ledger.add_block(fork) is False  # same height loses tie
+        assert ledger.add_block(fork) is None  # same height loses tie
+        f2 = Block.build(fork.block_hash, "pk2", 0, 2, 2.5)
+        assert ledger.add_block(f2) == HeadMove(left=[b1], joined=[fork, f2])
 
 
 class TestForkChoice:
@@ -156,17 +158,6 @@ class TestIncrementalViews:
         assert shared.tx_id in ledger.confirmed_tx_ids()
         assert ledger.confirmed_tx_ids() == confirmed_ids_scan(ledger)
 
-    def test_version_bumps_only_on_head_change(self):
-        ledger = Ledger()
-        v0 = ledger.version
-        b1 = extend(ledger, ledger.head_hash, 1)
-        assert ledger.version == v0 + 1
-        loser = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.2)
-        ledger.add_block(loser)  # no head change
-        assert ledger.version == v0 + 1
-        extend(ledger, b1.block_hash, 2)
-        assert ledger.version == v0 + 2
-
     def test_canonical_hashes_and_is_canonical(self):
         ledger = Ledger()
         b1 = extend(ledger, ledger.head_hash, 1)
@@ -240,3 +231,31 @@ class TestConfirmationTally:
 
     def test_no_targets_is_drained(self):
         assert ConfirmationTally(set()).missing == 0
+
+    def test_edges_net_out_within_one_reorg(self):
+        """The lineage probe's edges: a tx that leaves and re-enters the
+        union between two reads is no edge; a net entry or exit is one,
+        with the confirming ledger's shard."""
+        tx_a, tx_b, tx_c = make_call("0xua"), make_call("0xub"), make_call("0xuc")
+        ledger = Ledger(shard_id=2)
+        tally = ConfirmationTally({tx_a.tx_id, tx_b.tx_id, tx_c.tx_id})
+        ledger.watch(tally)
+        tally.edges = {}
+        genesis = ledger.genesis_hash
+        a1 = extend(ledger, genesis, 1, txs=[tx_a, tx_b], miner="pkA")
+        assert tally.edges == {tx_a.tx_id: 2, tx_b.tx_id: 2}
+        tally.edges = {}
+        # Branch B re-confirms tx_a and drops tx_b in one reorg: tx_a
+        # leaves and re-enters the union, so only tx_b (left) and tx_c
+        # (joined) are edges.
+        b1 = Block.build(genesis, "pkB", 2, 1, 1.1, [tx_a])
+        assert ledger.add_block(b1) is None
+        move = ledger.add_block(
+            Block.build(b1.block_hash, "pkB", 2, 2, 2.1, [tx_c])
+        )
+        assert move.left == [a1]
+        assert tally.edges == {tx_b.tx_id: 2, tx_c.tx_id: 2}
+        assert [tx_id for tx_id in tally.edges if not tally.confirming[tx_id]] == [
+            tx_b.tx_id
+        ]
+        assert tally.missing == 1

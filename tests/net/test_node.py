@@ -513,7 +513,7 @@ class TestExecuteOnce:
         assert len(table) == 1
         second._record_block(block)
         assert applies == [first.state]
-        assert second._applied[-1][1] is first._applied[-1][1]
+        assert second._undos[block.block_hash] is first._undos[block.block_hash]
         assert len(table) == 0  # dropped at its last reuse
         for node in (first, second):
             assert node.state.fingerprint() == node.state_oracle_fingerprint()
@@ -554,9 +554,9 @@ class TestExecuteOnce:
         for node in (first, second, third):
             node._record_block(a1)
         # Both later replicas hold the first one's undo for a1 ...
-        shared = first._applied[-1][1]
-        assert second._applied[-1][1] is shared
-        assert third._applied[-1][1] is shared
+        shared = first._undos[a1.block_hash]
+        assert second._undos[a1.block_hash] is shared
+        assert third._undos[a1.block_hash] is shared
         # ... and unwind it in the reorg onto branch B.
         for node in (second, first, third):
             for block in (b1, b2):

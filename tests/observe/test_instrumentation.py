@@ -4,7 +4,15 @@ These drive real simulations (protocol, campaign, games, executor) with
 tracing on and check (a) the events cross-reference the results they
 describe and (b) same-seed runs digest identically — the contract the CI
 trace-smoke step enforces from the exported artifacts.
+
+The report's metrics are a fold over the records. ``registry_snapshots.json``
+holds what the live metrics registry the fold replaced reported for the
+``clean`` parity run, the two-epoch campaign and the two game runs below;
+the fold must reproduce each snapshot exactly.
 """
+
+import json
+import pathlib
 
 import pytest
 
@@ -24,6 +32,14 @@ from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import uniform_contract_workload
 
 FAST_POW = PoWParameters(difficulty=0x40000 // 60)  # ~1 s blocks
+
+REGISTRY_SNAPSHOTS = json.loads(
+    (pathlib.Path(__file__).parent / "registry_snapshots.json").read_text()
+)
+
+
+def folded_metrics(trace):
+    return RunReport.from_run(trace).metrics
 
 
 def traced_protocol_run(trace=True, drop_probability=0.0, seed=5, telemetry=None):
@@ -81,10 +97,22 @@ class TestProtocolTrace:
 
     def test_metrics_agree_with_events(self, traced_run):
         trace = traced_run.trace
-        counters = trace.metrics.snapshot()["counters"]
+        counters = folded_metrics(trace)["counters"]
         assert counters["protocol.blocks_forged"] == trace.count(
             name="block.forged"
         )
+
+    def test_saved_trace_reports_the_live_metrics(self, traced_run, tmp_path):
+        saved = traced_run.trace.write_jsonl(tmp_path / "run.jsonl")
+        live = folded_metrics(traced_run.trace)
+        assert live["gauges"]["protocol.confirmed"] == traced_run.confirmed_count()
+        assert RunReport.read(saved).metrics == live
+
+    def test_clean_parity_run_matches_recorded_registry(self):
+        from tests.sim.test_engine_parity import _seeded_run
+
+        sim, __ = _seeded_run("clean")
+        assert folded_metrics(sim.tracer) == REGISTRY_SNAPSHOTS["clean"]
 
     def test_same_seed_runs_digest_identically(self, traced_run):
         again = traced_protocol_run()
@@ -186,6 +214,7 @@ class TestGameTrace:
         assert converged[0].attrs["moves"] == outcome.moves
         per_round = tracer.records_named("selection.round")
         assert sum(r.attrs["deviations"] for r in per_round) == outcome.moves
+        assert folded_metrics(tracer) == REGISTRY_SNAPSHOTS["selection"]
 
     def test_merging_rounds_match_result(self):
         tracer = Tracer()
@@ -199,6 +228,7 @@ class TestGameTrace:
         assert final.attrs["new_shards"] == result.new_shard_count
         assert final.attrs["leftovers"] == len(result.leftover_players)
         assert tracer.count(name="merge.converge") >= result.rounds
+        assert folded_metrics(tracer) == REGISTRY_SNAPSHOTS["merging"]
 
     def test_games_are_silent_without_a_tracer(self):
         outcome = BestReplyDynamics(SelectionGameConfig(capacity=3), seed=1).run(
@@ -221,7 +251,7 @@ class TestExecutorTrace:
         assert record.attrs["tasks"] == 6
         assert record.attrs["workers"] == 1
         assert record.wall["duration_s"] >= 0.0
-        assert tracer.metrics.snapshot()["counters"]["runtime.tasks"] == 6
+        assert folded_metrics(tracer)["counters"]["runtime.tasks"] == 6
 
     def test_map_events_exclude_wall_from_digest(self):
         def digest_once():
@@ -257,9 +287,10 @@ class TestCampaignTrace:
         assert [r.attrs["confirmed"] for r in results] == [
             e.result.confirmed_transactions for e in result.epochs
         ]
-        counters = trace.metrics.snapshot()["counters"]
-        assert counters["campaign.epochs"] == len(result.epochs)
-        assert counters["campaign.confirmed"] == result.total_confirmed
+        metrics = folded_metrics(trace)
+        assert metrics["counters"]["campaign.epochs"] == len(result.epochs)
+        assert metrics["counters"]["campaign.confirmed"] == result.total_confirmed
+        assert metrics == REGISTRY_SNAPSHOTS["campaign"]
 
     def test_campaign_trace_off_by_default(self):
         miners = [MinerIdentity.create(f"obs-camp2-{i}") for i in range(8)]

@@ -1,29 +1,12 @@
-"""Tests for repro.observe.metrics."""
+"""Tests for repro.observe.metrics and the report's metrics fold."""
+
+import json
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.observe import Counter, Gauge, Histogram, MetricsRegistry, RunReport
-
-
-class TestCounter:
-    def test_inc_defaults_to_one(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(2)
-        assert c.value == 3
-
-    def test_rejects_negative_increments(self):
-        with pytest.raises(ConfigError, match="cannot decrease"):
-            Counter("c").inc(-1)
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        g = Gauge("g")
-        g.set(4.0)
-        g.set(2.5)
-        assert g.value == 2.5
+from repro.observe import Histogram, RunReport
+from repro.observe.report import METRICS
 
 
 class TestHistogram:
@@ -114,45 +97,80 @@ class TestHistogram:
         assert h.summary()["p99"] == 99.0
 
 
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instance(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-        assert len(reg) == 3
+def _record(seq, name, time=None, wall=None, **attrs):
+    payload = {"seq": seq, "name": name, "attrs": attrs}
+    if time is not None:
+        payload["time"] = time
+    if wall is not None:
+        payload["wall"] = wall
+    return payload
 
-    def test_type_shadowing_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ConfigError, match="already registered as a counter"):
-            reg.gauge("x")
-        with pytest.raises(ConfigError, match="already registered as a counter"):
-            reg.histogram("x")
+
+class TestMetricsFold:
+    def test_kinds_and_names(self):
+        kinds = {kind: sum(k == kind for k, *_ in METRICS.values())
+                 for kind in ("counters", "gauges", "histograms")}
+        assert kinds == {"counters": 10, "gauges": 5, "histograms": 4}
+
+    def test_counters_gauges_and_histograms_fold_from_records(self):
+        report = RunReport.from_payloads([
+            _record(0, "block.forged", txs=0, empty=True),
+            _record(1, "block.forged", txs=4, empty=False),
+            _record(2, "leader.timeout", fallbacks=0),
+            _record(3, "run.complete", time=9.5, confirmed=4,
+                    wall={"events_fired": 30, "compactions": 0,
+                          "peak_pending": 3}),
+            _record(4, "run.complete", time=12.0, confirmed=6),
+        ])
+        assert report.metrics["counters"] == {
+            "protocol.blocks_empty": 1,
+            "protocol.blocks_forged": 2,
+            "protocol.leader_fallbacks": 0,
+        }
+        # Last write wins; the second record has no wall sidecar.
+        assert report.metrics["gauges"] == {
+            "protocol.confirmed": 6,
+            "protocol.duration_sim_s": 12.0,
+            "protocol.events_fired": 30,
+            "protocol.queue_compactions": 0,
+            "scheduler.peak_pending": 3,
+        }
+        block_txs = report.metrics["histograms"]["protocol.block_txs"]
+        assert (block_txs["count"], block_txs["total"]) == (2, 4.0)
+
+    def test_records_without_the_value_feed_nothing(self):
+        report = RunReport.from_payloads([
+            _record(0, "block.forged"),
+            _record(1, "selection.converged", moves="many"),
+            _record(2, "unrelated", txs=3),
+        ])
+        assert report.metrics == {
+            "counters": {"protocol.blocks_forged": 1},
+            "gauges": {},
+            "histograms": {},
+        }
+        assert RunReport.from_payloads([_record(0, "a")]).metrics is None
 
     def test_snapshot_is_deterministic_and_json_ready(self):
-        import json
-
-        reg = MetricsRegistry()
-        reg.counter("z.count").inc(3)
-        reg.gauge("a.level").set(1.5)
-        reg.histogram("m.samples").observe(2)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"z.count": 3}
-        assert snap["gauges"] == {"a.level": 1.5}
-        assert snap["histograms"]["m.samples"]["count"] == 1
-        json.dumps(snap)  # must serialize cleanly
+        payloads = [_record(0, "executor.map", tasks=3),
+                    _record(1, "merge.result", rounds=2)]
+        folded = RunReport.from_payloads(payloads).metrics
+        assert folded == RunReport.from_payloads(payloads).metrics
+        assert folded["counters"] == {"runtime.maps": 1, "runtime.tasks": 3}
+        assert folded["histograms"]["merging.rounds_per_run"]["count"] == 1
+        json.dumps(folded)  # must serialize cleanly
 
     def test_render_mentions_every_metric(self):
-        reg = MetricsRegistry()
-        reg.counter("blocks").inc()
-        reg.gauge("depth").set(2.5)
-        reg.histogram("rounds").observe(4)
-        rendered = RunReport(title="t", metrics=reg.snapshot()).render()
-        assert "blocks = 1" in rendered
-        assert "depth = 2.5" in rendered
-        assert "rounds: n=1" in rendered and "p99=4.000" in rendered
+        metrics = RunReport.from_payloads([
+            _record(0, "block.forged", txs=4),
+            _record(1, "run.complete", time=2.5, confirmed=1),
+        ]).metrics
+        rendered = RunReport(title="t", metrics=metrics).render()
+        assert "protocol.blocks_forged = 1" in rendered
+        assert "protocol.duration_sim_s = 2.5" in rendered
+        assert "protocol.block_txs: n=1" in rendered and "p99=4.000" in rendered
 
     def test_render_empty(self):
-        report = RunReport(title="t", metrics=MetricsRegistry().snapshot())
+        empty = {"counters": {}, "gauges": {}, "histograms": {}}
+        report = RunReport(title="t", metrics=empty)
         assert report.render() == "[t]\nmetrics:"

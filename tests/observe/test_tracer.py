@@ -142,7 +142,6 @@ class TestTracer:
     def test_summary_renders(self):
         tracer = Tracer()
         tracer.event("block.forged", phase="mine", shard=0, time=2.0, txs=4)
-        tracer.metrics.counter("protocol.blocks_forged").inc()
         text = RunReport.from_run(tracer, title="unit").render()
         assert text.startswith(f"[unit] 1 records, digest {tracer.digest()}")
         assert "  mine " in text

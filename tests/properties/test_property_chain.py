@@ -115,6 +115,54 @@ class TestLedgerProperties:
         # Stale + canonical(non-genesis counted via entries) == inserted + genesis
         assert ledger.count_stale_blocks() + len(chain) == len(known)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_head_moves_replay_the_canonical_chain(self, data):
+        """Over a random block tree arriving in random order (a block
+        whose parent is missing waits for it), undoing each returned
+        move's ``left`` and appending its ``joined`` keeps a list equal
+        to the canonical chain; ``None`` means the head did not move."""
+        ledger = Ledger()
+        picks = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=20))
+        blocks: list[Block] = []
+        for i, pick in enumerate(picks):
+            parent = pick % (i + 1)  # 0 = genesis, k = blocks[k - 1]
+            parent_block = blocks[parent - 1] if parent else None
+            blocks.append(
+                Block.build(
+                    parent_hash=(
+                        parent_block.block_hash if parent_block else ledger.head_hash
+                    ),
+                    miner=f"pk{i}",
+                    shard_id=0,
+                    height=(parent_block.header.height if parent_block else 0) + 1,
+                    timestamp=float(i),
+                )
+            )
+        arrival = data.draw(st.permutations(blocks))
+        waiting: dict[str, list[Block]] = {}
+        replayed: list[Block] = []
+
+        def insert(block: Block) -> None:
+            head = ledger.head_hash
+            move = ledger.add_block(block)
+            assert (move is None) == (ledger.head_hash == head)
+            if move is not None:
+                for left in move.left:
+                    assert replayed.pop() is left
+                replayed.extend(move.joined)
+            assert replayed == ledger.canonical_chain()[1:]
+            for child in waiting.pop(block.block_hash, ()):
+                insert(child)
+
+        for block in arrival:
+            if ledger.knows(block.header.parent_hash):
+                insert(block)
+            else:
+                waiting.setdefault(block.header.parent_hash, []).append(block)
+        assert not waiting
+        assert replayed[-1].block_hash == ledger.head_hash
+
 
 class TestMempoolProperties:
     @given(st.lists(st.integers(min_value=0, max_value=99), max_size=30))

@@ -134,14 +134,12 @@ class TestValidationFailures:
             ("max_events", 0),
             ("retransmit_blocks", -1),
             ("leader_timeout", -1.0),
-            ("leader_broadcast_delay", -0.5),
             ("engine", "legacy"),
             # NaN fails every comparison, so it must be rejected explicitly.
             ("max_duration", float("nan")),
             ("inject_interval", float("nan")),
             ("retransmit_interval", float("nan")),
             ("leader_timeout", float("nan")),
-            ("leader_broadcast_delay", float("nan")),
         ],
     )
     def test_nonsense_config_rejected_naming_field(self, field, value):

@@ -149,6 +149,27 @@ class TestStreamingRefusals:
                 self._identities(), _stream(), config=config, unified=True
             )
 
+    def test_bounded_pool_without_pacing_refused(self):
+        """A list run stops once every transaction confirms; an evicted
+        one never does, so the run would mine to the horizon."""
+        from repro.consensus.pow import PoWParameters
+
+        identities = [MinerIdentity.create(f"m{i}") for i in range(6)]
+        config = ProtocolConfig(
+            pow_params=PoWParameters.fast_confirmation(),
+            mempool_limit=5,
+        )
+        workload = uniform_contract_workload(
+            total_txs=40, contract_shards=3, seed=7
+        )
+        with pytest.raises(ConfigError, match="mempool_limit"):
+            ProtocolSimulation(identities, workload, config=config)
+        unpaced = streaming_uniform_contract_workload(
+            total_txs=40, contract_shards=3, seed=7
+        )
+        with pytest.raises(ConfigError, match="mempool_limit"):
+            ProtocolSimulation(identities, unpaced, config=config)
+
     def test_oversized_stream_materialization_refused(self):
         big = streaming_uniform_contract_workload(
             total_txs=MAX_MATERIALIZED_TXS + 1, contract_shards=2, seed=1

@@ -10,7 +10,7 @@ reporting.
 """
 
 from repro.consensus.miner import MinerIdentity
-from repro.observe import Tracer
+from repro.observe import RunReport, Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import uniform_contract_workload
 
@@ -43,5 +43,5 @@ class TestHeapFootprint:
 
         record = result.trace.records_named("run.complete")[0]
         assert record.wall["peak_pending"] == sim.scheduler.peak_pending
-        gauge = result.trace.metrics.gauge("scheduler.peak_pending")
-        assert gauge.value == sim.scheduler.peak_pending
+        gauges = RunReport.from_run(result.trace).metrics["gauges"]
+        assert gauges["scheduler.peak_pending"] == sim.scheduler.peak_pending

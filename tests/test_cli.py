@@ -71,6 +71,13 @@ class TestMinerOverride:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_trace_record_bounded_pool_needs_a_stream(self, tmp_path, capsys):
+        code = main(
+            ["trace", "record", str(tmp_path / "t.jsonl"), "--mempool-limit", "3"]
+        )
+        assert code == 2
+        assert "mempool_limit" in capsys.readouterr().err
+
     def test_trace_record_nodes_alias(self, tmp_path, capsys):
         target = tmp_path / "t.jsonl"
         assert (
