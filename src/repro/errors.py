@@ -48,20 +48,12 @@ class LedgerError(ChainError):
     """A block could not be appended to the ledger."""
 
 
-class ForkError(LedgerError):
-    """A block referenced a parent that is not the current chain head."""
-
-
 class ShardingError(ReproError):
     """Base class for sharding-core errors."""
 
 
 class ShardAssignmentError(ShardingError):
     """A miner or transaction could not be assigned to a shard."""
-
-
-class ShardVerificationError(ShardingError):
-    """A claimed shard membership failed public verification."""
 
 
 class MergingError(ShardingError):

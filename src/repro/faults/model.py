@@ -99,7 +99,7 @@ class FaultModel:
     # message path
     # ------------------------------------------------------------------
     def filter_send(self, message: Message, time: float) -> FaultDecision:
-        """Decide one send's fate; called by ``Network.send``.
+        """Decide one send's fate; called by the network's fan-out.
 
         Crash and partition checks come first (they are deterministic in
         time and consume no randomness), then the probabilistic message
@@ -165,9 +165,3 @@ class FaultModel:
     # ------------------------------------------------------------------
     def note_retransmission(self, count: int = 1) -> None:
         self.stats.retransmissions += count
-
-    def note_fallback(self, count: int = 1) -> None:
-        self.stats.fallbacks += count
-
-    def note_equivocation_detected(self, count: int = 1) -> None:
-        self.stats.equivocations_detected += count

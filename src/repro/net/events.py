@@ -22,7 +22,8 @@ built for throughput:
   non-trivial heap is dead weight the heap is rebuilt in one O(n)
   filter + heapify pass instead of dribbling tombstones through every
   subsequent sift;
-* fan-outs are **wave-scheduled**: a broadcast to N recipients is one
+* fan-outs are **wave-scheduled**: a broadcast to N recipients — faulty
+  or not, the fault layer only filters the recipient list — is one
   self-re-arming :class:`DeliveryWave` heap entry instead of N pushes.
   The wave carries the pre-sampled latency vector sorted into delivery
   order, pre-allocates the same contiguous sequence numbers the N
@@ -113,8 +114,9 @@ class DeliveryWave:
     re-keys the wave on the next (``heapreplace``, one sift).
 
     ``cancelled`` is always False: waves are never cancelled as a unit
-    (faulty sends are scheduled per recipient instead), which lets the
-    queue's tombstone sweeps treat them as ordinary live entries.
+    (the fault layer filters recipients before the wave is built and
+    at each delivery), which lets the queue's tombstone sweeps treat
+    them as ordinary live entries.
     """
 
     __slots__ = ("times", "seqs", "items", "emit", "pos", "cancelled", "_event")

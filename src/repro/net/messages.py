@@ -12,10 +12,7 @@ communication accounting (Fig. 4b/4c) can attribute every delivery:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-
-_msg_counter = itertools.count()
+from dataclasses import dataclass
 
 
 class MessageKind(enum.Enum):
@@ -50,8 +47,8 @@ _CROSS_SHARD_KINDS = {
 class Message:
     """An addressed payload with a kind tag and optional shard context.
 
-    Slotted: one message is allocated per scheduled delivery on the
-    broadcast fast path, so the per-instance ``__dict__`` is dropped.
+    Slotted: one message is allocated per delivery, so the
+    per-instance ``__dict__`` is dropped.
     """
 
     kind: MessageKind
@@ -59,7 +56,6 @@ class Message:
     recipient: str
     payload: object = None
     shard_id: int | None = None
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

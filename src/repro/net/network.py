@@ -1,9 +1,8 @@
-"""The broadcast network with latency and per-shard message accounting."""
+"""The broadcast network with latency and cross-shard message accounting."""
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -89,28 +88,21 @@ class Network:
     """Connects nodes, delivers latency-delayed messages, counts traffic.
 
     Accounting: every *cross-shard* delivery (see
-    :attr:`MessageKind.is_cross_shard`) increments the counter of the
-    shard(s) involved — the per-shard "communication times" the paper
+    :attr:`MessageKind.is_cross_shard`) increments
+    :attr:`cross_shard_messages` — the "communication times" the paper
     plots in Fig. 4(b) and 4(c).
 
-    An optional :class:`~repro.faults.model.FaultModel` filters every
-    send and delivery (drops, duplicates, delay spikes, partitions,
-    crashed endpoints). The fault model owns its own RNG, so omitting it
-    or installing a no-op plan leaves the latency stream — and therefore
-    the whole run — bit-identical.
-
-    **RNG draw-order contract.** The latency RNG is consumed in exactly
-    one order: one draw per scheduled recipient, in recipient order
-    (registration order for :meth:`broadcast`, list order for
-    :meth:`multicast`), and the recorded digests in
-    ``tests/sim/seed_digests.json`` pin that stream.
-
-    Fault-free fan-outs are **wave-scheduled**: the latency vector is
-    pre-sampled in one pass and the whole fan-out is one self-re-arming
-    :class:`~repro.net.events.DeliveryWave` heap entry, with each
-    recipient's ``Message`` built only when its delivery pops. Under a
-    fault model every recipient is a separate :meth:`send`, because the
-    fault plan filters each send and each delivery.
+    **One delivery path.** :meth:`send`, :meth:`broadcast` and
+    :meth:`multicast` share one fan-out. It draws one latency per
+    recipient in recipient order (registration order for
+    :meth:`broadcast`, list order for :meth:`multicast`), lets an
+    optional :class:`~repro.faults.model.FaultModel` drop, delay or
+    duplicate each recipient in that order, and schedules the survivors
+    as one :class:`~repro.net.events.DeliveryWave` heap entry whose
+    ``Message`` objects are built only when each delivery pops. The
+    fault model owns its own RNG, so omitting it leaves the latency
+    stream bit-identical; ``tests/sim/seed_digests.json`` pins both
+    streams and the sequence numbers.
     """
 
     def __init__(
@@ -125,10 +117,7 @@ class Network:
         self._rng = random.Random(seed)
         self._faults = faults
         self._nodes: dict[str, "Node"] = {}
-        self.messages_delivered = 0
         self.cross_shard_messages = 0
-        self.per_shard_messages: dict[int, int] = defaultdict(int)
-        self.per_kind_messages: dict[MessageKind, int] = defaultdict(int)
 
     @property
     def faults(self) -> "FaultModel | None":
@@ -162,121 +151,79 @@ class Network:
         layer swallowed the send (drop, partition, crashed sender).
         """
         target = self.node(message.recipient)
-        delay = self._latency.sample(self._rng)
-        if self._faults is not None:
-            decision = self._faults.filter_send(message, self._scheduler.now)
-            if decision.dropped:
-                return False
-            delay += decision.extra_delay
-            if decision.duplicated:
-                self._scheduler.schedule_in(
-                    delay + decision.duplicate_delay,
-                    self._deliver,
-                    target,
-                    message,
-                )
-        self._scheduler.schedule_in(delay, self._deliver, target, message)
-        return True
+        return self._fan_out(
+            [target], message.kind, message.sender, message.payload, message.shard_id
+        ) > 0
 
     def broadcast(self, message_kind: MessageKind, sender: str, payload: object,
                   shard_id: int | None = None) -> int:
         """Send a payload to every node except the sender.
 
         Returns the number of sends actually scheduled (the fault layer
-        may swallow some). Without a fault model the fan-out is one
-        wave over a pre-sampled latency vector.
+        may swallow some).
         """
-        if self._faults is None:
-            targets = [
-                node for nid, node in self._nodes.items() if nid != sender
-            ]
-            self._schedule_wave(targets, message_kind, sender, payload, shard_id)
-            return len(targets)
-        sent = 0
-        for recipient in self._nodes:
-            if recipient == sender:
-                continue
-            sent += self.send(
-                Message(
-                    kind=message_kind,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    shard_id=shard_id,
-                )
-            )
-        return sent
-
-    def _schedule_wave(self, targets: list["Node"], message_kind: MessageKind,
-                       sender: str, payload: object,
-                       shard_id: int | None) -> None:
-        """One wave delivering ``payload`` to ``targets``, in that order.
-
-        Draws one latency per target, in target order. The emit closure
-        is built once per fan-out (not per recipient); the Message is
-        only built when the recipient's delivery actually pops.
-        """
-        delays = self._latency.sample_many(self._rng, len(targets))
-        deliver = self._deliver
-
-        def emit(target: "Node"):
-            return deliver, (
-                target,
-                Message(
-                    kind=message_kind,
-                    sender=sender,
-                    recipient=target.node_id,
-                    payload=payload,
-                    shard_id=shard_id,
-                ),
-            )
-
-        now = self._scheduler.now
-        self._scheduler.schedule_wave(
-            [now + delay for delay in delays], targets, emit
-        )
+        targets = [node for nid, node in self._nodes.items() if nid != sender]
+        return self._fan_out(targets, message_kind, sender, payload, shard_id)
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
                   recipients: list[str], shard_id: int | None = None) -> int:
         """Send a payload to an explicit recipient list; returns sends made.
 
         The sender is skipped and does not count toward the fan-out.
-        Fault-free sends are one wave, like :meth:`broadcast`, in list
-        order.
         """
-        if self._faults is None:
-            nodes = self._nodes
-            targets = []
-            for recipient in recipients:
-                if recipient == sender:
-                    continue
-                try:
-                    targets.append(nodes[recipient])
-                except KeyError:
-                    raise NetworkError(
-                        f"unknown recipient {recipient} in "
-                        f"{message_kind.name} multicast from {sender}"
-                    ) from None
-            self._schedule_wave(targets, message_kind, sender, payload, shard_id)
-            return len(targets)
-        sent = 0
+        nodes = self._nodes
+        targets = []
         for recipient in recipients:
             if recipient == sender:
                 continue
-            if recipient not in self._nodes:
+            try:
+                targets.append(nodes[recipient])
+            except KeyError:
                 raise NetworkError(
                     f"unknown recipient {recipient} in "
                     f"{message_kind.name} multicast from {sender}"
+                ) from None
+        return self._fan_out(targets, message_kind, sender, payload, shard_id)
+
+    def _fan_out(self, targets: list["Node"], message_kind: MessageKind,
+                 sender: str, payload: object, shard_id: int | None) -> int:
+        """One wave delivering ``payload`` to ``targets``; returns sends made.
+
+        A dropped recipient still consumes its latency draw; a duplicate
+        is an extra item just before its original, so it takes the
+        sequence number a separate schedule ahead of the original would.
+        """
+        delays = self._latency.sample_many(self._rng, len(targets))
+        now = self._scheduler.now
+        sent = len(targets)
+        faults = self._faults
+        if faults is not None:
+            kept: list["Node"] = []
+            times: list[float] = []
+            for target, delay in zip(targets, delays):
+                decision = faults.filter_send(
+                    Message(message_kind, sender, target.node_id, payload, shard_id),
+                    now,
                 )
-            sent += self.send(
-                Message(
-                    kind=message_kind,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    shard_id=shard_id,
-                )
-            )
+                if decision.dropped:
+                    sent -= 1
+                    continue
+                delay += decision.extra_delay
+                if decision.duplicated:
+                    kept.append(target)
+                    times.append(now + (delay + decision.duplicate_delay))
+                kept.append(target)
+                times.append(now + delay)
+            targets = kept
+        else:
+            times = [now + delay for delay in delays]
+        deliver = self._deliver
+
+        def emit(target: "Node"):
+            message = Message(message_kind, sender, target.node_id, payload, shard_id)
+            return deliver, (target, message)
+
+        self._scheduler.schedule_wave(times, targets, emit)
         return sent
 
     def _deliver(self, target: "Node", message: Message) -> None:
@@ -284,26 +231,6 @@ class Network:
             message, self._scheduler.now
         ):
             return
-        self.messages_delivered += 1
-        self.per_kind_messages[message.kind] += 1
         if message.kind.is_cross_shard:
             self.cross_shard_messages += 1
-            if message.shard_id is not None:
-                self.per_shard_messages[message.shard_id] += 1
         target.receive(message)
-
-    # ------------------------------------------------------------------
-    # accounting views
-    # ------------------------------------------------------------------
-    def mean_per_shard_messages(self, shard_count: int) -> float:
-        """Average cross-shard communication times per shard (Fig. 4b/4c)."""
-        if shard_count <= 0:
-            raise NetworkError("shard_count must be positive")
-        return self.cross_shard_messages / shard_count
-
-    def reset_accounting(self) -> None:
-        """Zero the counters (used between experiment repetitions)."""
-        self.messages_delivered = 0
-        self.cross_shard_messages = 0
-        self.per_shard_messages.clear()
-        self.per_kind_messages.clear()

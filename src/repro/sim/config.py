@@ -95,17 +95,6 @@ class TimingModel:
         )
 
     @classmethod
-    def fast_chain(cls, interval: float = 1.0) -> "TimingModel":
-        """A scaled-down interval preserving all ratios.
-
-        Several of the paper's empty-block magnitudes (Fig. 3c's ~150
-        empty blocks inside a 212 s window) are only reachable at a much
-        higher block rate than one per minute; this preset keeps every
-        ratio-based metric identical while matching those magnitudes.
-        """
-        return cls(solo_interval=interval, retarget_interval=interval)
-
-    @classmethod
     def table1(cls) -> "TimingModel":
         """The Table I operating point: fixed low difficulty, retarget floor.
 
@@ -125,7 +114,6 @@ class SimulationConfig:
     seed: int = 0
     window: float | None = None  # fixed measurement window; None = stop on drain
     max_events: int = 10_000_000
-    trace: bool = False  # record one BlockEvent per mined block
 
     def __post_init__(self) -> None:
         if self.block_capacity <= 0:

@@ -33,7 +33,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults.model import FaultModel
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.net.events import Scheduler
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind
 from repro.net.network import LatencyModel, Network
 from repro.net.node import FullNode, ImageTable
 from repro.observe import Tracer, resolve_tracer, use_tracer
@@ -342,8 +342,8 @@ class ProtocolSimulation:
         self._tally: ConfirmationTally | None = None
 
         # Fault layer: a no-op plan must leave the run bit-identical, so
-        # the model (with its dedicated RNG) only changes behavior when
-        # the plan actually injects something.
+        # the model (with its dedicated RNG) exists only when the plan
+        # actually injects something.
         plan = self._config.fault_plan
         self._fault_model = (
             FaultModel(
@@ -351,10 +351,9 @@ class ProtocolSimulation:
                 seed=self._config.seed ^ _FAULT_SEED_SALT,
                 tracer=self._tracer,
             )
-            if plan is not None
+            if plan is not None and plan.is_active
             else None
         )
-        self._faults_active = plan is not None and plan.is_active
 
         # Shard topology from the workload; MaxShard-style global view for
         # routing (every node classifies with the same call graph). A
@@ -389,7 +388,7 @@ class ProtocolSimulation:
             self._replay = self._build_unified_replay() if unified else None
         self._packet = self._replay.packet if self._replay is not None else None
         self._commitment = self._packet.digest() if self._packet is not None else None
-        self._distribute_packet = unified and self._faults_active
+        self._distribute_packet = unified and self._fault_model is not None
 
         self._scheduler = Scheduler()
         self._network = Network(
@@ -672,14 +671,14 @@ class ProtocolSimulation:
                     else len(self._transactions)
                 ),
                 miners=len(self._miners),
-                faults_active=self._faults_active,
+                faults_active=self._fault_model is not None,
                 unified=self._unified,
             )
         if self._stream is not None:
             # Paced streaming injection: the first batch lands at t=0
             # (mirroring the up-front inject), later ticks self-schedule.
             self._begin_streaming_injection()
-        elif self._faults_active:
+        elif self._fault_model is not None:
             # Under faults transactions travel the lossy network: each is
             # announced by its (off-network) user and can be lost.
             for tx in self._transactions:
@@ -703,7 +702,10 @@ class ProtocolSimulation:
                 self._config.leader_timeout, self._leader_timeout_check
             )
 
-        if self._faults_active and self._config.retransmit_interval is not None:
+        if (
+            self._fault_model is not None
+            and self._config.retransmit_interval is not None
+        ):
             self._scheduler.schedule_in(
                 self._config.retransmit_interval, self._retransmit_sweep
             )
@@ -1197,24 +1199,22 @@ class ProtocolSimulation:
         leader = self._assignment.leader_public
         if self._node_crashed(leader):
             return 0
-        resends = 0
-        for public, node in self._nodes.items():
-            if public == leader or node.has_unified_replay:
-                continue
-            if node.stats.leader_fallbacks > 0:
-                continue  # already degraded to solo mining
-            resends += 1
-            sent = self._network.send(
-                Message(
-                    kind=MessageKind.LEADER_BROADCAST,
-                    sender=leader,
-                    recipient=public,
-                    payload=self._packet,
-                )
-            )
-            if sent:
-                self._fault_model.note_retransmission()
-        return resends
+        uncovered = [
+            public
+            for public, node in self._nodes.items()
+            if public != leader
+            and not node.has_unified_replay
+            # A node with a leader fallback already mines solo.
+            and node.stats.leader_fallbacks == 0
+        ]
+        sent = self._network.multicast(
+            MessageKind.LEADER_BROADCAST,
+            sender=leader,
+            payload=self._packet,
+            recipients=uncovered,
+        )
+        self._fault_model.note_retransmission(sent)
+        return len(uncovered)
 
     def _schedule_mining(self, public: str) -> None:
         # Array-only update; the shard calendar re-arms its single

@@ -24,7 +24,7 @@ Selection semantics
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.transaction import Transaction
 from repro.errors import SimulationError
@@ -72,20 +72,6 @@ class ShardGroupSpec:
             raise SimulationError("start_delay cannot be negative")
 
 
-@dataclass(frozen=True)
-class BlockEvent:
-    """One mined block, recorded when tracing is enabled."""
-
-    time: float
-    shard_id: int
-    lane_index: int
-    packed: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.packed == 0
-
-
 @dataclass
 class ShardOutcome:
     """Per-shard results of one run."""
@@ -113,7 +99,6 @@ class SimulationResult:
     shards: dict[int, ShardOutcome]
     total_transactions: int
     confirmed_transactions: int
-    trace: tuple[BlockEvent, ...] = ()  # populated when config.trace is set
 
     @property
     def all_confirmed(self) -> bool:
@@ -126,11 +111,6 @@ class SimulationResult:
     @property
     def total_blocks(self) -> int:
         return sum(s.blocks_mined for s in self.shards.values())
-
-    def empty_blocks_per_shard(self) -> float:
-        if not self.shards:
-            return 0.0
-        return self.total_empty_blocks / len(self.shards)
 
 
 class _Lane:
@@ -261,15 +241,6 @@ class _ShardProcess:
         packed = lane.pending[: self._config.block_capacity]
         del lane.pending[: self._config.block_capacity]
         self.outcome.blocks_mined += 1
-        if self._config.trace:
-            self._driver.record_event(
-                BlockEvent(
-                    time=self._scheduler.now,
-                    shard_id=self.spec.shard_id,
-                    lane_index=self.lanes.index(lane),
-                    packed=len(packed),
-                )
-            )
         if packed:
             now = self._scheduler.now
             self.outcome.confirmed += len(packed)
@@ -299,15 +270,11 @@ class ShardedSimulation:
         self._total_txs = sum(len(spec.transactions) for spec in specs)
         self._confirmed = 0
         self._makespan = 0.0
-        self._trace: list[BlockEvent] = []
         self.finished = False
 
     # ------------------------------------------------------------------
     # driver callbacks
     # ------------------------------------------------------------------
-    def record_event(self, event: BlockEvent) -> None:
-        self._trace.append(event)
-
     def notify_confirmed(self, count: int, now: float) -> None:
         self._confirmed += count
         if self._confirmed >= self._total_txs:
@@ -414,5 +381,4 @@ class ShardedSimulation:
             shards={p.spec.shard_id: p.outcome for p in processes},
             total_transactions=self._total_txs,
             confirmed_transactions=self._confirmed,
-            trace=tuple(self._trace),
         )

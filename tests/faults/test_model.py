@@ -74,7 +74,7 @@ class TestNetworkWiring:
         scheduler.run()
         assert all(node.received == [] for node in nodes)
         assert network.faults.stats.drops == 2
-        assert network.messages_delivered == 0
+        assert scheduler.events_fired == 0
 
     def test_duplicates_deliver_twice(self):
         plan = FaultPlan(

@@ -1,9 +1,9 @@
 """Recorded-digest parity: every seeded run in ``seed_digests.json``.
 
-The protocol engine has one scheduling path for fault-free runs (wave
-fan-outs, per-shard mining calendars) and one for faulty runs (one
-filtered send per recipient). The recorded trace digests pin both, bit
-for bit, across PR history:
+The protocol engine has one scheduling path (wave fan-outs, per-shard
+mining calendars); a fault plan only filters each wave's recipients.
+The recorded trace digests pin it, with and without faults, bit for
+bit across PR history:
 
 * ``clean``/``faulty``/``unified``/``unified-faulty`` — 6 miners, 40
   transactions, with and without loss and parameter unification;
