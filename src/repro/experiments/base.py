@@ -71,26 +71,26 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _apply_measure(task: tuple[Callable[[int], float], int]) -> float:
-    """Executor task shape shared by :func:`averaged_sweep`."""
+def _apply_measure(task: tuple[Callable[[int], object], int]) -> object:
+    """Executor task shape shared by :func:`repeated_sweep`."""
     measure, seed = task
     return measure(seed)
 
 
-def averaged_sweep(
-    points: list[tuple[Callable[[int], float], int, int]],
+def repeated_sweep(
+    points: list[tuple[Callable[[int], object], int, int]],
     executor: Executor | None = None,
-) -> list[float]:
-    """Average many seeded measurements, fanning every repetition out.
+) -> list[list]:
+    """Run many seeded measurements, fanning every repetition out.
 
     ``points`` is a list of ``(measure, repetitions, base_seed)`` — one
     entry per x-axis point (or per column of one). All repetitions of
     all points flatten into a single executor map, so a sweep
-    parallelizes across both axes at once; each point's mean is then
-    taken over its repetitions *in repetition order*, which makes the
-    result bit-identical to running every point serially.
+    parallelizes across both axes at once. Returns each point's values
+    *in repetition order*, which makes the result bit-identical to
+    running every point serially.
     """
-    tasks: list[tuple[Callable[[int], float], int]] = []
+    tasks: list[tuple[Callable[[int], object], int]] = []
     spans: list[tuple[int, int]] = []
     for measure, repetitions, base_seed in points:
         if repetitions <= 0:
@@ -102,7 +102,15 @@ def averaged_sweep(
         spans.append((start, len(tasks)))
     chosen = executor if executor is not None else get_default_executor()
     values = chosen.map(_apply_measure, tasks)
-    return [statistics.mean(values[start:end]) for start, end in spans]
+    return [values[start:end] for start, end in spans]
+
+
+def averaged_sweep(
+    points: list[tuple[Callable[[int], float], int, int]],
+    executor: Executor | None = None,
+) -> list[float]:
+    """Each point's mean over its repetitions (see :func:`repeated_sweep`)."""
+    return [statistics.mean(values) for values in repeated_sweep(points, executor)]
 
 
 def averaged(

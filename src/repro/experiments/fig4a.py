@@ -7,9 +7,12 @@ parallelize effectively and scale near-linearly.
 
 from __future__ import annotations
 
+import functools
+import statistics
+
 from repro.baselines.chainspace import ChainSpaceModel
 from repro.baselines.ethereum import run_ethereum
-from repro.experiments.base import ExperimentResult, averaged_sweep
+from repro.experiments.base import ExperimentResult, repeated_sweep
 from repro.experiments.common import run_sharded
 from repro.sim.config import SimulationConfig, TimingModel
 from repro.workloads.generators import uniform_contract_workload
@@ -22,41 +25,34 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     total_txs = 2_400 if quick else 24_000
     repetitions = 1 if quick else 3
     shard_counts = list(range(1, 10))
-    points = []
-    for shard_count in shard_counts:
 
-        def measure_ours(run_seed: int, k: int = shard_count) -> float:
-            txs = uniform_contract_workload(total_txs, k - 1, seed=run_seed)
-            eth = run_ethereum(
-                txs, miner_count=9, config=SimulationConfig(timing=TIMING, seed=run_seed)
-            )
-            ours = run_sharded(
-                txs, config=SimulationConfig(timing=TIMING, seed=run_seed + 1)
-            )
-            return eth.makespan / ours.makespan
+    def measure(run_seed: int, k: int) -> tuple[float, float]:
+        """One cell: both schemes against one Ethereum baseline run."""
+        txs = uniform_contract_workload(total_txs, k - 1, seed=run_seed)
+        eth = run_ethereum(
+            txs, miner_count=9, config=SimulationConfig(timing=TIMING, seed=run_seed)
+        )
+        ours = run_sharded(
+            txs, config=SimulationConfig(timing=TIMING, seed=run_seed + 1)
+        )
+        cs = ChainSpaceModel(shard_count=k, seed=run_seed).run_throughput(
+            txs, config=SimulationConfig(timing=TIMING, seed=run_seed + 2)
+        )
+        return eth.makespan / ours.makespan, eth.makespan / cs.makespan
 
-        def measure_chainspace(run_seed: int, k: int = shard_count) -> float:
-            txs = uniform_contract_workload(total_txs, k - 1, seed=run_seed)
-            eth = run_ethereum(
-                txs, miner_count=9, config=SimulationConfig(timing=TIMING, seed=run_seed)
-            )
-            model = ChainSpaceModel(shard_count=k, seed=run_seed)
-            cs = model.run_throughput(
-                txs, config=SimulationConfig(timing=TIMING, seed=run_seed + 2)
-            )
-            return eth.makespan / cs.makespan
-
-        points.append((measure_ours, repetitions, seed + shard_count))
-        points.append((measure_chainspace, repetitions, seed + shard_count))
-
-    means = averaged_sweep(points)
+    cells = repeated_sweep(
+        [
+            (functools.partial(measure, k=k), repetitions, seed + k)
+            for k in shard_counts
+        ]
+    )
     rows = [
         {
             "shards": shard_count,
-            "improvement_ours": means[2 * i],
-            "improvement_chainspace": means[2 * i + 1],
+            "improvement_ours": statistics.mean(ours for ours, __ in ratios),
+            "improvement_chainspace": statistics.mean(cs for __, cs in ratios),
         }
-        for i, shard_count in enumerate(shard_counts)
+        for shard_count, ratios in zip(shard_counts, cells)
     ]
     return ExperimentResult(
         experiment_id="fig4a",

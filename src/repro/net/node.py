@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chain.block import Block
+from repro.chain.contract import SmartContract
 from repro.chain.ledger import HeadMove, Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import BlockImage, BlockUndo, WorldState
@@ -241,13 +242,23 @@ class FullNode(Node):
             self.on_pooled(self, tx)
         return True
 
-    def provision(self, address: str, balance: int) -> None:
-        """Fund a streamed sender unless its account exists; recorded for
-        the oracle, which funds it pre-genesis (no block can carry a
-        sender's transactions before it is provisioned)."""
-        if address not in self.state.accounts:
-            self.state.create_account(address, balance=balance)
-            self._provisioned.setdefault(balance, []).append(address)
+    def provision(self, tx: Transaction, balance: int) -> None:
+        """Seed what ``tx`` needs here, the only state seeding of a
+        protocol run: fund its sender with ``balance`` and deploy the
+        testbed contract (Sec. VI-A) it calls, each unless present. The
+        oracle seeds both pre-genesis (no block can carry a transaction
+        before its replicas are provisioned): contracts are few, so one
+        is deployed into its base too; a sender is recorded by address."""
+        state = self.state
+        if tx.sender not in state.accounts:
+            state.create_account(tx.sender, balance=balance)
+            self._provisioned.setdefault(balance, []).append(tx.sender)
+        contract = tx.contract
+        if contract is not None and contract not in state.contracts:
+            for seeded in (state, self._pristine_state):
+                seeded.deploy_contract(
+                    SmartContract.unconditional(contract, f"sink-{contract[:8]}")
+                )
 
     # ------------------------------------------------------------------
     # block path (the two Sec. III-C verifications)

@@ -2,10 +2,12 @@
 
 Where :mod:`repro.sim.simulator` abstracts shards into timed lanes for
 scale, this module wires *actual* :class:`~repro.net.node.FullNode`
-instances to a latency network: users broadcast transactions, miners
-classify them with the call graph, mine PoW blocks, broadcast them, and
-every receiver runs the two Sec. III-C verifications backed by the
-publicly verifiable miner assignment. Cheaters (wrong ShardID, ignored
+instances to a latency network: each transaction is classified once with
+the call graph and provisioned on its shard's replicas, then handed to
+them directly or, under a fault plan, announced by its user over the
+lossy network; miners mine PoW blocks, broadcast them, and every
+receiver runs the two Sec. III-C verifications backed by the publicly
+verifiable miner assignment. Cheaters (wrong ShardID, ignored
 selection) are injected through miner behaviors and get their blocks
 rejected — the integration surface the security tests exercise.
 """
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from repro.chain.callgraph import CallGraph
 from repro.chain.fees import FeePolicy
 from repro.chain.ledger import ConfirmationTally
-from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.consensus.miner import MinerBehavior, MinerIdentity
 from repro.consensus.pow import MiningCalendar, MiningProcess, PoWParameters
@@ -48,8 +49,8 @@ from repro.workloads.generators import MAX_MATERIALIZED_TXS, TxStream
 #: network's latency stream (both are seeded from ``config.seed``).
 _FAULT_SEED_SALT = 0xFA017
 
-#: What every sender holds: funded before genesis on every node for a
-#: materialized workload, provisioned at injection time for a stream.
+#: What every sender holds: provisioned on its shard's replicas when its
+#: first transaction is injected, for lists and streams alike.
 INITIAL_BALANCE = 1_000_000
 
 #: When (seconds into the run) the leader broadcasts the unification
@@ -335,7 +336,8 @@ class ProtocolSimulation:
         self._seen_txs = Bitset(
             len(self._transactions) if self._lineage else 0
         )
-        # Streaming-injection progress (only meaningful with a stream).
+        # Injection progress: one t=0 batch for a list, one per tick for
+        # a paced stream.
         self._inject_done = False
         self._injected = 0
         # List runs only: built when the run starts.
@@ -372,6 +374,7 @@ class ProtocolSimulation:
             self._callgraph = CallGraph()
         else:
             self._shard_map, self._callgraph = form_shards(self._transactions)
+        self._classify = self._classifier()
         fractions = self._fractions()
         self._assignment = assignment or assign_miners(
             self._miners, fractions, epoch_seed=f"protocol-{self._config.seed}"
@@ -417,26 +420,21 @@ class ProtocolSimulation:
             return contextlib.nullcontext()
         return use_tracer(self._tracer)
     def _fractions(self) -> dict[int, float]:
+        """Each shard's share of the workload in %, from per-shard counts:
+        a stream declares them, a list is classified once to count them."""
         if self._stream is not None:
-            # Declared per-shard counts stand in for the partition scan.
-            total = max(1, self._stream.total)
-            fractions = {
-                shard: 100.0 * count / total
-                for shard, count in sorted(self._stream.shard_counts.items())
-            }
+            counts, total = self._stream.shard_counts, self._stream.total
         else:
-            from repro.core.shard_formation import partition_transactions
-
-            partition = partition_transactions(
-                self._transactions, self._shard_map, self._callgraph
-            )
-            fractions = partition.fractions()
+            counts = dict.fromkeys(self._shard_map.shard_ids, 0)
+            for tx in self._transactions:
+                counts[self._classify(tx)] += 1
+            total = len(self._transactions)
         # Every shard id needs a positive fraction for the draw intervals;
         # give empty shards a minimal epsilon share of miners while
         # leaving populated shards' weights proportional to their load.
-        epsilon = 0.01
         return {
-            shard: max(frac, epsilon) for shard, frac in fractions.items()
+            shard: max(100.0 * count / total, 0.01)
+            for shard, count in sorted(counts.items())
         }
 
     def _build_unified_replay(self):
@@ -498,28 +496,12 @@ class ProtocolSimulation:
 
     def _build_nodes(self) -> None:
         verifier = self._assignment.verifier()
-        self._classify = self._classifier()
         # Each shard's replicas, in node order: the coordinator classifies
         # a transaction once and hands it to exactly these nodes.
         self._shard_nodes: dict[int, list[FullNode]] = {}
         seed_rng = random.Random(self._config.seed)
         for miner in self._miners:
             shard = self._assignment.shard_of[miner.public]
-            state = WorldState()
-            if self._stream is None:
-                # Materialized workload: the paper's setup funds every
-                # sender before genesis on every node.
-                for tx in self._transactions:
-                    state.create_account(tx.sender)
-                    account = state.account(tx.sender)
-                    account.balance = INITIAL_BALANCE
-                self._seed_contracts(state)
-            else:
-                # Streaming: sender accounts are provisioned lazily at
-                # injection time, and a node only deploys the contracts
-                # its own shard validates — per-node state is O(own
-                # shard), not O(workload) x O(nodes).
-                self._seed_shard_contracts(state, shard)
             behavior = self._behaviors.get(miner.public)
             if behavior is None and not self._distribute_packet:
                 behavior = self._unified_behavior(miner.public, shard)
@@ -529,7 +511,6 @@ class ProtocolSimulation:
                 membership_verifier=verifier,
                 tx_classifier=self._classify,
                 behavior=behavior,
-                state=state,
                 selection_replay=(
                     None if self._distribute_packet else self._replay
                 ),
@@ -588,34 +569,6 @@ class ProtocolSimulation:
             miner=block.header.miner,
             height=block.header.height,
         )
-
-    def _seed_contracts(self, state: WorldState) -> None:
-        from repro.chain.contract import SmartContract
-
-        contracts = {
-            tx.contract for tx in self._transactions if tx.contract is not None
-        }
-        for address in contracts:
-            state.deploy_contract(
-                SmartContract.unconditional(address, beneficiary=f"sink-{address[:8]}")
-            )
-
-    def _seed_shard_contracts(self, state: WorldState, shard: int) -> None:
-        """Streaming variant: deploy only the contracts ``shard`` owns.
-
-        A node never applies a foreign shard's blocks (Sec. III-C
-        verification 2 stops them before the state transition), so
-        foreign contracts on its state were pure memory overhead.
-        """
-        from repro.chain.contract import SmartContract
-
-        for address, owner in self._shard_map.contract_to_shard.items():
-            if owner == shard:
-                state.deploy_contract(
-                    SmartContract.unconditional(
-                        address, beneficiary=f"sink-{address[:8]}"
-                    )
-                )
 
     # ------------------------------------------------------------------
     # accessors
@@ -677,22 +630,11 @@ class ProtocolSimulation:
         if self._stream is not None:
             # Paced streaming injection: the first batch lands at t=0
             # (mirroring the up-front inject), later ticks self-schedule.
-            self._begin_streaming_injection()
-        elif self._fault_model is not None:
-            # Under faults transactions travel the lossy network: each is
-            # announced by its (off-network) user and can be lost.
-            for tx in self._transactions:
-                self._network.broadcast(
-                    MessageKind.TX, sender=f"user:{tx.sender}", payload=tx
-                )
+            self._inject_iter = iter(self._stream)
+            self._inject_tick()
         else:
-            # Fault-free fast path: hand the workload directly to each
-            # transaction's shard replicas at t=0 (the paper injects up
-            # front); foreign nodes would only ignore it.
-            classify, shard_nodes = self._classify, self._shard_nodes
-            for tx in self._transactions:
-                for node in shard_nodes.get(classify(tx), ()):
-                    node.pool(tx)
+            # The paper injects the whole workload up front.
+            self._inject_batch(self._transactions)
 
         if self._distribute_packet:
             self._scheduler.schedule_in(
@@ -871,15 +813,10 @@ class ProtocolSimulation:
             if depth > pool_depths.get(shard, -1):
                 pool_depths[shard] = depth
             evicted += node.mempool.evictions
-        injected = (
-            self._injected
-            if self._stream is not None
-            else len(self._transactions)
-        )
         confirmed = sum(self._per_shard_confirmed().values())
         telemetry.heartbeat(
             time=self._scheduler.now,
-            injected=injected,
+            injected=self._injected,
             confirmed=confirmed,
             evicted=evicted,
             pool_depths=pool_depths,
@@ -912,13 +849,6 @@ class ProtocolSimulation:
             entry.txs_confirmed = per_shard.get(shard, 0)
             entry.mempool_peak = pool_peaks.get(shard, 0)
             entry.evictions = pool_evictions.get(shard, 0)
-        if self._stream is None:
-            # List workloads: the call graph observed every transaction
-            # before the run, so post-hoc classification is exact.
-            # Streams were routed at injection time instead
-            # (classification follows the evolving call graph).
-            for tx in self._transactions:
-                self._route(tx, self._classify(tx))
         for home, row in self._traffic.items():
             for executed, count in row.items():
                 stats.record_route(home, executed, count)
@@ -985,14 +915,8 @@ class ProtocolSimulation:
         return probe
 
     # ------------------------------------------------------------------
-    # streaming injection (paced, bounded-memory)
+    # injection: one t=0 batch for a list, paced ticks for a stream
     # ------------------------------------------------------------------
-    def _begin_streaming_injection(self) -> None:
-        self._inject_iter = iter(self._stream)
-        self._injected = 0
-        self._inject_done = False
-        self._inject_tick()
-
     def _pool_high_water(self) -> int:
         return max(
             (len(node.mempool) for node in self._nodes.values()), default=0
@@ -1025,7 +949,6 @@ class ProtocolSimulation:
         batch = list(itertools.islice(self._inject_iter, config.inject_batch))
         if batch:
             self._inject_batch(batch)
-            self._injected += len(batch)
             if self._tracer is not None:
                 self._tracer.event(
                     "inject.batch",
@@ -1053,21 +976,38 @@ class ProtocolSimulation:
         self._scheduler.schedule_in(config.inject_interval, self._inject_tick)
 
     def _inject_batch(self, batch: list[Transaction]) -> None:
-        classifier = self._classify
-        callgraph = self._callgraph
-        shard_nodes = self._shard_nodes
+        """The one way a workload enters the network, list or stream.
+
+        Each transaction is classified once, routed for telemetry, and
+        its shard's replicas are provisioned with the state it needs.
+        Fault-free, it is then pooled there directly; under a fault plan
+        its (off-network) user announces it over the lossy network.
+        """
+        observe = self._callgraph.observe if self._stream is not None else None
+        classify, shard_nodes = self._classify, self._shard_nodes
+        announce = (
+            None if self._fault_model is None else self._network.broadcast
+        )
         balance = INITIAL_BALANCE
         telemetry = self._telemetry
         for tx in batch:
-            # The coordinator's call graph must see the edge before the
-            # shard rule can classify the sender (observe is idempotent).
-            callgraph.observe(tx)
-            shard = classifier(tx)
+            if observe is not None:
+                # A stream's call graph must see the edge before the shard
+                # rule can classify the sender (observe is idempotent).
+                observe(tx)
+            shard = classify(tx)
             if telemetry is not None:
                 self._route(tx, shard)
-            for node in shard_nodes.get(shard, ()):
-                node.provision(tx.sender, balance)
-                node.pool(tx)
+            replicas = shard_nodes.get(shard, ())
+            if announce is None:
+                for node in replicas:
+                    node.provision(tx, balance)
+                    node.pool(tx)
+            else:
+                for node in replicas:
+                    node.provision(tx, balance)
+                announce(MessageKind.TX, sender=f"user:{tx.sender}", payload=tx)
+        self._injected += len(batch)
 
     # ------------------------------------------------------------------
     # failure handling: leader distribution, retransmission, fallback

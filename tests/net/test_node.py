@@ -484,7 +484,7 @@ class TestExecuteOnce:
         table = ImageTable(len(nodes))
         for node in nodes:
             node.images = table
-            node.provision("0xubob", 1_000)
+            node.provision(make_transfer("0xubob", "0xucarol"), 1_000)
         return nodes, table
 
     @staticmethod
@@ -584,13 +584,21 @@ class TestExecuteOnce:
         from repro.chain.block import Block
 
         node = make_node(shard=1, name="provisioned")
-        node.provision("0xubob", 1_000)
-        node.provision("0xualice", 50)  # exists already: no-op
+        transfer = make_transfer("0xubob", "0xucarol", amount=10, fee=2)
+        call_b = make_call("0xubob", CONTRACT_B, fee=3, nonce=1)
+        node.provision(transfer, 1_000)
+        node.provision(call_b, 1_000)  # bob exists: only CONTRACT_B is new
+        node.provision(make_call("0xualice", CONTRACT_A), 50)  # no-op
         assert node.state.balance_of("0xualice") == 1_000
+        # The genesis contract is kept, not replaced by the testbed form.
+        assert node.state.contract(CONTRACT_A).beneficiary == "0xudest"
+        assert node.state.contract(CONTRACT_B).beneficiary.startswith("sink-")
         block = Block.build(
-            node.ledger.head_hash, "pkA", 1, 1, 1.0,
-            [make_transfer("0xubob", "0xucarol", amount=10, fee=2)],
+            node.ledger.head_hash, "pkA", 1, 1, 1.0, [transfer, call_b]
         )
         node._record_block(block)
-        assert node.state.balance_of("0xubob") == 988
+        assert node.state.balance_of("0xubob") == 1_000 - 12 - 4
+        assert node.state.contract(CONTRACT_B).invocation_count == 1
+        # The oracle replays both the funded sender and the deployed
+        # contract; replaying the no-op would swap CONTRACT_A's beneficiary.
         assert node.state.fingerprint() == node.state_oracle_fingerprint()

@@ -331,6 +331,22 @@ class TestStateOracle:
                 node.state.fingerprint() == node.state_oracle_fingerprint()
             ), f"state drift on node {public[:10]} in profile {profile}"
 
+    @pytest.mark.parametrize("profile", ["clean", "faulty"])
+    def test_list_replicas_hold_only_their_shards_senders(self, profile):
+        """Provisioning seeds a replica for its own shard's transactions
+        only: no node holds a workload sender routed to another shard,
+        with or without a fault plan."""
+        sim, __ = _seeded_run(profile)
+        home = {tx.sender: sim._classify(tx) for tx in sim._transactions}
+        for public in sorted(sim.assignment.shard_of):
+            node = sim.node(public)
+            foreign = sorted(
+                address
+                for address in node.state.accounts
+                if home.get(address, node.shard_id) != node.shard_id
+            )
+            assert not foreign, f"shard {node.shard_id} holds {foreign}"
+
     def test_ledger_incremental_matches_scan(self):
         sim, __ = _simulate(faulty=True)
         for public in sorted(sim.assignment.shard_of):

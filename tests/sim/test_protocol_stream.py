@@ -22,15 +22,19 @@ import pathlib
 import pytest
 
 from repro.consensus.miner import MinerIdentity
+from repro.consensus.pow import PoWParameters
+from repro.core.shard_formation import MAXSHARD_ID
 from repro.errors import ConfigError, WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.observe import Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     MAX_MATERIALIZED_TXS,
+    TxStream,
     streaming_uniform_contract_workload,
     uniform_contract_workload,
 )
+from tests.conftest import CONTRACT_A, make_call, make_transfer
 from tests.sim.test_engine_parity import (
     MINERS,
     PROFILES,
@@ -112,6 +116,39 @@ class TestPacedStreamingParity:
         assert "inject.batch" in names
         assert "inject.done" in names
 
+    def test_maxshard_contract_call_applies_and_the_stream_drains(self):
+        """A direct sender who later calls a contract is a MaxShard
+        sender, so the MaxShard replicas must hold that contract too.
+        Deploying only each shard's own contracts left the call
+        unappliable: 7/8 confirmed and the run hit its horizon."""
+
+        def factory():
+            yield make_transfer("0xumixed", "0xudst", nonce=0)
+            yield make_call("0xumixed", CONTRACT_A, nonce=1)
+            for i in range(6):
+                yield make_call(f"0xusolo{i}", CONTRACT_A)
+
+        stream = TxStream(
+            total=8,
+            contracts=(CONTRACT_A,),
+            shard_counts={MAXSHARD_ID: 2, 1: 6},
+            factory=factory,
+            description="maxshard-contract-call",
+        )
+        config = ProtocolConfig(
+            seed=SEED,
+            max_duration=3000.0,
+            pow_params=PoWParameters.fast_confirmation(5.0, block_capacity=10),
+            inject_batch=4,
+            inject_interval=1.0,
+        )
+        identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
+        sim = ProtocolSimulation(identities, stream, config=config)
+        assert MAXSHARD_ID in sim.assignment.shard_of.values()
+        result = sim.run()
+        assert result.confirmed_count() == 8
+        assert result.duration < config.max_duration
+
 
 class TestStreamingRefusals:
     """Every unsupported combination fails loudly at construction."""
@@ -152,8 +189,6 @@ class TestStreamingRefusals:
     def test_bounded_pool_without_pacing_refused(self):
         """A list run stops once every transaction confirms; an evicted
         one never does, so the run would mine to the horizon."""
-        from repro.consensus.pow import PoWParameters
-
         identities = [MinerIdentity.create(f"m{i}") for i in range(6)]
         config = ProtocolConfig(
             pow_params=PoWParameters.fast_confirmation(),
