@@ -42,7 +42,7 @@ def faulty_run(drop_rate: float, seed: int = 0) -> dict[str, float]:
         ),
     )
     result = sim.run()
-    drained = result.confirmed_tx_ids >= sim._relevant_tx_ids()
+    drained = result.confirmed_tx_ids >= set(sim._tally.confirming)
     return {
         "confirmed": float(len(result.confirmed_tx_ids)),
         "duration": result.duration,

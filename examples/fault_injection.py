@@ -40,7 +40,7 @@ def build(miners, txs, plan=None, unified=False, **overrides):
 
 
 def banner(result, sim):
-    drained = result.confirmed_tx_ids >= sim._relevant_tx_ids()
+    drained = result.confirmed_tx_ids >= set(sim._tally.confirming)
     print(f"   drained: {drained}  (confirmed {len(result.confirmed_tx_ids)} "
           f"txs in {result.duration:.1f} s)")
     print(f"   drops: {result.drops}  retransmissions: {result.retransmissions}"

@@ -19,7 +19,7 @@ transitions feed the protocol's :class:`ConfirmationTally`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.chain.block import Block
 from repro.errors import LedgerError
@@ -35,7 +35,7 @@ class ConfirmationTally:
 
     __slots__ = ("confirming", "missing", "edges")
 
-    def __init__(self, targets: set[str]) -> None:
+    def __init__(self, targets: Iterable[str]) -> None:
         self.confirming = dict.fromkeys(targets, 0)
         self.missing = len(self.confirming)
         self.edges: dict[str, int] | None = None

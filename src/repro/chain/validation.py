@@ -76,6 +76,13 @@ class BlockVerdict:
     reason: str = ""
 
 
+#: The two acceptances are shared: only a rejection carries its own reason.
+_RECORDED = BlockVerdict(accepted=True, recorded=True)
+_FOREIGN = BlockVerdict(
+    accepted=True, recorded=False, reason="block from a different shard"
+)
+
+
 class BlockValidator:
     """The receive-side block checks a miner runs (Sec. III-C).
 
@@ -119,7 +126,5 @@ class BlockValidator:
                 ),
             )
         if claimed_shard != self._own_shard:
-            return BlockVerdict(
-                accepted=True, recorded=False, reason="block from a different shard"
-            )
-        return BlockVerdict(accepted=True, recorded=True)
+            return _FOREIGN
+        return _RECORDED

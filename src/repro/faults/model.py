@@ -39,6 +39,7 @@ class FaultDecision:
 
 
 _CLEAN = FaultDecision()
+_DROPPED = FaultDecision(dropped=True)
 
 
 class FaultModel:
@@ -108,11 +109,11 @@ class FaultModel:
         if self.crashed(message.sender, time):
             self.stats.crash_drops += 1
             self._note("fault.crash_drop", message, time)
-            return FaultDecision(dropped=True)
+            return _DROPPED
         if self.partitioned(message.sender, message.recipient, time):
             self.stats.partition_drops += 1
             self._note("fault.partition_drop", message, time)
-            return FaultDecision(dropped=True)
+            return _DROPPED
 
         faults = self.plan.faults_for(message.kind)
         if faults.is_noop:
@@ -121,7 +122,7 @@ class FaultModel:
         if faults.drop_probability > 0 and self._rng.random() < faults.drop_probability:
             self.stats.drops += 1
             self._note("fault.drop", message, time)
-            return FaultDecision(dropped=True)
+            return _DROPPED
 
         extra_delay = 0.0
         if (
@@ -149,7 +150,7 @@ class FaultModel:
         )
 
     def filter_delivery(self, message: Message, time: float) -> bool:
-        """Whether a scheduled delivery still lands; ``Network._deliver``.
+        """Whether a scheduled delivery still lands, checked as it falls due.
 
         A recipient that crashed between send and delivery loses the
         message (no queueing at dead nodes).

@@ -31,7 +31,12 @@ built for throughput:
   next delivery after each pop — so interleaving with every other
   event, including exact-time ties, is bit-identical to N separate
   entries while the standing heap footprint per in-flight broadcast is
-  O(1).
+  O(1);
+* a delivery is **one call**: :meth:`Scheduler.run` pops the heap
+  itself and hands a due wave item straight to the wave's
+  ``deliver(item)``. Nothing is materialized in between — no
+  ``(callback, args)`` pair, no event record — so one delivery costs
+  one heap step and one call into the network's per-wave closure.
 
 The recorded trace digests in ``tests/sim/seed_digests.json`` pin the
 resulting event order: any change to tie-breaking or sequence
@@ -89,9 +94,6 @@ class Event:
         if self._queue is not None:
             self._queue._note_cancel()
 
-    def fire(self) -> None:
-        self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "live"
         return f"Event(t={self.time:.6f}, seq={self.sequence}, {state})"
@@ -102,9 +104,9 @@ class DeliveryWave:
 
     Carries the per-recipient delivery times sorted ascending, the
     matching pre-allocated sequence numbers, and the recipient items.
-    ``emit(item)`` is called lazily at pop time and must return the
-    ``(callback, args)`` pair for that delivery — e.g. the network
-    builds the per-recipient ``Message`` only when it is actually due.
+    When an item is due, :meth:`Scheduler.run` calls ``deliver(item)``
+    directly — e.g. the network builds the per-recipient ``Message``
+    only then.
 
     Ordering contract: the wave's heap key is always the ``(time,
     sequence)`` key of its earliest undelivered item, and the sequence
@@ -112,39 +114,27 @@ class DeliveryWave:
     with every other heap entry — ties included — exactly as the
     individual events would have. Each pop delivers one recipient and
     re-keys the wave on the next (``heapreplace``, one sift).
-
-    ``cancelled`` is always False: waves are never cancelled as a unit
-    (the fault layer filters recipients before the wave is built and
-    at each delivery), which lets the queue's tombstone sweeps treat
-    them as ordinary live entries.
     """
 
-    __slots__ = ("times", "seqs", "items", "emit", "pos", "cancelled", "_event")
+    __slots__ = ("times", "seqs", "items", "deliver", "pos")
+
+    #: Waves are never cancelled as a unit (the fault layer filters
+    #: recipients before the wave is built and at each delivery), so the
+    #: queue's tombstone sweeps treat them as ordinary live entries.
+    cancelled = False
 
     def __init__(
         self,
         times: list[float],
         seqs: list[int],
         items: list,
-        emit: Callable[[object], tuple[EventCallback, tuple]],
+        deliver: Callable[[object], None],
     ) -> None:
         self.times = times
         self.seqs = seqs
         self.items = items
-        self.emit = emit
+        self.deliver = deliver
         self.pos = 0
-        self.cancelled = False
-        # One mutable Event reused for every delivery of this wave: pops
-        # are consumed immediately by the run loops and never retained.
-        self._event = Event(times[0], seqs[0], _unemitted, (), queue=None)
-
-    def __len__(self) -> int:
-        """Undelivered recipients."""
-        return len(self.times) - self.pos
-
-
-def _unemitted() -> None:  # pragma: no cover - placeholder callback
-    raise SimulationError("DeliveryWave event fired before emit")
 
 
 class EventQueue:
@@ -181,7 +171,7 @@ class EventQueue:
         self,
         times: list[float],
         items: list,
-        emit: Callable[[object], tuple[EventCallback, tuple]],
+        deliver: Callable[[object], None],
     ) -> DeliveryWave | None:
         """Schedule a fan-out as one :class:`DeliveryWave` heap entry.
 
@@ -202,7 +192,7 @@ class EventQueue:
             [times[i] for i in order],
             [seq0 + i for i in order],
             [items[i] for i in order],
-            emit,
+            deliver,
         )
         times = wave.times
         seqs = wave.seqs
@@ -211,56 +201,6 @@ class EventQueue:
         if len(self._heap) > self.peak_entries:
             self.peak_entries = len(self._heap)
         return wave
-
-    def pop(self) -> Event | None:
-        """Pop the earliest live event, or None when drained.
-
-        A :class:`DeliveryWave` at the top releases exactly one delivery
-        (materialized via its ``emit`` hook into the wave's reusable
-        event record) and re-keys itself on the next one in place.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.__class__ is DeliveryWave:
-                wave = event
-                pos = wave.pos
-                callback, args = wave.emit(wave.items[pos])
-                out = wave._event
-                out.time = entry[0]
-                out.sequence = entry[1]
-                out.callback = callback
-                out.args = args
-                out.cancelled = False
-                wave.items[pos] = None  # release the reference early
-                pos += 1
-                wave.pos = pos
-                if pos < len(wave.times):
-                    heapq.heapreplace(
-                        heap, (wave.times[pos], wave.seqs[pos], wave)
-                    )
-                else:
-                    heapq.heappop(heap)
-                self._live -= 1
-                return out
-            heapq.heappop(heap)
-            if not event.cancelled:
-                self._live -= 1
-                # Detach: a cancel() after the pop must not touch the
-                # live/tombstone counters — the event already left.
-                event._queue = None
-                return event
-            self._cancelled_in_heap -= 1
-        return None
-
-    def peek_time(self) -> float | None:
-        """The firing time of the earliest live event, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # cancellation bookkeeping
@@ -275,9 +215,11 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone in one filter + heapify pass."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        """Drop every tombstone in one filter + heapify pass, in place:
+        a running :meth:`Scheduler.run` holds the heap list."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
 
@@ -342,22 +284,22 @@ class Scheduler:
         self,
         times: list[float],
         items: list,
-        emit: Callable[[object], tuple[EventCallback, tuple]],
+        deliver: Callable[[object], None],
     ) -> DeliveryWave | None:
         """Schedule a fan-out as one self-re-arming heap entry.
 
         ``times`` are absolute delivery times (one per item, any order);
-        ``emit(item)`` materializes the ``(callback, args)`` pair lazily
-        when that item's delivery pops. Equivalent to ``len(times)``
-        :meth:`schedule_at` calls in item order — same sequence-number
-        block, same tie-breaking — at O(1) standing heap footprint.
+        ``deliver(item)`` is called when that item is due. Equivalent to
+        ``len(times)`` :meth:`schedule_at` calls in item order — same
+        sequence-number block, same tie-breaking — at O(1) standing heap
+        footprint.
         """
         if times and min(times) < self._now:
             raise SimulationError(
                 f"cannot schedule wave at {min(times):.3f}s: "
                 f"clock is already at {self._now:.3f}s"
             )
-        return self._queue.push_wave(times, items, emit)
+        return self._queue.push_wave(times, items, deliver)
 
     def run(
         self,
@@ -375,23 +317,45 @@ class Scheduler:
         ``max_events`` is a runaway-loop guard.
         """
         queue = self._queue
-        fired = 0
+        heap = queue._heap
+        pop, replace = heapq.heappop, heapq.heapreplace
+        budget = self._events_fired + max_events
         while True:
             if stop_condition is not None and stop_condition():
                 return self._now
-            next_time = queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+            while heap:
+                time, __, entry = heap[0]
+                if not entry.cancelled:
+                    break
+                pop(heap)
+                queue._cancelled_in_heap -= 1
+            else:
+                break  # drained
+            if until is not None and time > until:
                 self._now = until
-                return self._now
-            event = queue.pop()
-            assert event is not None
-            self._now = event.time
-            event.callback(*event.args)
+                return until
+            self._now = time
+            queue._live -= 1
+            if entry.__class__ is DeliveryWave:
+                # Release one recipient and re-key the wave on the next.
+                pos = entry.pos
+                item = entry.items[pos]
+                entry.items[pos] = None
+                pos += 1
+                entry.pos = pos
+                if pos < len(entry.times):
+                    replace(heap, (entry.times[pos], entry.seqs[pos], entry))
+                else:
+                    pop(heap)
+                entry.deliver(item)
+            else:
+                pop(heap)
+                # Detach: a cancel() after the pop must not touch the
+                # live/tombstone counters — the event already left.
+                entry._queue = None
+                entry.callback(*entry.args)
             self._events_fired += 1
-            fired += 1
-            if fired >= max_events:
+            if self._events_fired >= budget:
                 raise SimulationError(
                     f"event budget exhausted after {max_events} events"
                 )

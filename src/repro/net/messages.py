@@ -12,7 +12,7 @@ communication accounting (Fig. 4b/4c) can attribute every delivery:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MessageKind(enum.Enum):
@@ -43,12 +43,11 @@ _CROSS_SHARD_KINDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """An addressed payload with a kind tag and optional shard context.
 
-    Slotted: one message is allocated per delivery, so the
-    per-instance ``__dict__`` is dropped.
+    An immutable tuple: one message is built per delivery, and a tuple
+    costs a fraction of a frozen dataclass to build.
     """
 
     kind: MessageKind

@@ -1,4 +1,13 @@
-"""The broadcast network with latency and cross-shard message accounting."""
+"""The broadcast network with latency and cross-shard message accounting.
+
+One call per delivery: each fan-out schedules one
+:class:`~repro.net.events.DeliveryWave` with a ``deliver`` closure that
+holds what the wave's deliveries share (kind, sender, payload, shard,
+fault model, the kind's cross-shard flag). Handed a due recipient, it
+builds that recipient's :class:`~repro.net.messages.Message`, drops it
+if the fault model says the recipient is down, counts it if it is
+cross-shard, and calls ``recipient.receive``.
+"""
 
 from __future__ import annotations
 
@@ -98,11 +107,9 @@ class Network:
     :meth:`broadcast`, list order for :meth:`multicast`), lets an
     optional :class:`~repro.faults.model.FaultModel` drop, delay or
     duplicate each recipient in that order, and schedules the survivors
-    as one :class:`~repro.net.events.DeliveryWave` heap entry whose
-    ``Message`` objects are built only when each delivery pops. The
-    fault model owns its own RNG, so omitting it leaves the latency
-    stream bit-identical; ``tests/sim/seed_digests.json`` pins both
-    streams and the sequence numbers.
+    as one wave. The fault model owns its own RNG, so omitting it leaves
+    the latency stream bit-identical; ``tests/sim/seed_digests.json``
+    pins both streams and the sequence numbers.
     """
 
     def __init__(
@@ -193,8 +200,9 @@ class Network:
         is an extra item just before its original, so it takes the
         sequence number a separate schedule ahead of the original would.
         """
+        scheduler = self._scheduler
         delays = self._latency.sample_many(self._rng, len(targets))
-        now = self._scheduler.now
+        now = scheduler.now
         sent = len(targets)
         faults = self._faults
         if faults is not None:
@@ -217,20 +225,17 @@ class Network:
             targets = kept
         else:
             times = [now + delay for delay in delays]
-        deliver = self._deliver
+        cross_shard = message_kind.is_cross_shard
 
-        def emit(target: "Node"):
+        def deliver(target: "Node") -> None:
             message = Message(message_kind, sender, target.node_id, payload, shard_id)
-            return deliver, (target, message)
+            if faults is not None and not faults.filter_delivery(
+                message, scheduler.now
+            ):
+                return
+            if cross_shard:
+                self.cross_shard_messages += 1
+            target.receive(message)
 
-        self._scheduler.schedule_wave(times, targets, emit)
+        scheduler.schedule_wave(times, targets, deliver)
         return sent
-
-    def _deliver(self, target: "Node", message: Message) -> None:
-        if self._faults is not None and not self._faults.filter_delivery(
-            message, self._scheduler.now
-        ):
-            return
-        if message.kind.is_cross_shard:
-            self.cross_shard_messages += 1
-        target.receive(message)

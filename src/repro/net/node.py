@@ -122,6 +122,7 @@ class FullNode(Node):
 
     __slots__ = (
         "identity",
+        "node_id",
         "shard_id",
         "behavior",
         "mempool",
@@ -137,7 +138,7 @@ class FullNode(Node):
         "_orphans",
         "_orphan_count",
         "_undos",
-        "_provisioned",
+        "_funded",
         "images",
         "on_pooled",
         "on_rejected",
@@ -159,6 +160,7 @@ class FullNode(Node):
         mempool_limit: int | None = None,
     ) -> None:
         self.identity = identity
+        self.node_id = identity.public
         self.shard_id = shard_id
         self._behavior_overridden = behavior is not None
         self.behavior = behavior or HonestBehavior()
@@ -187,7 +189,8 @@ class FullNode(Node):
         self._orphan_count = 0
         # Tip-delta state: the undo journal of every canonical block.
         self._undos: dict[str, BlockUndo] = {}
-        self._provisioned: dict[int, list[str]] = {}
+        # Sender -> the balance provisioning granted it, once per sender.
+        self._funded: dict[str, int] = {}
         # The shard's shared block images; None runs every body in full.
         self.images: ImageTable | None = None
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
@@ -205,10 +208,6 @@ class FullNode(Node):
     # ------------------------------------------------------------------
     # Node protocol
     # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> str:
-        return self.identity.public
-
     def receive(self, message: Message) -> None:
         kind = message.kind
         if kind is MessageKind.TX:
@@ -244,21 +243,45 @@ class FullNode(Node):
 
     def provision(self, tx: Transaction, balance: int) -> None:
         """Seed what ``tx`` needs here, the only state seeding of a
-        protocol run: fund its sender with ``balance`` and deploy the
-        testbed contract (Sec. VI-A) it calls, each unless present. The
-        oracle seeds both pre-genesis (no block can carry a transaction
-        before its replicas are provisioned): contracts are few, so one
-        is deployed into its base too; a sender is recorded by address."""
+        protocol run: grant its sender ``balance`` once, unless genesis
+        holds it, and deploy the testbed contract (Sec. VI-A) it calls
+        unless present. The oracle seeds both pre-genesis (no block can
+        carry a transaction before its replicas are provisioned):
+        contracts are few, so one is deployed into its base too; a grant
+        is recorded by address. A sender already paid here is credited,
+        and its journaled priors rebased, as a pre-genesis grant would."""
         state = self.state
-        if tx.sender not in state.accounts:
-            state.create_account(tx.sender, balance=balance)
-            self._provisioned.setdefault(balance, []).append(tx.sender)
+        sender = tx.sender
+        if sender not in self._funded and sender not in self._pristine_state.accounts:
+            self._funded[sender] = balance
+            account = state.accounts.get(sender)
+            if account is None:
+                state.create_account(sender, balance=balance)
+            else:
+                account.credit(balance)
+                self._rebase_undos(sender, balance)
         contract = tx.contract
         if contract is not None and contract not in state.contracts:
             for seeded in (state, self._pristine_state):
                 seeded.deploy_contract(
                     SmartContract.unconditional(contract, f"sink-{contract[:8]}")
                 )
+
+    def _rebase_undos(self, address: str, grant: int) -> None:
+        """Add ``grant`` to ``address``'s prior in every journal that
+        holds one. Journals may be shared through block images, so a
+        rebased one is a copy."""
+        undos = self._undos
+        for block_hash, undo in undos.items():
+            if address in undo.accounts:
+                prior = undo.accounts[address]
+                rebased = BlockUndo()
+                rebased.accounts = dict(undo.accounts)
+                rebased.accounts[address] = (
+                    (grant, 0) if prior is None else (prior[0] + grant, prior[1])
+                )
+                rebased.contracts = undo.contracts
+                undos[block_hash] = rebased
 
     # ------------------------------------------------------------------
     # block path (the two Sec. III-C verifications)
@@ -356,9 +379,8 @@ class FullNode(Node):
         against ``self.state.fingerprint()`` after tip-delta runs.
         """
         state = self._pristine_state.snapshot()
-        for balance, addresses in self._provisioned.items():
-            for address in addresses:
-                state.create_account(address, balance=balance)
+        for address, balance in self._funded.items():
+            state.create_account(address, balance=balance)
         for canonical in self.ledger.canonical_chain():
             if canonical.transactions:
                 state.apply_block_body(

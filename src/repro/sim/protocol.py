@@ -633,8 +633,14 @@ class ProtocolSimulation:
             self._inject_iter = iter(self._stream)
             self._inject_tick()
         else:
-            # The paper injects the whole workload up front.
-            self._inject_batch(self._transactions)
+            # The paper injects the whole workload up front. The union of
+            # every ledger's confirmed set over the txs it routed to a
+            # populated shard, kept by the ledgers through confirms and
+            # reorgs: the stop check, the lineage probe and the
+            # retransmission sweep all read it.
+            self._tally = ConfirmationTally(self._inject_batch(self._transactions))
+            for node in self._nodes.values():
+                node.ledger.watch(self._tally)
 
         if self._distribute_packet:
             self._scheduler.schedule_in(
@@ -658,15 +664,6 @@ class ProtocolSimulation:
             # One armed scheduler event per shard; the initial draws
             # above happened in per-miner order.
             calendar.rearm()
-
-        if self._stream is None:
-            # The union of every ledger's confirmed set over the txs some
-            # populated shard can confirm, kept by the ledgers through
-            # confirms and reorgs: the stop check, the lineage probe and
-            # the retransmission sweep all read it.
-            self._tally = ConfirmationTally(self._relevant_tx_ids())
-            for node in self._nodes.values():
-                node.ledger.watch(self._tally)
 
         if self._config.run_to_horizon:
             # Scenario mode: chain races must play out over the whole
@@ -975,13 +972,14 @@ class ProtocolSimulation:
             return
         self._scheduler.schedule_in(config.inject_interval, self._inject_tick)
 
-    def _inject_batch(self, batch: list[Transaction]) -> None:
+    def _inject_batch(self, batch: list[Transaction]) -> list[str]:
         """The one way a workload enters the network, list or stream.
 
         Each transaction is classified once, routed for telemetry, and
         its shard's replicas are provisioned with the state it needs.
         Fault-free, it is then pooled there directly; under a fault plan
         its (off-network) user announces it over the lossy network.
+        Returns the ids of the transactions a populated shard can confirm.
         """
         observe = self._callgraph.observe if self._stream is not None else None
         classify, shard_nodes = self._classify, self._shard_nodes
@@ -990,6 +988,7 @@ class ProtocolSimulation:
         )
         balance = INITIAL_BALANCE
         telemetry = self._telemetry
+        routed: list[str] = []
         for tx in batch:
             if observe is not None:
                 # A stream's call graph must see the edge before the shard
@@ -999,6 +998,8 @@ class ProtocolSimulation:
             if telemetry is not None:
                 self._route(tx, shard)
             replicas = shard_nodes.get(shard, ())
+            if replicas:
+                routed.append(tx.tx_id)
             if announce is None:
                 for node in replicas:
                     node.provision(tx, balance)
@@ -1008,6 +1009,7 @@ class ProtocolSimulation:
                     node.provision(tx, balance)
                 announce(MessageKind.TX, sender=f"user:{tx.sender}", payload=tx)
         self._injected += len(batch)
+        return routed
 
     # ------------------------------------------------------------------
     # failure handling: leader distribution, retransmission, fallback
@@ -1237,14 +1239,6 @@ class ProtocolSimulation:
     # ------------------------------------------------------------------
     # result assembly
     # ------------------------------------------------------------------
-    def _relevant_tx_ids(self) -> set[str]:
-        """Transactions some populated shard can actually confirm."""
-        populated = self._shard_nodes
-        classifier = self._classify
-        return {
-            tx.tx_id for tx in self._transactions if classifier(tx) in populated
-        }
-
     def _confirmed_ids(self) -> set[str]:
         confirmed: set[str] = set()
         for node in self._nodes.values():

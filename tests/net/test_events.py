@@ -5,50 +5,81 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.events import EventQueue, Scheduler
+from repro.net.events import Scheduler
+
+
+def run_keyed(scheduler: Scheduler, **kwargs) -> list[tuple[float, int]]:
+    """Run ``scheduler`` and return the ``(time, sequence)`` heap key of
+    every event it fires, read off the heap top at each stop check (the
+    check runs once before every event; no event here is cancelled)."""
+    keys = []
+    heap = scheduler._queue._heap
+
+    def record() -> bool:
+        if heap:
+            keys.append(heap[0][:2])
+        return False
+
+    scheduler.run(stop_condition=record, **kwargs)
+    return keys
 
 
 class TestEventQueue:
+    """Queue order, seen through :meth:`Scheduler.run`, its only pop path."""
+
     def test_pop_in_time_order(self):
-        queue = EventQueue()
+        scheduler = Scheduler()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        scheduler.schedule_at(2.0, fired.append, "b")
+        scheduler.schedule_at(1.0, fired.append, "a")
+        scheduler.schedule_at(3.0, fired.append, "c")
+        scheduler.run()
         assert fired == ["a", "b", "c"]
 
     def test_ties_break_by_schedule_order(self):
-        queue = EventQueue()
+        scheduler = Scheduler()
         fired = []
-        queue.push(1.0, lambda: fired.append("first"))
-        queue.push(1.0, lambda: fired.append("second"))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        scheduler.schedule_at(1.0, fired.append, "first")
+        scheduler.schedule_at(1.0, fired.append, "second")
+        assert run_keyed(scheduler) == [(1.0, 0), (1.0, 1)]
         assert fired == ["first", "second"]
 
     def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
-        assert len(queue) == 0
+        scheduler = Scheduler()
+        fired = []
+        scheduler.schedule_at(1.0, fired.append, "x").cancel()
+        assert scheduler.pending == 0
+        scheduler.run()
+        assert fired == []
+        assert scheduler.events_fired == 0
 
     def test_peek_time(self):
-        queue = EventQueue()
-        queue.push(5.0, lambda: None)
-        assert queue.peek_time() == 5.0
+        # The earliest pending time bounds a capped run.
+        scheduler = Scheduler()
+        fired = []
+        scheduler.schedule_at(5.0, fired.append, "x")
+        assert scheduler.run(until=4.5) == 4.5
+        assert fired == []
+        assert scheduler.run(until=5.0) == 5.0
+        assert fired == ["x"]
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        early = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        scheduler = Scheduler()
+        fired = []
+        early = scheduler.schedule_at(1.0, fired.append, 1.0)
+        scheduler.schedule_at(2.0, fired.append, 2.0)
         early.cancel()
-        assert queue.peek_time() == 2.0
+        assert scheduler.run(until=1.5) == 1.5
+        assert fired == []
+        assert scheduler.pending == 1
+        scheduler.run()
+        assert fired == [2.0]
+        assert scheduler.now == 2.0
 
     def test_empty_peek(self):
-        assert EventQueue().peek_time() is None
+        scheduler = Scheduler()
+        assert scheduler.run() == 0.0
+        assert scheduler.events_fired == 0
 
 
 class TestScheduler:
@@ -144,15 +175,16 @@ class TestScheduler:
         assert scheduler.pending == 4
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event
-        event.cancel()  # already popped; the live count must not go stale
-        assert len(queue) == 1
-        assert queue.pop() is not None
-        assert queue.pop() is None
+        scheduler = Scheduler()
+        event = scheduler.schedule_at(1.0, lambda: None)
+        scheduler.schedule_at(2.0, lambda: None)
+        scheduler.run(until=1.5)
+        assert scheduler.events_fired == 1
+        event.cancel()  # already fired; the live count must not go stale
+        assert scheduler.pending == 1
+        scheduler.run()
+        assert scheduler.events_fired == 2
+        assert scheduler.pending == 0
 
     def test_wave_interleaves_exactly_like_individual_events(self):
         """Differential oracle: a wave-scheduled fan-out fires in the
@@ -179,18 +211,16 @@ class TestScheduler:
                     scheduler.schedule_at(
                         time, lambda i=idx, k=j: fired.append((scheduler.now, i, k))
                     )
-            scheduler.run()
-            return fired, scheduler.events_fired
+            keys = run_keyed(scheduler)
+            return fired, keys, scheduler.events_fired
 
         def run_waved():
             scheduler = Scheduler()
             fired = []
 
-            def emit(item):
-                # Read the clock inside the callback (emit runs at pop
-                # time, before the scheduler advances ``now``).
+            def deliver(item):
                 idx, j = item
-                return (lambda i=idx, k=j: fired.append((scheduler.now, i, k))), ()
+                fired.append((scheduler.now, idx, j))
 
             for idx, (kind, spec) in enumerate(plan):
                 if kind == "event":
@@ -199,15 +229,16 @@ class TestScheduler:
                     )
                 else:
                     scheduler.schedule_wave(
-                        list(spec), [(idx, j) for j in range(len(spec))], emit
+                        list(spec), [(idx, j) for j in range(len(spec))], deliver
                     )
-            scheduler.run()
-            return fired, scheduler.events_fired
+            keys = run_keyed(scheduler)
+            return fired, keys, scheduler.events_fired
 
-        oracle_fired, oracle_count = run_oracle()
-        wave_fired, wave_count = run_waved()
+        oracle_fired, oracle_keys, oracle_count = run_oracle()
+        wave_fired, wave_keys, wave_count = run_waved()
         assert wave_fired == oracle_fired
-        assert wave_count == oracle_count
+        assert wave_keys == oracle_keys
+        assert wave_count == oracle_count == len(oracle_keys)
 
     def test_wave_equal_times_fire_in_item_order(self):
         """Zero-jitter broadcasts: every delivery lands at the same
@@ -215,40 +246,29 @@ class TestScheduler:
         later wave at the same time fully drains after an earlier one."""
         scheduler = Scheduler()
         fired = []
-
-        def emit(tag):
-            return fired.append, (tag,)
-
-        scheduler.schedule_wave([1.0, 1.0, 1.0], ["a0", "a1", "a2"], emit)
-        scheduler.schedule_wave([1.0, 1.0], ["b0", "b1"], emit)
-        scheduler.run()
+        scheduler.schedule_wave([1.0, 1.0, 1.0], ["a0", "a1", "a2"], fired.append)
+        scheduler.schedule_wave([1.0, 1.0], ["b0", "b1"], fired.append)
+        assert run_keyed(scheduler) == [(1.0, seq) for seq in range(5)]
         assert fired == ["a0", "a1", "a2", "b0", "b1"]
 
     def test_wave_counts_toward_pending_and_events_fired(self):
         scheduler = Scheduler()
-        scheduler.schedule_wave(
-            [1.0, 2.0, 3.0], [0, 1, 2], lambda item: (lambda: None, ())
-        )
+        scheduler.schedule_wave([1.0, 2.0, 3.0], [0, 1, 2], lambda item: None)
         assert scheduler.pending == 3
         scheduler.run()
         assert scheduler.pending == 0
         assert scheduler.events_fired == 3
 
-    def test_wave_emit_is_lazy(self):
+    def test_wave_delivers_only_when_due(self):
         """Messages materialize at delivery, not at scheduling."""
         scheduler = Scheduler()
-        emitted = []
-
-        def emit(item):
-            emitted.append(item)
-            return (lambda: None), ()
-
-        scheduler.schedule_wave([5.0, 1.0, 3.0], ["a", "b", "c"], emit)
-        assert emitted == []
+        delivered = []
+        scheduler.schedule_wave([5.0, 1.0, 3.0], ["a", "b", "c"], delivered.append)
+        assert delivered == []
         scheduler.run(until=2.0)
-        assert emitted == ["b"]  # only the due delivery was materialized
+        assert delivered == ["b"]  # only the due delivery was made
         scheduler.run()
-        assert emitted == ["b", "c", "a"]
+        assert delivered == ["b", "c", "a"]
 
     def test_wave_is_one_heap_entry(self):
         """The wave's reason to exist: fan-out at O(1) heap footprint."""
@@ -256,7 +276,7 @@ class TestScheduler:
         wave_scheduler.schedule_wave(
             [float(i + 1) for i in range(100)],
             list(range(100)),
-            lambda item: (lambda: None, ()),
+            lambda item: None,
         )
         assert wave_scheduler.peak_pending == 1
 
@@ -270,26 +290,45 @@ class TestScheduler:
         scheduler.schedule_in(1.0, lambda: None)
         scheduler.run()
         with pytest.raises(SimulationError):
-            scheduler.schedule_wave(
-                [2.0, 0.5], [0, 1], lambda item: (lambda: None, ())
-            )
+            scheduler.schedule_wave([2.0, 0.5], [0, 1], lambda item: None)
 
     def test_empty_wave_is_noop(self):
         scheduler = Scheduler()
-        assert scheduler.schedule_wave([], [], lambda item: (lambda: None, ())) is None
+        assert scheduler.schedule_wave([], [], lambda item: None) is None
         assert scheduler.pending == 0
 
     def test_compaction_preserves_order(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(100)]
+        scheduler = Scheduler()
+        times = []
+        events = [
+            scheduler.schedule_at(float(i), times.append, float(i))
+            for i in range(100)
+        ]
         for event in events[:80]:
             if event.time % 2 == 0:
                 event.cancel()
         for event in events[:80]:
             event.cancel()
-        assert queue.compactions >= 1
-        times = []
-        while (event := queue.pop()) is not None:
-            times.append(event.time)
-        assert times == sorted(times)
+        assert scheduler.compactions >= 1
+        scheduler.run()
         assert times == [float(i) for i in range(80, 100)]
+
+    def test_compaction_during_run_keeps_order(self):
+        """A callback whose cancels trigger a compaction mid-run: the
+        running loop must see the compacted heap, not a stale copy."""
+        scheduler = Scheduler()
+        times = []
+        events = [
+            scheduler.schedule_at(float(i), times.append, float(i))
+            for i in range(1, 101)
+        ]
+
+        def cancel_most():
+            for event in events[:80]:
+                event.cancel()
+
+        scheduler.schedule_at(0.5, cancel_most)
+        scheduler.run()
+        assert scheduler.compactions >= 1
+        assert times == [float(i) for i in range(81, 101)]
+        assert scheduler.pending == 0

@@ -22,6 +22,7 @@ from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node
 from repro.observe import Tracer
+from tests.net.test_events import run_keyed
 
 #: 36 nodes: a broadcast fans out to 35, past the numpy latency batch.
 NODES = [f"n{i}" for i in range(36)]
@@ -141,19 +142,8 @@ def _run(network_class, seed):
     for at, action in _script(network):
         scheduler.schedule_at(at, lambda action=action: returns.append(action()))
     # The (time, sequence) key of every fired event: a duplicate's
-    # sequence number only shows in ties, so read it off the queue.
-    keys = []
-    queue = scheduler._queue
-    pop = queue.pop
-
-    def keyed_pop():
-        event = pop()
-        if event is not None:
-            keys.append((event.time, event.sequence))
-        return event
-
-    queue.pop = keyed_pop
-    scheduler.run()
+    # sequence number only shows in ties, so read it off the heap.
+    keys = run_keyed(scheduler)
     records = [record.identity() for record in tracer.records]
     return arrivals, returns, faults.stats, records, keys
 

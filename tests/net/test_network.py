@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.faults.model import FaultModel
+from repro.faults.plan import CrashEvent, FaultPlan
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
@@ -240,6 +242,51 @@ class TestAccounting:
         network.broadcast(MessageKind.STAT_REPORT, "n2", payload="s")
         scheduler.run()
         assert network.cross_shard_messages == 4
+
+
+class TestFusedDelivery:
+    """One call per delivery: the wave's closure builds the message,
+    applies the delivery-time fault check and the cross-shard count,
+    then hands the message to the recipient."""
+
+    def _crashing_net(self):
+        # n3 goes down after the t=0 sends leave and before any lands.
+        plan = FaultPlan(crashes=(CrashEvent("n3", at=0.01, recover_at=5.0),))
+        scheduler = Scheduler()
+        faults = FaultModel(plan, seed=1)
+        network = Network(scheduler, LatencyModel(0.05, 0.1), seed=0, faults=faults)
+        nodes = [Recorder(f"n{i}") for i in range(5)]
+        for node in nodes:
+            network.register(node)
+        return scheduler, network, faults, nodes
+
+    def test_cross_shard_counts_each_landed_leader_broadcast_once(self):
+        scheduler, network, __, nodes = self._crashing_net()
+        assert network.broadcast(MessageKind.LEADER_BROADCAST, "n0", "p") == 4
+        network.broadcast(MessageKind.BLOCK, "n1", "b")
+        network.multicast(MessageKind.TX, "n2", "t", recipients=["n0", "n4"])
+        scheduler.run()
+        landed = [
+            message
+            for node in nodes
+            for message in node.received
+            if message.kind is MessageKind.LEADER_BROADCAST
+        ]
+        assert len(landed) == 3  # n3 was down when its copy arrived
+        assert network.cross_shard_messages == 3
+
+    def test_recipient_crashed_in_flight_is_dropped_and_counted(self):
+        scheduler, network, faults, nodes = self._crashing_net()
+        assert network.send(Message(MessageKind.TX, "n0", "n3", payload="t"))
+        scheduler.run()
+        assert nodes[3].received == []
+        assert faults.stats.crash_drops == 1
+
+    def test_message_fields_cannot_be_assigned(self):
+        message = Message(MessageKind.TX, "n0", "n1", payload="t")
+        with pytest.raises(AttributeError):
+            message.payload = "forged"
+        assert message.payload == "t"
 
 
 class TestLatencyModel:

@@ -109,10 +109,10 @@ def test_list_run_hands_off_without_observing(counted):
     counted.reset()
     result = sim.run()
     # The graph saw the whole workload at construction. During the run
-    # each tx is classified once at hand-off and once more when the
-    # result counts the transactions a populated shard can confirm.
+    # each tx is classified once, at hand-off; the same pass names the
+    # transactions a populated shard can confirm.
     assert counted.observes == 0
-    assert counted.classifies == 2 * TXS
+    assert counted.classifies == TXS
     assert result.confirmed_count() > 0
     _assert_routed(sim, counted.pooled)
     # Each tx reaches every replica of its shard, and only those.

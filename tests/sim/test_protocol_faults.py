@@ -130,7 +130,7 @@ class TestChaosDrain:
         result = sim.run()
         # Every transaction a populated shard is responsible for confirms
         # despite 20% loss and the mid-run crash...
-        assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
+        assert result.confirmed_tx_ids >= set(sim._tally.confirming)
         assert result.duration < config.max_duration
         # ...and the result reports the injected faults and the repairs.
         assert result.drops > 0
@@ -152,7 +152,7 @@ class TestChaosDrain:
         config = quick_config(fault_plan=plan, retransmit_interval=2.0)
         sim = ProtocolSimulation(miners, txs, config=config)
         result = sim.run()
-        assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
+        assert result.confirmed_tx_ids >= set(sim._tally.confirming)
         assert result.fault_stats.partition_drops > 0
 
     def test_heavier_loss_degrades_but_does_not_stall(self):
@@ -162,7 +162,7 @@ class TestChaosDrain:
             retransmit_interval=2.0,
         )
         result = sim.run()
-        assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
+        assert result.confirmed_tx_ids >= set(sim._tally.confirming)
         assert result.drops > result.fault_stats.duplicates  # loss dominated
 
     @pytest.mark.parametrize("blocks", [0, 4])
@@ -182,7 +182,7 @@ class TestChaosDrain:
         regossiped = [record.attrs["blocks_regossiped"] for record in sweeps]
         assert max(regossiped) <= blocks * len(sim.network.node_ids)
         if blocks == 0:
-            assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
+            assert result.confirmed_tx_ids >= set(sim._tally.confirming)
         else:
             assert max(regossiped) > 0
 

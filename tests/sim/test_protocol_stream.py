@@ -21,11 +21,13 @@ import pathlib
 
 import pytest
 
+from repro.chain.block import Block
 from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.core.shard_formation import MAXSHARD_ID
 from repro.errors import ConfigError, WorkloadError
 from repro.faults.plan import FaultPlan
+from repro.net.node import FullNode, ImageTable
 from repro.observe import Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
@@ -148,6 +150,83 @@ class TestPacedStreamingParity:
         result = sim.run()
         assert result.confirmed_count() == 8
         assert result.duration < config.max_duration
+
+
+class TestProvisioning:
+    """A sender is granted its balance once, the first time a replica is
+    provisioned with one of its transactions, even when value reached it
+    earlier: then the grant is added to what it holds."""
+
+    def test_sender_that_received_value_is_funded_and_the_stream_drains(self):
+        """``0xub`` is paid by the first tx and sends the last; one tx per
+        tick lets the payment confirm before ``0xub`` is provisioned.
+        Funding only absent accounts left it holding the 1-unit payment:
+        6/7 confirmed and the run hit its horizon."""
+
+        def factory():
+            yield make_transfer("0xua", "0xub")
+            for i in range(5):
+                yield make_transfer(f"0xufill{i}", "0xusink")
+            yield make_transfer("0xub", "0xuc")
+
+        stream = TxStream(
+            total=7,
+            contracts=(),
+            shard_counts={MAXSHARD_ID: 7},
+            factory=factory,
+            description="credited-sender",
+        )
+        config = ProtocolConfig(
+            seed=SEED,
+            max_duration=3000.0,
+            pow_params=PoWParameters.fast_confirmation(5.0, block_capacity=10),
+            inject_batch=1,
+            inject_interval=5.0,
+        )
+        identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
+        sim = ProtocolSimulation(identities, stream, config=config)
+        result = sim.run()
+        assert result.confirmed_count() == 7
+        assert result.duration < config.max_duration
+        for public in sim.assignment.shard_of:
+            node = sim.node(public)
+            assert node.state.fingerprint() == node.state_oracle_fingerprint()
+
+    def test_grant_to_a_credited_sender_survives_the_reorg_of_the_credit(self):
+        """Two replicas share block images (and so the credit's undo).
+        A reorg reverts the block that paid ``0xub`` after its grant;
+        each replica must end where a pre-genesis grant would put it."""
+        images = ImageTable(2)
+        replicas = []
+        for name in ("prov-a", "prov-b"):
+            node = FullNode(
+                identity=MinerIdentity.create(name),
+                shard_id=MAXSHARD_ID,
+                membership_verifier=lambda public, shard: True,
+                tx_classifier=lambda tx: MAXSHARD_ID,
+            )
+            node.images = images
+            replicas.append(node)
+        genesis = replicas[0].ledger.head_hash
+        pay = make_transfer("0xua", "0xub")
+        spend = make_transfer("0xub", "0xuc")
+        credit = Block.build(genesis, "pkA", MAXSHARD_ID, 1, 1.0, [pay])
+        fork = Block.build(genesis, "pkB", MAXSHARD_ID, 1, 1.5, [])
+        longer = Block.build(fork.block_hash, "pkB", MAXSHARD_ID, 2, 2.0, [spend])
+        for node in replicas:
+            node.provision(pay, 1_000)
+            node.on_block(credit)
+        assert replicas[0]._undos[credit.block_hash] is (
+            replicas[1]._undos[credit.block_hash]
+        )
+        for node in replicas:
+            node.provision(spend, 1_000)
+            assert node.state.balance_of("0xub") == 1_000 + pay.amount
+            node.on_block(fork)
+            node.on_block(longer)
+            assert node.ledger.head_hash == longer.block_hash
+            assert node.state.balance_of("0xub") == 1_000 - spend.amount - spend.fee
+            assert node.state.fingerprint() == node.state_oracle_fingerprint()
 
 
 class TestStreamingRefusals:
