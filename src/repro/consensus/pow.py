@@ -10,7 +10,11 @@ paper pins two operating points on c5.large machines:
   (Sec. VI-B2), i.e. with 10-transaction blocks a 7.6 blocks/s rate.
 
 :class:`PoWParameters` calibrates the reference hash rate from the first
-operating point and exposes named constructors for both.
+operating point and exposes named constructors for both. A run mines at
+one operating point throughout: :class:`MiningProcess` draws one miner's
+block times at a fixed difficulty, and :class:`MiningCalendar` keeps a
+shard's miners behind a single scheduler event that is re-armed only
+when it fires.
 """
 
 from __future__ import annotations
@@ -79,37 +83,21 @@ class MiningProcess:
     stream independent and the whole simulation reproducible.
 
     Draws are prefetched in batches of raw uniforms and turned into
-    intervals lazily with the exact ``expovariate`` arithmetic
+    intervals with the exact ``expovariate`` arithmetic
     (``-log(1 - u) / lambd``), so a million-block campaign pays one
     method call per batch instead of per draw while every value — and
     therefore every recorded trace digest — stays bit-identical to
-    sequential sampling. Storing uniforms (not intervals) keeps
-    :meth:`retarget` exact: the share change applies from the very next
-    draw.
+    sequential sampling.
     """
 
     #: Uniform draws fetched per refill of the prefetch buffer.
     PREFETCH = 64
 
-    def __init__(
-        self,
-        params: PoWParameters,
-        hashrate_fraction: float = 1.0,
-        seed: int | None = None,
-    ) -> None:
-        self._params = params
-        self._hashrate_fraction = hashrate_fraction
+    def __init__(self, params: PoWParameters, seed: int | None = None) -> None:
+        self._lambd = 1.0 / params.expected_interval()
         self._rng = random.Random(seed)
         # Raw uniforms, reversed so pop() consumes them in draw order.
         self._pending: list[float] = []
-
-    @property
-    def params(self) -> PoWParameters:
-        return self._params
-
-    @property
-    def expected_interval(self) -> float:
-        return self._params.expected_interval(self._hashrate_fraction)
 
     def next_block_time(self) -> float:
         """Sample the time (seconds from now) until this miner's next block."""
@@ -117,14 +105,7 @@ class MiningProcess:
             draw = self._rng.random
             self._pending = [draw() for __ in range(self.PREFETCH)]
             self._pending.reverse()
-        lambd = 1.0 / self.expected_interval
-        return -math.log(1.0 - self._pending.pop()) / lambd
-
-    def retarget(self, hashrate_fraction: float) -> None:
-        """Change this miner's hash-power share (e.g. after a shard merge)."""
-        if hashrate_fraction <= 0:
-            raise ValueError("hash-power fraction must be positive")
-        self._hashrate_fraction = hashrate_fraction
+        return -math.log(1.0 - self._pending.pop()) / self._lambd
 
 
 class MiningCalendar:
@@ -132,10 +113,16 @@ class MiningCalendar:
 
     The per-miner scheme keeps one standing scheduler event per miner —
     thousands of miners mean thousands of heap entries churned on every
-    forge, retarget or crash. The calendar instead keeps each miner's
-    next **absolute** block time in an array and arms a single scheduler
-    event for the current winner (the argmin). Updates mutate the array;
-    only the winner's event ever touches the heap.
+    forge. The calendar instead keeps each miner's next **absolute**
+    block time in an array and arms a single scheduler event for the
+    current winner (the argmin).
+
+    A miner's next block time moves only when that miner's own block
+    fires: the mine step redraws the firing miner alone (a crashed
+    miner's slot fires and redraws too), every miner mines at one fixed
+    difficulty, and nothing else writes the array. So the armed event
+    is never stale — once set up, the calendar re-arms only after its
+    own event fires, and nothing is ever cancelled.
 
     Equivalence contract (pinned by a differential test): each miner's
     :class:`MiningProcess` draw order is untouched — a draw still
@@ -147,8 +134,8 @@ class MiningCalendar:
 
     The armed event's callback is :meth:`_on_fire` with the winning
     miner's id as its only argument, matching the per-miner scheme's
-    event shape. ``fire(miner_id)`` runs the engine's mine step; any
-    :meth:`set_next` calls it makes are deferred (array-only) and a
+    event shape. ``fire(miner_id)`` runs the engine's mine step; the
+    :meth:`set_next` call it makes only writes the array, and the
     single re-arm happens after it returns.
 
     The argmin scan vectorizes over a persistent numpy mirror when numpy
@@ -166,8 +153,6 @@ class MiningCalendar:
         self._miners: list[str] = []
         self._times: list[float] = []
         self._np_times = None  # lazily built persistent mirror
-        self._armed = None  # the winner's scheduler Event, if any
-        self._armed_slot: int | None = None
 
     def __len__(self) -> int:
         return len(self._miners)
@@ -187,9 +172,9 @@ class MiningCalendar:
     def set_next(self, miner_id: str, time: float) -> None:
         """Record a miner's next absolute block time (array-only).
 
-        Deferred by design: callers batch updates (initial draws, the
-        redraw inside a fired mine step, retarget/crash sweeps) and the
-        single re-arm happens in :meth:`rearm` / :meth:`_on_fire`.
+        Callers set every miner's first time before the first
+        :meth:`rearm`, and afterwards only the firing miner's, from
+        inside its mine step; :meth:`_on_fire` re-arms after it.
         """
         slot = self._index[miner_id]
         self._times[slot] = time
@@ -211,33 +196,20 @@ class MiningCalendar:
         return min(range(len(times)), key=times.__getitem__)
 
     def rearm(self) -> None:
-        """(Re)schedule the scheduler event for the current winner.
+        """Arm the scheduler event for the current winner.
 
-        Cancelling a stale armed event is cheap in both states it can be
-        in: already fired means the event is detached from the queue (a
-        flag flip), still pending means one tombstone swept by the
-        queue's lazy compaction.
+        Called once the initial draws are set, then only by
+        :meth:`_on_fire`: the calendar never holds more than one
+        pending event, and a calendar whose miners all sit at ``inf``
+        arms none.
         """
         slot = self._argmin()
-        if self._armed is not None:
-            if (
-                slot == self._armed_slot
-                and not self._armed.cancelled
-                and self._armed.time == self._times[slot]
-            ):
-                return  # winner unchanged, event still good
-            self._armed.cancel()
-            self._armed = None
-            self._armed_slot = None
         if slot is None or self._times[slot] == math.inf:
             return
-        self._armed = self._scheduler.schedule_at(
+        self._scheduler.schedule_at(
             self._times[slot], self._on_fire, self._miners[slot]
         )
-        self._armed_slot = slot
 
     def _on_fire(self, miner_id: str) -> None:
-        self._armed = None
-        self._armed_slot = None
         self._fire(miner_id)
         self.rearm()

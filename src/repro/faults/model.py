@@ -68,7 +68,9 @@ class FaultModel:
         # Never consulted for control flow, so determinism is untouched.
         self._tracer = tracer
 
-    def _note(self, name: str, message: Message, time: float, **attrs) -> None:
+    def _note(
+        self, name: str, message: Message, recipient: str, time: float, **attrs
+    ) -> None:
         if self._tracer is not None:
             self._tracer.event(
                 name,
@@ -76,7 +78,7 @@ class FaultModel:
                 phase="fault",
                 actor=message.sender,
                 kind=message.kind.name,
-                recipient=message.recipient,
+                recipient=recipient,
                 **attrs,
             )
 
@@ -99,20 +101,28 @@ class FaultModel:
     # ------------------------------------------------------------------
     # message path
     # ------------------------------------------------------------------
-    def filter_send(self, message: Message, time: float) -> FaultDecision:
+    def filter_send(
+        self, message: Message, time: float, recipient: str | None = None
+    ) -> FaultDecision:
         """Decide one send's fate; called by the network's fan-out.
+
+        ``recipient`` (default ``message.recipient``) names who the send
+        goes to: a fan-out judges all its recipients against one
+        unaddressed message and addresses one only to a survivor.
 
         Crash and partition checks come first (they are deterministic in
         time and consume no randomness), then the probabilistic message
         faults for the message's kind.
         """
+        if recipient is None:
+            recipient = message.recipient
         if self.crashed(message.sender, time):
             self.stats.crash_drops += 1
-            self._note("fault.crash_drop", message, time)
+            self._note("fault.crash_drop", message, recipient, time)
             return _DROPPED
-        if self.partitioned(message.sender, message.recipient, time):
+        if self.partitioned(message.sender, recipient, time):
             self.stats.partition_drops += 1
-            self._note("fault.partition_drop", message, time)
+            self._note("fault.partition_drop", message, recipient, time)
             return _DROPPED
 
         faults = self.plan.faults_for(message.kind)
@@ -121,7 +131,7 @@ class FaultModel:
 
         if faults.drop_probability > 0 and self._rng.random() < faults.drop_probability:
             self.stats.drops += 1
-            self._note("fault.drop", message, time)
+            self._note("fault.drop", message, recipient, time)
             return _DROPPED
 
         extra_delay = 0.0
@@ -132,7 +142,11 @@ class FaultModel:
             extra_delay = self._rng.uniform(0.0, faults.delay_spike_seconds)
             self.stats.delay_spikes += 1
             self._note(
-                "fault.delay", message, time, extra_delay=round(extra_delay, 9)
+                "fault.delay",
+                message,
+                recipient,
+                time,
+                extra_delay=round(extra_delay, 9),
             )
 
         duplicate_delay: float | None = None
@@ -143,7 +157,7 @@ class FaultModel:
             # The copy takes its own (spiked) path through the network.
             duplicate_delay = self._rng.uniform(0.0, max(faults.delay_spike_seconds, 0.1))
             self.stats.duplicates += 1
-            self._note("fault.duplicate", message, time)
+            self._note("fault.duplicate", message, recipient, time)
 
         return FaultDecision(
             dropped=False, extra_delay=extra_delay, duplicate_delay=duplicate_delay
@@ -157,7 +171,7 @@ class FaultModel:
         """
         if self.crashed(message.recipient, time):
             self.stats.crash_drops += 1
-            self._note("fault.delivery_drop", message, time)
+            self._note("fault.delivery_drop", message, message.recipient, time)
             return False
         return True
 

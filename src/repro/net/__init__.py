@@ -6,14 +6,12 @@ counts every delivery — the accounting behind the paper's communication
 cost comparisons (Fig. 4b, 4c).
 """
 
-from repro.net.events import Event, EventQueue, Scheduler
+from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import Network, LatencyModel
 from repro.net.node import Node, FullNode
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Scheduler",
     "Message",
     "MessageKind",

@@ -47,12 +47,14 @@ class Message(NamedTuple):
     """An addressed payload with a kind tag and optional shard context.
 
     An immutable tuple: one message is built per delivery, and a tuple
-    costs a fraction of a frozen dataclass to build.
+    costs a fraction of a frozen dataclass to build. ``recipient`` is
+    ``None`` only on the unaddressed message a faulty fan-out judges
+    its recipients against; a delivered message always names one.
     """
 
     kind: MessageKind
     sender: str
-    recipient: str
+    recipient: str | None
     payload: object = None
     shard_id: int | None = None
 

@@ -4,9 +4,10 @@ One call per delivery: each fan-out schedules one
 :class:`~repro.net.events.DeliveryWave` with a ``deliver`` closure that
 holds what the wave's deliveries share (kind, sender, payload, shard,
 fault model, the kind's cross-shard flag). Handed a due recipient, it
-builds that recipient's :class:`~repro.net.messages.Message`, drops it
-if the fault model says the recipient is down, counts it if it is
-cross-shard, and calls ``recipient.receive``.
+builds that recipient's :class:`~repro.net.messages.Message` — the only
+one built for that delivery — drops it if the fault model says the
+recipient is down, counts it if it is cross-shard, and calls
+``recipient.receive``.
 """
 
 from __future__ import annotations
@@ -196,9 +197,12 @@ class Network:
                  sender: str, payload: object, shard_id: int | None) -> int:
         """One wave delivering ``payload`` to ``targets``; returns sends made.
 
-        A dropped recipient still consumes its latency draw; a duplicate
-        is an extra item just before its original, so it takes the
-        sequence number a separate schedule ahead of the original would.
+        The fault model judges every recipient against one unaddressed
+        message, so a send builds its :class:`Message` only when it is
+        delivered. A dropped recipient still consumes its latency draw;
+        a duplicate is an extra item just before its original, so it
+        takes the sequence number a separate schedule ahead of the
+        original would.
         """
         scheduler = self._scheduler
         delays = self._latency.sample_many(self._rng, len(targets))
@@ -206,13 +210,11 @@ class Network:
         sent = len(targets)
         faults = self._faults
         if faults is not None:
+            unaddressed = Message(message_kind, sender, None, payload, shard_id)
             kept: list["Node"] = []
             times: list[float] = []
             for target, delay in zip(targets, delays):
-                decision = faults.filter_send(
-                    Message(message_kind, sender, target.node_id, payload, shard_id),
-                    now,
-                )
+                decision = faults.filter_send(unaddressed, now, target.node_id)
                 if decision.dropped:
                     sent -= 1
                     continue

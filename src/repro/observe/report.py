@@ -93,7 +93,6 @@ METRICS: dict[str, tuple[str, str, tuple[str, ...]]] = {
     "protocol.confirmed": ("gauges", "run.complete", ("attrs", "confirmed")),
     "protocol.duration_sim_s": ("gauges", "run.complete", ("time",)),
     "protocol.events_fired": ("gauges", "run.complete", ("wall", "events_fired")),
-    "protocol.queue_compactions": ("gauges", "run.complete", ("wall", "compactions")),
     "scheduler.peak_pending": ("gauges", "run.complete", ("wall", "peak_pending")),
     "merging.rounds_per_run": ("histograms", "merge.result", ("attrs", "rounds")),
     "merging.slots_to_converge": ("histograms", "merge.converge", ("attrs", "slots")),

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.net.events import MAX_EVENTS
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class SimulationConfig:
     block_capacity: int = 10
     seed: int = 0
     window: float | None = None  # fixed measurement window; None = stop on drain
-    max_events: int = 10_000_000
+    max_events: int = MAX_EVENTS
 
     def __post_init__(self) -> None:
         if self.block_capacity <= 0:

@@ -33,7 +33,7 @@ from repro.core.shard_formation import MAXSHARD_ID, ShardMap, form_shards
 from repro.errors import ConfigError, SimulationError
 from repro.faults.model import FaultModel
 from repro.faults.plan import FaultPlan, FaultStats
-from repro.net.events import Scheduler
+from repro.net.events import MAX_EVENTS, Scheduler
 from repro.net.messages import MessageKind
 from repro.net.network import LatencyModel, Network
 from repro.net.node import FullNode, ImageTable
@@ -99,8 +99,8 @@ class ProtocolConfig:
     engine:
         Which protocol engine runs the event loop. ``"fast"`` is the
         only engine; the field survives for callers that name it, and
-        any other value raises a :class:`ConfigError`. Fault-free
-        fan-outs are wave-scheduled (one self-re-arming
+        any other value raises a :class:`ConfigError`. Every fan-out,
+        faulty or not, is wave-scheduled (one self-re-arming
         :class:`~repro.net.events.DeliveryWave` heap entry per
         broadcast) and every shard's miners share one
         :class:`~repro.consensus.pow.MiningCalendar`; the recorded
@@ -126,7 +126,8 @@ class ProtocolConfig:
         transaction confirms, which an evicted one never does.
     max_events:
         Event budget for the run loop. ``None`` (default) keeps the
-        scheduler's 10^7 runaway-loop guard; million-transaction
+        scheduler's runaway-loop guard
+        (:data:`~repro.net.events.MAX_EVENTS`, 10^7); million-transaction
         campaigns with a thousand miners legally fire more events than
         that and raise the budget explicitly.
     telemetry:
@@ -524,9 +525,7 @@ class ProtocolSimulation:
             self._nodes[miner.public] = node
             self._shard_nodes.setdefault(shard, []).append(node)
             self._mining[miner.public] = MiningProcess(
-                self._config.pow_params,
-                hashrate_fraction=1.0,
-                seed=seed_rng.getrandbits(32),
+                self._config.pow_params, seed=seed_rng.getrandbits(32)
             )
             calendar = self._shard_calendars.get(shard)
             if calendar is None:
@@ -724,7 +723,7 @@ class ProtocolSimulation:
             until=self._config.max_duration,
             stop_condition=drained,
             max_events=(
-                10_000_000
+                MAX_EVENTS
                 if self._config.max_events is None
                 else self._config.max_events
             ),
@@ -771,7 +770,6 @@ class ProtocolSimulation:
                 # scheduling changes that leave the run itself intact.
                 wall={
                     "events_fired": self._scheduler.events_fired,
-                    "compactions": self._scheduler.compactions,
                     "peak_pending": self._scheduler.peak_pending,
                 },
             )
@@ -818,8 +816,8 @@ class ProtocolSimulation:
             evicted=evicted,
             pool_depths=pool_depths,
             events_fired=self._scheduler.events_fired,
-            pending=getattr(self._scheduler, "pending", None),
-            peak_pending=getattr(self._scheduler, "peak_pending", None),
+            pending=self._scheduler.pending,
+            peak_pending=self._scheduler.peak_pending,
         )
 
     def _build_shard_stats(self) -> ShardStats:

@@ -61,99 +61,70 @@ class TestMiningProcess:
             b.next_block_time() for __ in range(5)
         ]
 
-    def test_retarget(self):
-        process = MiningProcess(PoWParameters.one_block_per_minute(), seed=3)
-        process.retarget(2.0)
-        assert process.expected_interval == pytest.approx(30.0)
-
-    def test_retarget_rejects_zero(self):
-        process = MiningProcess(PoWParameters(), seed=4)
-        with pytest.raises(ValueError):
-            process.retarget(0.0)
-
     def test_reference_hashrate_consistency(self):
         assert REFERENCE_HASHRATE * 60.0 == pytest.approx(0x40000)
 
-    def test_prefetch_bit_equal_under_mid_buffer_retargets(self):
-        """10^4 draws with retargets landing mid-prefetch-buffer must be
-        bit-identical to sequential expovariate arithmetic.
+    def test_prefetch_bit_equal_across_refills(self):
+        """10^4 draws spanning many prefetch refills must be bit-identical
+        to sequential ``-log(1 - u) / lambd`` arithmetic.
 
-        The buffer stores raw uniforms and applies ``-log(1-u)/lambd``
-        lazily, so a retarget must affect the very next draw even when
-        the buffer already holds prefetched uniforms.
+        The buffer stores raw uniforms, reversed for popping; a slip in
+        the order or a refill boundary shows up as a mismatch.
         """
         params = PoWParameters.one_block_per_minute()
         process = MiningProcess(params, seed=99)
         reference = random.Random(99)
-        # Retarget points chosen mid-buffer (PREFETCH=64): none is a
-        # multiple of 64, so stale prefetched uniforms are live at every
-        # switch.
-        retargets = {100: 2.0, 3_001: 0.5, 7_777: 3.0}
-        fraction = 1.0
-        for i in range(10_000):
-            if i in retargets:
-                fraction = retargets[i]
-                process.retarget(fraction)
-            expected = -math.log(1.0 - reference.random()) / (
-                1.0 / params.expected_interval(fraction)
-            )
+        lambd = 1.0 / params.expected_interval()
+        for __ in range(10_000):
+            expected = -math.log(1.0 - reference.random()) / lambd
             assert process.next_block_time() == expected
 
 
-def _run_per_miner_oracle(n_miners, script, until):
-    """Reference scheme: one standing scheduler event per miner."""
-    scheduler = Scheduler()
+#: Crash windows ``miner -> (down_at, up_at)`` for the differential test.
+CRASHES = {"m1": (350.0, 900.0), "m2": (650.0, 1_200.0), "m3": (100.0, 150.0)}
+
+
+def _mine_step(scheduler, processes, fired, miner_id):
+    """The protocol's mine step: a crashed miner's slot fires and
+    redraws without forging; a live one forges, then redraws. Returns
+    the miner's next absolute block time."""
+    down_at, up_at = CRASHES.get(miner_id, (math.inf, math.inf))
+    forged = not down_at <= scheduler.now < up_at
+    fired.append((scheduler.now, miner_id, forged))
+    return scheduler.now + processes[miner_id].next_block_time()
+
+
+def _processes(n_miners):
     params = PoWParameters.one_block_per_minute()
-    processes = {
-        f"m{i}": MiningProcess(params, seed=1000 + i) for i in range(n_miners)
-    }
-    events = {}
+    return {f"m{i}": MiningProcess(params, seed=1000 + i) for i in range(n_miners)}
+
+
+def _run_per_miner_reference(n_miners, until):
+    """Reference scheme: one standing scheduler event per miner, each
+    scheduling that miner's next one when it fires."""
+    scheduler = Scheduler()
+    processes = _processes(n_miners)
     fired = []
 
     def mine(miner_id):
-        fired.append((scheduler.now, miner_id))
-        events[miner_id] = scheduler.schedule_in(
-            processes[miner_id].next_block_time(), mine, miner_id
-        )
+        next_time = _mine_step(scheduler, processes, fired, miner_id)
+        scheduler.schedule_at(next_time, mine, miner_id)
 
     for miner_id, process in processes.items():
-        events[miner_id] = scheduler.schedule_in(
-            process.next_block_time(), mine, miner_id
-        )
-
-    def control(action, miner_id, arg):
-        if action == "retarget":
-            # Cancel-and-redraw: the old pending time was drawn under
-            # the old share, replace it.
-            processes[miner_id].retarget(arg)
-            events[miner_id].cancel()
-            events[miner_id] = scheduler.schedule_in(
-                processes[miner_id].next_block_time(), mine, miner_id
-            )
-        elif action == "crash":
-            events[miner_id].cancel()
-        else:  # pragma: no cover - script typo guard
-            raise AssertionError(action)
-
-    for time, action, miner_id, arg in script:
-        scheduler.schedule_at(time, control, action, miner_id, arg)
+        scheduler.schedule_in(process.next_block_time(), mine, miner_id)
     scheduler.run(until=until)
-    return fired
+    return fired, scheduler.peak_pending
 
 
-def _run_calendar(n_miners, script, until):
+def _run_calendar(n_miners, until):
     """Same workload through a MiningCalendar (one heap entry)."""
     scheduler = Scheduler()
-    params = PoWParameters.one_block_per_minute()
-    processes = {
-        f"m{i}": MiningProcess(params, seed=1000 + i) for i in range(n_miners)
-    }
+    processes = _processes(n_miners)
     fired = []
 
     def mine(miner_id):
-        fired.append((scheduler.now, miner_id))
         calendar.set_next(
-            miner_id, scheduler.now + processes[miner_id].next_block_time()
+            miner_id, _mine_step(scheduler, processes, fired, miner_id)
         )
 
     calendar = MiningCalendar(scheduler, mine)
@@ -161,23 +132,8 @@ def _run_calendar(n_miners, script, until):
         calendar.add(miner_id)
         calendar.set_next(miner_id, scheduler.now + process.next_block_time())
     calendar.rearm()
-
-    def control(action, miner_id, arg):
-        if action == "retarget":
-            processes[miner_id].retarget(arg)
-            calendar.set_next(
-                miner_id, scheduler.now + processes[miner_id].next_block_time()
-            )
-        elif action == "crash":
-            calendar.set_next(miner_id, math.inf)
-        else:  # pragma: no cover - script typo guard
-            raise AssertionError(action)
-        calendar.rearm()
-
-    for time, action, miner_id, arg in script:
-        scheduler.schedule_at(time, control, action, miner_id, arg)
     scheduler.run(until=until)
-    return fired
+    return fired, scheduler.peak_pending
 
 
 class TestMiningCalendar:
@@ -185,20 +141,21 @@ class TestMiningCalendar:
     # (when numpy is present; without it both take the python path).
     @pytest.mark.parametrize("n_miners", [5, 40])
     def test_differential_vs_per_miner_events(self, n_miners):
-        """Forge/retarget/crash workload: the calendar must fire the
-        exact same (time, miner) sequence as one-event-per-miner."""
-        script = [
-            (200.0, "retarget", "m2", 2.0),
-            (350.0, "crash", "m1", None),
-            (500.0, "retarget", "m0", 0.25),
-            (650.0, "crash", "m2", None),
-            (700.0, "retarget", "m3", 4.0),
-        ]
-        oracle = _run_per_miner_oracle(n_miners, script, until=2_000.0)
-        calendar = _run_calendar(n_miners, script, until=2_000.0)
-        assert calendar == oracle
-        assert len(oracle) > 20  # the workload actually forged blocks
-        assert all(miner != "m1" for time, miner in oracle if time > 350.0)
+        """Forges and crashed slots: the calendar must fire the exact
+        same (time, miner) sequence as one event per miner, from one
+        heap entry instead of ``n_miners``."""
+        reference, reference_peak = _run_per_miner_reference(n_miners, 2_000.0)
+        calendar, calendar_peak = _run_calendar(n_miners, 2_000.0)
+        assert calendar == reference
+        assert len(reference) > 20  # the workload actually forged blocks
+        for miner_id, (down_at, up_at) in CRASHES.items():
+            # Every crash window swallowed at least one slot.
+            assert any(
+                miner == miner_id and down_at <= time < up_at and not forged
+                for time, miner, forged in reference
+            )
+        assert reference_peak == n_miners
+        assert calendar_peak == 1
 
     def test_single_heap_entry(self):
         scheduler = Scheduler()
@@ -217,13 +174,23 @@ class TestMiningCalendar:
             calendar.add("m0")
 
     def test_all_crashed_disarms(self):
+        """A calendar whose miners all sit at ``inf`` arms nothing: not
+        at set-up, and not after the last armed slot fires."""
         scheduler = Scheduler()
-        calendar = MiningCalendar(scheduler, lambda miner_id: None)
+        fired = []
+
+        def mine(miner_id):
+            fired.append(miner_id)
+            calendar.set_next(miner_id, math.inf)
+
+        calendar = MiningCalendar(scheduler, mine)
         calendar.add("m0")
+        calendar.rearm()
+        assert scheduler.pending == 0
         calendar.set_next("m0", 5.0)
         calendar.rearm()
         assert scheduler.pending == 1
-        calendar.set_next("m0", math.inf)
-        calendar.rearm()
+        scheduler.run()
+        assert fired == ["m0"]
         assert scheduler.pending == 0
         assert calendar.next_time("m0") == math.inf

@@ -11,9 +11,9 @@ from repro.net.events import Scheduler
 def run_keyed(scheduler: Scheduler, **kwargs) -> list[tuple[float, int]]:
     """Run ``scheduler`` and return the ``(time, sequence)`` heap key of
     every event it fires, read off the heap top at each stop check (the
-    check runs once before every event; no event here is cancelled)."""
+    check runs once before every event)."""
     keys = []
-    heap = scheduler._queue._heap
+    heap = scheduler._heap
 
     def record() -> bool:
         if heap:
@@ -44,15 +44,6 @@ class TestEventQueue:
         assert run_keyed(scheduler) == [(1.0, 0), (1.0, 1)]
         assert fired == ["first", "second"]
 
-    def test_cancelled_events_skipped(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.schedule_at(1.0, fired.append, "x").cancel()
-        assert scheduler.pending == 0
-        scheduler.run()
-        assert fired == []
-        assert scheduler.events_fired == 0
-
     def test_peek_time(self):
         # The earliest pending time bounds a capped run.
         scheduler = Scheduler()
@@ -62,19 +53,6 @@ class TestEventQueue:
         assert fired == []
         assert scheduler.run(until=5.0) == 5.0
         assert fired == ["x"]
-
-    def test_peek_time_skips_cancelled(self):
-        scheduler = Scheduler()
-        fired = []
-        early = scheduler.schedule_at(1.0, fired.append, 1.0)
-        scheduler.schedule_at(2.0, fired.append, 2.0)
-        early.cancel()
-        assert scheduler.run(until=1.5) == 1.5
-        assert fired == []
-        assert scheduler.pending == 1
-        scheduler.run()
-        assert fired == [2.0]
-        assert scheduler.now == 2.0
 
     def test_empty_peek(self):
         scheduler = Scheduler()
@@ -168,23 +146,19 @@ class TestScheduler:
 
     def test_pending_is_live_count(self):
         scheduler = Scheduler()
-        events = [scheduler.schedule_in(float(i + 1), lambda: None) for i in range(5)]
-        assert scheduler.pending == 5
-        events[0].cancel()
-        events[0].cancel()  # idempotent: counted once
+        for i in range(5):
+            scheduler.schedule_in(float(i + 1), lambda: None)
+        scheduler.schedule_wave([1.5, 2.5], ["a", "b"], lambda item: None)
+        assert scheduler.pending == 7
+        scheduler.run(until=2.0)
+        assert scheduler.events_fired == 3
         assert scheduler.pending == 4
-
-    def test_cancel_after_pop_does_not_corrupt_count(self):
-        scheduler = Scheduler()
-        event = scheduler.schedule_at(1.0, lambda: None)
-        scheduler.schedule_at(2.0, lambda: None)
-        scheduler.run(until=1.5)
-        assert scheduler.events_fired == 1
-        event.cancel()  # already fired; the live count must not go stale
-        assert scheduler.pending == 1
+        # An event scheduled mid-run counts until it fires.
+        scheduler.schedule_in(0.5, lambda: None)
+        assert scheduler.pending == 5
         scheduler.run()
-        assert scheduler.events_fired == 2
         assert scheduler.pending == 0
+        assert scheduler.events_fired == 8
 
     def test_wave_interleaves_exactly_like_individual_events(self):
         """Differential oracle: a wave-scheduled fan-out fires in the
@@ -295,40 +269,4 @@ class TestScheduler:
     def test_empty_wave_is_noop(self):
         scheduler = Scheduler()
         assert scheduler.schedule_wave([], [], lambda item: None) is None
-        assert scheduler.pending == 0
-
-    def test_compaction_preserves_order(self):
-        scheduler = Scheduler()
-        times = []
-        events = [
-            scheduler.schedule_at(float(i), times.append, float(i))
-            for i in range(100)
-        ]
-        for event in events[:80]:
-            if event.time % 2 == 0:
-                event.cancel()
-        for event in events[:80]:
-            event.cancel()
-        assert scheduler.compactions >= 1
-        scheduler.run()
-        assert times == [float(i) for i in range(80, 100)]
-
-    def test_compaction_during_run_keeps_order(self):
-        """A callback whose cancels trigger a compaction mid-run: the
-        running loop must see the compacted heap, not a stale copy."""
-        scheduler = Scheduler()
-        times = []
-        events = [
-            scheduler.schedule_at(float(i), times.append, float(i))
-            for i in range(1, 101)
-        ]
-
-        def cancel_most():
-            for event in events[:80]:
-                event.cancel()
-
-        scheduler.schedule_at(0.5, cancel_most)
-        scheduler.run()
-        assert scheduler.compactions >= 1
-        assert times == [float(i) for i in range(81, 101)]
         assert scheduler.pending == 0

@@ -110,7 +110,7 @@ class TestMetricsFold:
     def test_kinds_and_names(self):
         kinds = {kind: sum(k == kind for k, *_ in METRICS.values())
                  for kind in ("counters", "gauges", "histograms")}
-        assert kinds == {"counters": 10, "gauges": 5, "histograms": 4}
+        assert kinds == {"counters": 10, "gauges": 4, "histograms": 4}
 
     def test_counters_gauges_and_histograms_fold_from_records(self):
         report = RunReport.from_payloads([
@@ -118,8 +118,7 @@ class TestMetricsFold:
             _record(1, "block.forged", txs=4, empty=False),
             _record(2, "leader.timeout", fallbacks=0),
             _record(3, "run.complete", time=9.5, confirmed=4,
-                    wall={"events_fired": 30, "compactions": 0,
-                          "peak_pending": 3}),
+                    wall={"events_fired": 30, "peak_pending": 3}),
             _record(4, "run.complete", time=12.0, confirmed=6),
         ])
         assert report.metrics["counters"] == {
@@ -132,7 +131,6 @@ class TestMetricsFold:
             "protocol.confirmed": 6,
             "protocol.duration_sim_s": 12.0,
             "protocol.events_fired": 30,
-            "protocol.queue_compactions": 0,
             "scheduler.peak_pending": 3,
         }
         block_txs = report.metrics["histograms"]["protocol.block_txs"]

@@ -21,9 +21,9 @@ bit across PR history:
 Every one of those runs also checks execute-once agreement: honest
 replicas at the same ``(shard, head)`` hold equal world states, however
 many of them wrote another replica's block image instead of running the
-block. Targeted regressions for the RNG draw-order contract, scheduler
-compaction, the shard image tables, and the tip-delta world state
-against a replay from the pre-genesis snapshot follow.
+block. Targeted regressions for the RNG draw-order contract, the shard
+image tables, and the tip-delta world state against a replay from the
+pre-genesis snapshot follow.
 """
 
 import functools
@@ -37,7 +37,6 @@ from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import REFERENCE_HASHRATE, PoWParameters
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
-from repro.net.events import Scheduler
 from repro.net.network import LatencyModel
 from repro.net.node import MAX_IMAGES
 from repro.observe import Tracer
@@ -261,58 +260,20 @@ class TestDrawOrderContract:
 
 class TestMiningPrefetchContract:
     """The prefetched uniform buffer must reproduce ``expovariate``'s
-    exact draw values, including across a mid-stream retarget."""
+    exact draw values."""
 
     def test_prefetch_bit_equal_to_expovariate(self):
         from repro.consensus.pow import MiningProcess, PoWParameters
 
         params = PoWParameters.fast_confirmation()
-        process = MiningProcess(params, hashrate_fraction=0.5, seed=21)
+        process = MiningProcess(params, seed=21)
         reference = random.Random(21)
-        interval = params.expected_interval(0.5)
+        interval = params.expected_interval()
         # Span several refills of the prefetch buffer.
         for __ in range(3 * MiningProcess.PREFETCH + 5):
             assert process.next_block_time() == reference.expovariate(
                 1.0 / interval
             )
-
-    def test_retarget_applies_from_next_draw(self):
-        from repro.consensus.pow import MiningProcess, PoWParameters
-
-        params = PoWParameters.one_block_per_minute()
-        process = MiningProcess(params, hashrate_fraction=1.0, seed=3)
-        reference = random.Random(3)
-        for __ in range(5):
-            assert process.next_block_time() == reference.expovariate(
-                1.0 / params.expected_interval(1.0)
-            )
-        # Retarget mid-buffer: already-prefetched uniforms must be
-        # re-scaled by the new interval, not served at the old one.
-        process.retarget(0.25)
-        for __ in range(5):
-            assert process.next_block_time() == reference.expovariate(
-                1.0 / params.expected_interval(0.25)
-            )
-
-
-class TestSchedulerCompaction:
-    def test_mass_cancellation_triggers_compaction(self):
-        scheduler = Scheduler()
-        events = [scheduler.schedule_in(float(i + 1), lambda: None) for i in range(200)]
-        for event in events[:150]:
-            event.cancel()
-        assert scheduler.compactions >= 1
-        assert scheduler.pending == 50
-        # The surviving events still fire in order.
-        assert scheduler.run() == 200.0
-
-    def test_small_heaps_never_compact(self):
-        scheduler = Scheduler()
-        events = [scheduler.schedule_in(float(i + 1), lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        assert scheduler.compactions == 0
-        assert scheduler.pending == 0
 
 
 class TestStateOracle:
