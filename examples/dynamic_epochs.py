@@ -26,7 +26,7 @@ EPOCH_TRAFFIC = [
 
 
 def build_epoch_workload(epoch_index: int) -> list:
-    builder = WorkloadBuilder(seed=100 + epoch_index)
+    builder = WorkloadBuilder()
     transactions = []
     for name, volume in sorted(EPOCH_TRAFFIC[epoch_index].items()):
         contract = f"0xc{abs(hash(name)) % 10**36:039d}"

@@ -40,7 +40,7 @@ MARKET = {
 
 
 def build_market_workload():
-    builder = WorkloadBuilder(seed=7)
+    builder = WorkloadBuilder()
     transactions = []
     for index, (name, volume) in enumerate(sorted(MARKET.items()), start=1):
         contract = f"0xc{index:039d}"

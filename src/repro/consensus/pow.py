@@ -9,12 +9,12 @@ paper pins two operating points on c5.large machines:
 * difficulty ``0xd79`` — "a miner confirms 76 transactions per second"
   (Sec. VI-B2), i.e. with 10-transaction blocks a 7.6 blocks/s rate.
 
-:class:`PoWParameters` calibrates the reference hash rate from the first
-operating point and exposes named constructors for both. A run mines at
-one operating point throughout: :class:`MiningProcess` draws one miner's
-block times at a fixed difficulty, and :class:`MiningCalendar` keeps a
-shard's miners behind a single scheduler event that is re-armed only
-when it fires.
+:class:`PoWParameters` derives block times from the reference hash rate,
+calibrated on the first operating point, and exposes named constructors
+for both. A run mines at one operating point throughout:
+:class:`MiningProcess` draws one miner's block times at a fixed
+difficulty, and :class:`MiningCalendar` keeps a shard's miners behind a
+single scheduler event that is re-armed only when it fires.
 """
 
 from __future__ import annotations
@@ -37,16 +37,14 @@ REFERENCE_HASHRATE = _ANCHOR_DIFFICULTY / _ANCHOR_INTERVAL_SECONDS
 
 @dataclass(frozen=True)
 class PoWParameters:
-    """Difficulty plus reference hash rate; derives expected block times."""
+    """A difficulty; derives the expected block time at the reference
+    hash rate."""
 
     difficulty: int = _ANCHOR_DIFFICULTY
-    reference_hashrate: float = REFERENCE_HASHRATE
 
     def __post_init__(self) -> None:
         if self.difficulty <= 0:
             raise ValueError("difficulty must be positive")
-        if self.reference_hashrate <= 0:
-            raise ValueError("reference hash rate must be positive")
 
     @classmethod
     def one_block_per_minute(cls) -> "PoWParameters":
@@ -68,11 +66,9 @@ class PoWParameters:
         difficulty = max(1, round(REFERENCE_HASHRATE * interval))
         return cls(difficulty=difficulty)
 
-    def expected_interval(self, hashrate_fraction: float = 1.0) -> float:
-        """Expected seconds between blocks for a given hash-power share."""
-        if hashrate_fraction <= 0:
-            raise ValueError("hash-power fraction must be positive")
-        return self.difficulty / (self.reference_hashrate * hashrate_fraction)
+    def expected_interval(self) -> float:
+        """Expected seconds between one miner's blocks."""
+        return self.difficulty / REFERENCE_HASHRATE
 
 
 class MiningProcess:

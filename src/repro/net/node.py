@@ -39,12 +39,13 @@ from repro.chain.state import BlockImage, BlockUndo, WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.validation import BlockValidator, BlockVerdict
 from repro.consensus.miner import (
+    AssignedSelectionBehavior,
     HonestBehavior,
     MinerBehavior,
     MinerIdentity,
     SoloFallbackBehavior,
 )
-from repro.errors import LedgerError
+from repro.errors import LedgerError, UnificationError
 from repro.net.messages import Message, MessageKind
 
 # Which shard does a transaction belong to? (None = not this node's business.)
@@ -155,7 +156,6 @@ class FullNode(Node):
         tx_classifier: TxShardClassifier,
         behavior: MinerBehavior | None = None,
         state: WorldState | None = None,
-        selection_replay: object | None = None,
         packet_commitment: str | None = None,
         mempool_limit: int | None = None,
     ) -> None:
@@ -175,10 +175,10 @@ class FullNode(Node):
         self._block_validator = BlockValidator(
             own_shard=shard_id, membership_verifier=membership_verifier
         )
-        # Sec. IV-C enforcement: when a UnifiedReplay is installed, blocks
-        # that deviate from the unified transaction selection are rejected
+        # Sec. IV-C enforcement: once install_replay() runs, blocks that
+        # deviate from the unified transaction selection are rejected
         # exactly like shard-membership liars.
-        self._selection_replay = selection_replay
+        self._selection_replay = None
         # The publicly known digest of the canonical unification packet;
         # leader broadcasts whose digest mismatches it are rejected.
         self._packet_commitment = packet_commitment
@@ -418,11 +418,10 @@ class FullNode(Node):
 
         The packet digest must match the publicly known commitment; a
         mismatch (tampered relay, equivocating leader) is rejected and
-        counted. On acceptance the node builds the local replay and — if
-        the selection game assigned it a transaction set — adopts the
-        game-assigned packing behavior. The digest is memoized on the
-        packet, so retransmitted copies of the same object cost a dict
-        hit instead of a full recomputation.
+        counted. On acceptance the node builds the local replay and
+        installs it (:meth:`install_replay`). The digest is memoized on
+        the packet, so retransmitted copies of the same object cost a
+        dict hit instead of a full recomputation.
         """
         from repro.core.unification import UnifiedReplay
 
@@ -433,22 +432,27 @@ class FullNode(Node):
             self.stats.packets_rejected += 1
             return False
         self.stats.packets_accepted += 1
-        if self._selection_replay is not None:
-            # Retransmitted duplicate of an already-installed packet.
-            return True
-        replay = UnifiedReplay(packet)
-        self._selection_replay = replay
-        if not self._behavior_overridden:
-            from repro.consensus.miner import AssignedSelectionBehavior
-            from repro.errors import UnificationError
-
-            try:
-                assigned = replay.assigned_tx_ids(self.shard_id, self.node_id)
-            except UnificationError:
-                # Solo or empty shard: no game ran, keep fee-greedy packing.
-                return True
-            self.behavior = AssignedSelectionBehavior(list(assigned))
+        if self._selection_replay is None:
+            # Otherwise a retransmitted duplicate of an installed packet.
+            self.install_replay(UnifiedReplay(packet))
         return True
+
+    def install_replay(self, replay) -> None:
+        """Enforce a verified unified selection (Sec. IV-C).
+
+        From now on the node rejects blocks that deviate from
+        ``replay``. Unless its behaviour was overridden it also packs
+        its game-assigned set; in a solo or empty shard no game ran, and
+        it keeps fee-greedy packing.
+        """
+        self._selection_replay = replay
+        if self._behavior_overridden:
+            return
+        try:
+            assigned = replay.assigned_tx_ids(self.shard_id, self.node_id)
+        except UnificationError:
+            return
+        self.behavior = AssignedSelectionBehavior(list(assigned))
 
     @property
     def has_unified_replay(self) -> bool:

@@ -36,7 +36,7 @@ import pathlib
 import time as _walltime
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import ConfigError, SimulationError
 
@@ -85,10 +85,9 @@ class TraceRecord:
 class Tracer:
     """Collects the records of one (or more) runs.
 
-    ``clock`` optionally supplies a default simulated-time source (for
-    example a scheduler's ``now``); an explicit ``time=`` on
-    :meth:`event` always wins, and with neither the record is untimed
-    (logical ordering by ``seq`` alone — the game layers have no clock).
+    A record is timed by an explicit ``time=`` on :meth:`event`;
+    without one it is untimed (logical ordering by ``seq`` alone — the
+    game layers have no clock).
 
     ``lineage`` opts into the per-transaction lifecycle events
     (``tx.seen`` / ``tx.confirmed`` plus per-block ``tx_idx`` lists)
@@ -108,7 +107,6 @@ class Tracer:
 
     def __init__(
         self,
-        clock: Callable[[], float] | None = None,
         lineage: bool = False,
         sink: str | pathlib.Path | None = None,
         buffer_limit: int = DEFAULT_SINK_BUFFER,
@@ -117,7 +115,6 @@ class Tracer:
             raise ConfigError(f"buffer_limit must be positive: got {buffer_limit}")
         self.records: list[TraceRecord] = []
         self.lineage = bool(lineage)
-        self._clock: Callable[[], float] | None = clock
         self._seq = 0
         # Rolling digest + per-(name, phase) tally: maintained on every
         # emission so no inspection API needs the record list.
@@ -131,10 +128,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
-    def set_clock(self, clock: Callable[[], float] | None) -> None:
-        """Install (or clear) the default simulated-time source."""
-        self._clock = clock
-
     def event(
         self,
         name: str,
@@ -148,8 +141,6 @@ class Tracer:
         **attrs: object,
     ) -> TraceRecord:
         """Append one record; returns it (mostly for tests)."""
-        if time is None and self._clock is not None:
-            time = self._clock()
         record = TraceRecord(
             seq=self._seq,
             name=name,

@@ -213,7 +213,7 @@ class CrossShardDoubleSpendScenario(Scenario):
         self.horizon = horizon
 
     def build(self, seed: int) -> ScenarioRun:
-        builder = WorkloadBuilder(seed=seed)
+        builder = WorkloadBuilder()
         contract_a = _contract_address(1)
         contract_b = _contract_address(2)
         fees = iter(
@@ -341,7 +341,7 @@ class FeeGriefingScenario(Scenario):
 
     def build(self, seed: int) -> ScenarioRun:
         idents = _identities("grief", seed, self.miners)
-        builder = WorkloadBuilder(seed=seed)
+        builder = WorkloadBuilder()
         contract = _contract_address(1)
         txs: list[Transaction] = []
         # Disjoint fee bands (honest low, spam high), distinct within
@@ -460,7 +460,7 @@ class EclipseScenario(Scenario):
 
     def build(self, seed: int) -> ScenarioRun:
         idents = _identities("ecl", seed, self.miners)
-        builder = WorkloadBuilder(seed=seed)
+        builder = WorkloadBuilder()
         fees = _distinct_fees(f"ecl-{seed}", self.txs)
         workload = [
             builder.contract_call(
@@ -633,7 +633,7 @@ class AdaptiveConcentrationScenario(Scenario):
         honest = _identities("adap", seed, self.honest_miners)
         # Three contract shards with one deliberately tiny one (2 txs):
         # shard 1 is the small shard the adversary will concentrate on.
-        builder = WorkloadBuilder(seed=seed)
+        builder = WorkloadBuilder()
         small = 2
         rest = self.total_txs - small
         counts = {1: small, 2: rest // 2, 3: rest - rest // 2}

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.net.events import MAX_EVENTS
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,9 @@ class SimulationConfig:
     block_capacity: int = 10
     seed: int = 0
     window: float | None = None  # fixed measurement window; None = stop on drain
-    max_events: int = MAX_EVENTS
 
     def __post_init__(self) -> None:
         if self.block_capacity <= 0:
             raise ConfigError("block_capacity must be positive")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be positive or None")
-        if self.max_events <= 0:
-            raise ConfigError("max_events must be positive")

@@ -27,7 +27,6 @@ from repro.chain.transaction import Transaction
 from repro.consensus.miner import MinerBehavior, MinerIdentity
 from repro.consensus.pow import MiningCalendar, MiningProcess, PoWParameters
 from repro.consensus.rewards import RewardLedger
-from repro.core.bitset import Bitset
 from repro.core.miner_assignment import MinerAssignment, assign_miners
 from repro.core.shard_formation import MAXSHARD_ID, ShardMap, form_shards
 from repro.errors import ConfigError, SimulationError
@@ -332,11 +331,9 @@ class ProtocolSimulation:
             if self._lineage
             else {}
         )
-        # Dense bitmap, not set[int]: lineage runs at streaming scales
-        # previously held every seen index at ~80 bytes a member.
-        self._seen_txs = Bitset(
-            len(self._transactions) if self._lineage else 0
-        )
+        # Lineage's first-seen set: an index is popped when its tx is
+        # first pooled anywhere.
+        self._unseen_txs = dict(self._tx_index)
         # Injection progress: one t=0 batch for a list, one per tick for
         # a paced stream.
         self._inject_done = False
@@ -474,19 +471,6 @@ class ProtocolSimulation:
         )
         return UnifiedReplay(packet)
 
-    def _unified_behavior(self, public: str, shard: int) -> MinerBehavior | None:
-        """The game-assigned behavior for a miner under unification."""
-        from repro.consensus.miner import AssignedSelectionBehavior
-        from repro.errors import UnificationError
-
-        if self._replay is None:
-            return None
-        try:
-            assigned = self._replay.assigned_tx_ids(shard, public)
-        except UnificationError:
-            return None
-        return AssignedSelectionBehavior(list(assigned))
-
     def _classifier(self):
         shard_map, callgraph = self._shard_map, self._callgraph
 
@@ -503,21 +487,17 @@ class ProtocolSimulation:
         seed_rng = random.Random(self._config.seed)
         for miner in self._miners:
             shard = self._assignment.shard_of[miner.public]
-            behavior = self._behaviors.get(miner.public)
-            if behavior is None and not self._distribute_packet:
-                behavior = self._unified_behavior(miner.public, shard)
             node = FullNode(
                 identity=miner,
                 shard_id=shard,
                 membership_verifier=verifier,
                 tx_classifier=self._classify,
-                behavior=behavior,
-                selection_replay=(
-                    None if self._distribute_packet else self._replay
-                ),
+                behavior=self._behaviors.get(miner.public),
                 packet_commitment=self._commitment,
                 mempool_limit=self._config.mempool_limit,
             )
+            if self._replay is not None and not self._distribute_packet:
+                node.install_replay(self._replay)
             if self._lineage:
                 node.on_pooled = self._note_pooled
                 node.on_rejected = self._note_rejected
@@ -543,10 +523,9 @@ class ProtocolSimulation:
 
     def _note_pooled(self, node: FullNode, tx: Transaction) -> None:
         """Lineage: first-seen gossip — the first pooling of a tx anywhere."""
-        idx = self._tx_index.get(tx.tx_id)
-        if idx is None or idx in self._seen_txs:
+        idx = self._unseen_txs.pop(tx.tx_id, None)
+        if idx is None:
             return
-        self._seen_txs.add(idx)
         self._tracer.event(
             "tx.seen",
             time=self._scheduler.now,

@@ -356,16 +356,13 @@ class ShardedSimulation:
 
         if config.window is None:
             stop = drained if beat is None else (lambda: (beat(), drained())[1])
-            self._scheduler.run(
-                stop_condition=stop, max_events=config.max_events
-            )
+            self._scheduler.run(stop_condition=stop)
             self.finished = True
             window_end = self._scheduler.now
         else:
             self._scheduler.run(
                 until=config.window,
                 stop_condition=beat,
-                max_events=config.max_events,
             )
             self.finished = True
             window_end = config.window

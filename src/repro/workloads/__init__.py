@@ -8,9 +8,16 @@ multiple smart contracts..."). These generators produce the same shapes:
 * skewed traffic with deliberately small shards (Fig. 3c-3g, Fig. 4c);
 * multi-input transactions for the cross-shard comparison (Fig. 4b);
 * single-shard fee workloads for the selection game (Fig. 3h, Fig. 5b).
+
+Each generator is one call of a single seeded emitter over per-shard
+transaction slices, and a list generator is ``list()`` of the stream it
+draws, so list and streaming workloads cannot drift apart. Fees come
+from the seeded uniform draw over ``[FEE_LOW, FEE_HIGH] = [1, 100]``.
 """
 
 from repro.workloads.distributions import (
+    FEE_HIGH,
+    FEE_LOW,
     binomial_fees,
     exponential_fees,
     uniform_fee_stream,
@@ -31,6 +38,8 @@ from repro.workloads.generators import (
 )
 
 __all__ = [
+    "FEE_LOW",
+    "FEE_HIGH",
     "MAX_MATERIALIZED_TXS",
     "TxStream",
     "WorkloadBuilder",

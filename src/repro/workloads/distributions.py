@@ -2,38 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro.errors import WorkloadError
 
-
-def uniform_fees(
-    count: int, low: int = 1, high: int = 100, seed: int | None = None
-) -> list[int]:
-    """Integer fees drawn uniformly from ``[low, high]``."""
-    if count < 0:
-        raise WorkloadError("fee count cannot be negative")
-    if low < 0 or high < low:
-        raise WorkloadError(f"invalid fee range [{low}, {high}]")
-    rng = random.Random(seed)
-    return [rng.randint(low, high) for __ in range(count)]
+#: The paper's uniform fee range: every generated workload draws its
+#: fees from ``[FEE_LOW, FEE_HIGH]``.
+FEE_LOW, FEE_HIGH = 1, 100
 
 
-def uniform_fee_stream(
-    low: int = 1, high: int = 100, seed: int | None = None
-):
-    """Lazy, unbounded version of :func:`uniform_fees`.
+def uniform_fee_stream(seed: int | None = None):
+    """Integer fees drawn uniformly from ``[FEE_LOW, FEE_HIGH]``, forever.
 
-    Draws from the identical RNG in the identical order, so the first
-    ``n`` values are bit-equal to ``uniform_fees(n, low, high, seed)``
-    — the property the streaming/list workload parity rests on — while
-    a million-transaction campaign never holds a million fees at once.
+    Lazy, so a million-transaction campaign never holds a million fees
+    at once.
     """
-    if low < 0 or high < low:
-        raise WorkloadError(f"invalid fee range [{low}, {high}]")
     rng = random.Random(seed)
     while True:
-        yield rng.randint(low, high)
+        yield rng.randint(FEE_LOW, FEE_HIGH)
+
+
+def uniform_fees(count: int, seed: int | None = None) -> list[int]:
+    """The first ``count`` draws of :func:`uniform_fee_stream`."""
+    if count < 0:
+        raise WorkloadError("fee count cannot be negative")
+    return list(itertools.islice(uniform_fee_stream(seed), count))
 
 
 def binomial_fees(
@@ -45,10 +39,11 @@ def binomial_fees(
     in the Sec. IV-D headline number).
 
     Draws are clamped to >= 1, matching the floor of every other fee
-    model here (``uniform_fees`` has ``low=1``, ``exponential_fees``
-    takes ``max(1, ...)``): a zero-fee transaction earns utility
-    ``U_ij = f_j/(n_j+1) = 0`` in the selection game, indistinguishable
-    from not selecting at all, which distorts tie-breaking.
+    model here (``uniform_fees`` starts at ``FEE_LOW = 1``,
+    ``exponential_fees`` takes ``max(1, ...)``): a zero-fee transaction
+    earns utility ``U_ij = f_j/(n_j+1) = 0`` in the selection game,
+    indistinguishable from not selecting at all, which distorts
+    tie-breaking.
     """
     if count < 0:
         raise WorkloadError("fee count cannot be negative")

@@ -1,31 +1,27 @@
 """Transaction workload generators.
 
-All generators route through :class:`WorkloadBuilder`, which manages
-sender accounts and their nonce sequences so that every generated
-workload validates cleanly against a fresh world state.
-
-Million-transaction campaigns use the *streaming* variants: they return
-a :class:`TxStream` — a replayable declaration of the workload's shape
-(total count, contract set, per-shard counts) plus a factory that
-*yields* transactions instead of returning a list. A stream's first
-``n`` transactions are field-identical to the list generator's first
-``n`` (same seeded draws in the same order), which is what makes
-generator-based injection digest-identical to list-based injection at
-baseline scales. Materializing a stream above
-:data:`MAX_MATERIALIZED_TXS` fails loudly — the whole point of a stream
-is that nothing ever holds it in memory at once.
+Every Sec. VI workload follows one recipe: contracts registered in
+advance, a fixed transaction count per shard, seeded fees. So every
+generator is one call of the private emitter :func:`_emit`, which
+returns a :class:`TxStream` — the workload's declared shape (total,
+contracts, per-shard counts) plus a factory that *yields* its
+transactions. Million-transaction campaigns inject streams in paced
+batches; a list generator is ``list()`` of its stream, so the list and
+the stream of one seed are one sequence by construction. All
+generators route through :class:`WorkloadBuilder`, whose sender nonces
+make every workload validate against a fresh world state.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.chain.transaction import Transaction, TransactionKind
 from repro.errors import WorkloadError
-from repro.workloads.distributions import uniform_fee_stream, uniform_fees
+from repro.workloads.distributions import FEE_HIGH, FEE_LOW, uniform_fee_stream
 
 #: Hard ceiling on turning a stream back into a list (t=0 injection,
 #: tests, debugging). Above this, callers must inject in paced batches.
@@ -42,18 +38,10 @@ def _user_address(name: str) -> str:
 
 @dataclass
 class WorkloadBuilder:
-    """Stateful builder tracking sender nonces and contract addresses."""
+    """Stateful builder tracking sender nonces."""
 
-    seed: int | None = None
     _nonces: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    _rng: random.Random = field(init=False)
 
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    # ------------------------------------------------------------------
-    # primitives
-    # ------------------------------------------------------------------
     def contract_call(
         self,
         sender: str,
@@ -105,10 +93,10 @@ class WorkloadBuilder:
 class TxStream:
     """A replayable, lazily generated transaction workload.
 
-    ``contracts`` and ``shard_counts`` declare up front what the list
-    generators only reveal after materialization: which contract
-    addresses exist (so shard formation needs no transaction scan) and
-    how many transactions each shard will eventually receive. Each
+    ``contracts`` and ``shard_counts`` declare up front what a list
+    only reveals after classification: which contract addresses exist
+    (so shard formation needs no transaction scan) and how many
+    transactions each shard will eventually receive. Each
     :meth:`__iter__` call restarts the seeded factory, so the stream
     can be traversed more than once — note that transaction *ids* embed
     a process-global serial and therefore differ between traversals,
@@ -126,19 +114,16 @@ class TxStream:
     def __iter__(self) -> Iterator[Transaction]:
         return self.factory()
 
-    def materialize(self, cap: int | None = None) -> list[Transaction]:
-        """The full transaction list — small streams only, loudly.
-
-        ``cap`` defaults to :data:`MAX_MATERIALIZED_TXS`; a stream
-        declaring more transactions than the cap refuses instead of
-        silently exhausting memory.
-        """
-        limit = MAX_MATERIALIZED_TXS if cap is None else cap
-        if self.total > limit:
+    def materialize(self) -> list[Transaction]:
+        """The full transaction list — at most
+        :data:`MAX_MATERIALIZED_TXS` of them, or a loud refusal instead
+        of silently exhausting memory."""
+        if self.total > MAX_MATERIALIZED_TXS:
             raise WorkloadError(
                 f"refusing to materialize {self.description!r}: "
-                f"{self.total} transactions exceed the {limit}-tx cap — "
-                f"use paced streaming injection (inject_batch=) instead"
+                f"{self.total} transactions exceed the "
+                f"{MAX_MATERIALIZED_TXS}-tx cap — use paced streaming "
+                f"injection (inject_batch=) instead"
             )
         txs = list(self.factory())
         if len(txs) != self.total:
@@ -149,182 +134,118 @@ class TxStream:
         return txs
 
 
-def _per_shard_counts(total: int, shards: int) -> list[int]:
-    """Split ``total`` transactions as evenly as possible over shards."""
-    base = total // shards
-    counts = [base] * shards
-    for i in range(total - base * shards):
-        counts[i] += 1
-    return counts
-
-
-def uniform_contract_workload(
-    total_txs: int,
-    contract_shards: int,
-    fee_low: int = 1,
-    fee_high: int = 100,
-    seed: int | None = None,
-) -> list[Transaction]:
-    """The Sec. VI-B1 workload: transactions uniform over shards.
-
-    ``contract_shards`` is the paper's ``s``: there are ``s`` contracts
-    plus the MaxShard, and "the number of transactions in each shard is
-    total/(s+1)". Contract shards are fed by single-contract senders;
-    the MaxShard slice is direct transfers. ``contract_shards=0`` yields
-    a pure non-sharded (all-MaxShard) workload.
-    """
-    if total_txs < 0:
-        raise WorkloadError("total_txs cannot be negative")
-    if contract_shards < 0:
-        raise WorkloadError("contract_shards cannot be negative")
-    builder = WorkloadBuilder(seed=seed)
-    fees = uniform_fees(total_txs, fee_low, fee_high, seed=seed)
-    shard_slots = contract_shards + 1
-    counts = _per_shard_counts(total_txs, shard_slots)
-
-    txs: list[Transaction] = []
-    fee_iter = iter(fees)
-    # MaxShard slice: direct transfers between dedicated users.
-    for i in range(counts[0]):
-        sender = _user_address(f"max-{seed}-{i}")
-        recipient = _user_address(f"maxdst-{seed}-{i}")
-        txs.append(builder.direct_transfer(sender, recipient, fee=next(fee_iter)))
-    # One slice per contract shard, from single-contract senders.
-    for shard_index in range(contract_shards):
-        contract = _contract_address(shard_index + 1)
-        for i in range(counts[shard_index + 1]):
-            sender = _user_address(f"c{shard_index + 1}-{seed}-{i}")
-            txs.append(builder.contract_call(sender, contract, fee=next(fee_iter)))
-    return txs
-
-
-def streaming_uniform_contract_workload(
-    total_txs: int,
-    contract_shards: int,
-    fee_low: int = 1,
-    fee_high: int = 100,
-    seed: int | None = None,
-    senders_per_shard: int | None = None,
-    interleave_shards: bool = False,
+def _emit(
+    counts: list[int],
+    order: Callable[[list[int]], Iterator[int]],
+    makes: list[Callable[[WorkloadBuilder, int, int], Transaction] | None],
+    seed: int | None,
+    description: str,
+    senders: int | None = None,
+    fees: list[int] | None = None,
 ) -> TxStream:
-    """:func:`uniform_contract_workload` as a bounded-memory stream.
+    """The one workload emitter.
 
-    The factory yields transactions in the list generator's exact
-    order — the MaxShard slice first, then one slice per contract
-    shard — drawing fees lazily from the same seeded RNG sequence, so
-    ``list(stream)[:n]`` is field-identical to the list version's first
-    ``n`` transactions at any scale.
-
-    ``interleave_shards`` rotates the yield order round-robin across
-    the shard slices (MaxShard, shard 1, shard 2, …, repeating) instead
-    of emitting each slice whole. Bulk ``t = 0`` injection is order-
-    insensitive, but *paced* injection replays stream order in real
-    time: slice-sequential order firehoses one shard at a time with the
-    full offered rate while every other shard idles — the hot shard's
-    mempool saturates, sheds mid-chain nonces, and the stranded tails
-    never drain. Interleaving spreads each batch evenly so per-shard
-    offered load matches the per-shard share. Within a slice the order
-    (and each sender's nonce sequence) is unchanged. Off by default:
-    the historical slice-sequential order is digest-pinned at baseline
-    scales.
-
-    ``senders_per_shard`` bounds each slice's account population:
-    transaction ``i`` is issued by sender ``i % senders_per_shard``
-    (with climbing nonces) instead of a fresh address, so every
-    per-node structure keyed by account — world state, call graph,
-    classification memo — stays O(population) while the transaction
-    count grows without bound. Reuse keeps each sender single-contract
-    (a slice's senders only ever call that slice's contract), so shard
-    classification is unchanged. In this mode fees follow a ladder
-    that strictly decreases along each sender's nonce sequence instead
-    of the seeded uniform draw: nonce order must agree with fee order,
-    because fee-greedy packing validates against sender nonces and a
-    high-fee later nonce ranked above an unpacked low-fee earlier one
-    can never confirm — a pool of such pairs never drains. The ladder
-    caps the chain depth at ``fee_high - fee_low + 1`` nonces per
-    sender; a population too small for the slice refuses loudly. The
-    default (``None``) preserves the historical
-    one-address-per-transaction naming and fee draws exactly.
+    Slice ``s`` gets ``counts[s]`` transactions: slice 0 is the
+    MaxShard, slice ``k`` calls contract ``k``. ``order(counts)`` yields
+    the slice that emits next, and ``makes[s](builder, j, fee)`` builds
+    that slice's next transaction from its sender ``j`` (``None`` for
+    an empty slice). The ``i``-th transaction of a slice comes from
+    sender ``i`` and pays the next seeded uniform draw, in emission
+    order, or ``fees[i]`` in a one-slice workload. A population of
+    ``senders`` per slice instead reuses sender ``i % senders`` and pays
+    ``FEE_HIGH - i // senders``: a fee ladder that falls along each
+    sender's nonce chain. Nonce order must agree with fee order, because
+    fee-greedy packing validates against sender nonces, and a high-fee
+    later nonce ranked above an unpacked low-fee earlier one can never
+    confirm — a pool of such pairs never drains. So a chain deeper than
+    the fee range refuses.
     """
-    if total_txs < 0:
-        raise WorkloadError("total_txs cannot be negative")
-    if contract_shards < 0:
-        raise WorkloadError("contract_shards cannot be negative")
-    if senders_per_shard is not None and senders_per_shard < 1:
-        raise WorkloadError("senders_per_shard must be positive")
-    shard_slots = contract_shards + 1
-    counts = _per_shard_counts(total_txs, shard_slots)
-    contracts = tuple(
-        _contract_address(index + 1) for index in range(contract_shards)
-    )
-    fee_span = fee_high - fee_low + 1
-    if senders_per_shard is not None:
-        depth = -(-max(counts) // senders_per_shard)  # ceil division
-        if depth > fee_span:
+    if senders is not None:
+        if senders < 1:
+            raise WorkloadError("senders_per_shard must be positive")
+        span = FEE_HIGH - FEE_LOW + 1
+        depth = -(-max(counts) // senders)  # ceil division
+        if depth > span:
             raise WorkloadError(
-                f"senders_per_shard={senders_per_shard} gives each sender "
-                f"up to {depth} nonces but the fee ladder only spans "
-                f"{fee_span} rungs ({fee_low}..{fee_high}) — fee-greedy "
-                f"selection would strand equal-fee nonce chains; use at "
-                f"least {-(-max(counts) // fee_span)} senders per shard"
+                f"senders_per_shard={senders} gives a sender up to {depth} "
+                f"nonces but the fee ladder only spans {span} rungs "
+                f"({FEE_LOW}..{FEE_HIGH}) — fee-greedy selection would "
+                f"strand equal-fee nonce chains; use at least "
+                f"{-(-max(counts) // span)} senders per shard"
             )
-
-    def slot(i: int) -> int:
-        return i if senders_per_shard is None else i % senders_per_shard
-
-    def fee_of(i: int, drawn: int) -> int:
-        if senders_per_shard is None:
-            return drawn
-        return fee_high - (i // senders_per_shard) % fee_span
 
     def factory() -> Iterator[Transaction]:
-        builder = WorkloadBuilder(seed=seed)
-        fee_iter = uniform_fee_stream(fee_low, fee_high, seed=seed)
+        builder = WorkloadBuilder()
+        draw = uniform_fee_stream(seed).__next__
+        emitted = [0] * len(counts)
+        for s in order(counts):
+            i = emitted[s]
+            emitted[s] = i + 1
+            if senders is not None:
+                yield makes[s](builder, i % senders, FEE_HIGH - i // senders)
+            else:
+                yield makes[s](builder, i, draw() if fees is None else fees[i])
 
-        def make(shard_slot: int, pos: int) -> Transaction:
-            fee = fee_of(pos, next(fee_iter))
-            if shard_slot == 0:
-                return builder.direct_transfer(
-                    _user_address(f"max-{seed}-{slot(pos)}"),
-                    _user_address(f"maxdst-{seed}-{slot(pos)}"),
-                    fee=fee,
-                )
-            return builder.contract_call(
-                _user_address(f"c{shard_slot}-{seed}-{slot(pos)}"),
-                contracts[shard_slot - 1],
-                fee=fee,
-            )
-
-        if interleave_shards:
-            # Round-robin over slices: global position g maps to slice
-            # g % slots, which hands slice s exactly counts[s] turns
-            # (the extras land on the low slices, same as
-            # _per_shard_counts).
-            positions = [0] * shard_slots
-            for g in range(total_txs):
-                shard_slot = g % shard_slots
-                yield make(shard_slot, positions[shard_slot])
-                positions[shard_slot] += 1
-        else:
-            for shard_slot in range(shard_slots):
-                for pos in range(counts[shard_slot]):
-                    yield make(shard_slot, pos)
-
-    population = (
-        "" if senders_per_shard is None else f", senders={senders_per_shard}"
-    )
-    if interleave_shards:
-        population += ", interleaved"
     return TxStream(
-        total=total_txs,
-        contracts=contracts,
-        shard_counts={index: count for index, count in enumerate(counts)},
+        total=sum(counts),
+        contracts=tuple(_contract_address(k) for k in range(1, len(counts))),
+        shard_counts=dict(enumerate(counts)),
         factory=factory,
-        description=(
-            f"uniform_contract(total={total_txs}, shards={contract_shards}, "
-            f"seed={seed}{population})"
-        ),
+        description=description,
     )
+
+
+def _slice_by_slice(counts: list[int]) -> Iterator[int]:
+    return itertools.chain.from_iterable(
+        itertools.repeat(s, count) for s, count in enumerate(counts)
+    )
+
+
+def _round_robin(counts: list[int]) -> Iterator[int]:
+    """Slice ``g % slices`` at global position ``g``. That hands each
+    slice exactly its count only for :func:`_per_shard_counts`' split,
+    whose extras land on the low slices."""
+    return itertools.islice(itertools.cycle(range(len(counts))), sum(counts))
+
+
+def _error_diffusion(counts: list[int]) -> Iterator[int]:
+    """After ``g`` emissions, slice ``s`` has emitted
+    ``round(counts[s] * g / total) ± 1``: emit next from the slice
+    furthest behind its proportional quota (ties to the lower slice)."""
+    total = sum(counts)
+    emitted = [0] * len(counts)
+    for g in range(total):
+        deficit, pick = None, 0
+        for s, count in enumerate(counts):
+            lag = count * (g + 1) - emitted[s] * total
+            if emitted[s] < count and (deficit is None or lag > deficit):
+                deficit, pick = lag, s
+        yield pick
+        emitted[pick] += 1
+
+
+def _transfers(name: str, seed: int | None) -> Callable[..., Transaction]:
+    """Direct transfers from ``name-seed-j`` to ``namedst-seed-j``."""
+    sender = _user_address(f"{name}-{seed}-")
+    recipient = _user_address(f"{name}dst-{seed}-")
+    return lambda builder, j, fee, extra=(): builder.direct_transfer(
+        f"{sender}{j}", f"{recipient}{j}", fee=fee, extra_inputs=extra
+    )
+
+
+def _calls(shard: int, name: str, seed: int | None) -> Callable[..., Transaction]:
+    """Calls to contract ``shard`` from ``name-seed-j``, who call no
+    other contract."""
+    sender, contract = _user_address(f"{name}-{seed}-"), _contract_address(shard)
+    return lambda builder, j, fee: builder.contract_call(
+        f"{sender}{j}", contract, fee=fee
+    )
+
+
+def _per_shard_counts(total: int, shards: int) -> list[int]:
+    """Split ``total`` as evenly as possible, extras to the low shards."""
+    base, extra = divmod(total, shards)
+    return [base + (shard < extra) for shard in range(shards)]
 
 
 def _powerlaw_counts(
@@ -354,12 +275,76 @@ def _powerlaw_counts(
     return counts
 
 
+def uniform_contract_workload(
+    total_txs: int,
+    contract_shards: int,
+    seed: int | None = None,
+) -> list[Transaction]:
+    """The Sec. VI-B1 workload: transactions uniform over shards.
+
+    ``contract_shards`` is the paper's ``s``: there are ``s`` contracts
+    plus the MaxShard, and "the number of transactions in each shard is
+    total/(s+1)". Contract shards are fed by single-contract senders;
+    the MaxShard slice is direct transfers. ``contract_shards=0`` yields
+    a pure non-sharded (all-MaxShard) workload.
+    """
+    return list(
+        streaming_uniform_contract_workload(total_txs, contract_shards, seed=seed)
+    )
+
+
+def streaming_uniform_contract_workload(
+    total_txs: int,
+    contract_shards: int,
+    seed: int | None = None,
+    senders_per_shard: int | None = None,
+    interleave_shards: bool = False,
+) -> TxStream:
+    """:func:`uniform_contract_workload` as a bounded-memory stream.
+
+    By default the stream emits the list generator's sequence: the
+    MaxShard slice first, then one slice per contract shard.
+
+    ``interleave_shards`` rotates the yield order round-robin across
+    the shard slices (MaxShard, shard 1, shard 2, …, repeating) instead
+    of emitting each slice whole. Bulk ``t = 0`` injection is order-
+    insensitive, but *paced* injection replays stream order in real
+    time: slice-sequential order firehoses one shard at a time with the
+    full offered rate while every other shard idles — the hot shard's
+    mempool saturates, sheds mid-chain nonces, and the stranded tails
+    never drain. Interleaving spreads each batch evenly so per-shard
+    offered load matches the per-shard share. Within a slice the order
+    (and each sender's nonce sequence) is unchanged. Off by default:
+    the historical slice-sequential order is digest-pinned at baseline
+    scales.
+
+    ``senders_per_shard`` bounds each slice's account population, so
+    every per-node structure keyed by account — world state, call
+    graph, classification memo — stays O(population) while the
+    transaction count grows without bound. Reuse keeps each sender
+    single-contract, so shard classification is unchanged. Fees then
+    follow :func:`_emit`'s nonce-ordered ladder instead of the seeded
+    draw, and a population too small for the ladder refuses loudly.
+    """
+    if total_txs < 0 or contract_shards < 0:
+        raise WorkloadError("total_txs and contract_shards cannot be negative")
+    detail = "" if senders_per_shard is None else f", senders={senders_per_shard}"
+    return _emit(
+        _per_shard_counts(total_txs, contract_shards + 1),
+        _round_robin if interleave_shards else _slice_by_slice,
+        [_transfers("max", seed)]
+        + [_calls(k, f"c{k}", seed) for k in range(1, contract_shards + 1)],
+        seed,
+        f"uniform_contract(total={total_txs}, shards={contract_shards}, "
+        f"seed={seed}{detail}{', interleaved' if interleave_shards else ''})",
+        senders=senders_per_shard,
+    )
+
+
 def streaming_powerlaw_contract_workload(
     total_txs: int,
     contract_shards: int,
     alpha: float = 1.0,
-    fee_low: int = 1,
-    fee_high: int = 100,
     seed: int | None = None,
     senders_per_shard: int | None = None,
 ) -> TxStream:
@@ -376,9 +361,8 @@ def streaming_powerlaw_contract_workload(
     :func:`streaming_uniform_contract_workload` on why order matters).
 
     ``senders_per_shard`` bounds each slice's account population with
-    the same strictly decreasing fee ladder (and the same loud refusal
-    when the hot slice's nonce chains would outrun the ladder) as the
-    uniform stream.
+    the same fee ladder (and the same refusal when the hot slice's
+    nonce chains would outrun it) as the uniform stream.
     """
     if total_txs < 0:
         raise WorkloadError("total_txs cannot be negative")
@@ -386,185 +370,40 @@ def streaming_powerlaw_contract_workload(
         raise WorkloadError("powerlaw workload needs at least one contract shard")
     if alpha < 0:
         raise WorkloadError(f"alpha cannot be negative: {alpha}")
-    if senders_per_shard is not None and senders_per_shard < 1:
-        raise WorkloadError("senders_per_shard must be positive")
-    shard_slots = contract_shards + 1
-    counts = _powerlaw_counts(total_txs, contract_shards, alpha)
-    contracts = tuple(
-        _contract_address(index + 1) for index in range(contract_shards)
+    detail = "" if senders_per_shard is None else f", senders={senders_per_shard}"
+    return _emit(
+        _powerlaw_counts(total_txs, contract_shards, alpha),
+        _error_diffusion,
+        [_transfers("pmax", seed)]
+        + [_calls(k, f"p{k}", seed) for k in range(1, contract_shards + 1)],
+        seed,
+        f"powerlaw_contract(total={total_txs}, shards={contract_shards}, "
+        f"alpha={alpha:g}, seed={seed}{detail})",
+        senders=senders_per_shard,
     )
-    fee_span = fee_high - fee_low + 1
-    if senders_per_shard is not None:
-        depth = -(-max(counts) // senders_per_shard)  # ceil division
-        if depth > fee_span:
-            raise WorkloadError(
-                f"senders_per_shard={senders_per_shard} gives the hot "
-                f"shard's senders up to {depth} nonces but the fee ladder "
-                f"only spans {fee_span} rungs ({fee_low}..{fee_high}); use "
-                f"at least {-(-max(counts) // fee_span)} senders per shard"
-            )
 
-    def slot(i: int) -> int:
-        return i if senders_per_shard is None else i % senders_per_shard
 
-    def fee_of(i: int, drawn: int) -> int:
-        if senders_per_shard is None:
-            return drawn
-        return fee_high - (i // senders_per_shard) % fee_span
-
-    def factory() -> Iterator[Transaction]:
-        builder = WorkloadBuilder(seed=seed)
-        fee_iter = uniform_fee_stream(fee_low, fee_high, seed=seed)
-
-        def make(shard_slot: int, pos: int) -> Transaction:
-            fee = fee_of(pos, next(fee_iter))
-            if shard_slot == 0:
-                return builder.direct_transfer(
-                    _user_address(f"pmax-{seed}-{slot(pos)}"),
-                    _user_address(f"pmaxdst-{seed}-{slot(pos)}"),
-                    fee=fee,
-                )
-            return builder.contract_call(
-                _user_address(f"p{shard_slot}-{seed}-{slot(pos)}"),
-                contracts[shard_slot - 1],
-                fee=fee,
-            )
-
-        # Error-diffusion interleave: after g emissions, slice s has
-        # emitted round(counts[s] * g / total) ± 1 — emit next from the
-        # slice furthest behind its proportional quota (ties to the
-        # lower slot). Deterministic, no RNG draw.
-        emitted = [0] * shard_slots
-        for g in range(total_txs):
-            deficit, pick = None, 0
-            for s in range(shard_slots):
-                lag = counts[s] * (g + 1) - emitted[s] * total_txs
-                if emitted[s] < counts[s] and (deficit is None or lag > deficit):
-                    deficit, pick = lag, s
-            yield make(pick, emitted[pick])
-            emitted[pick] += 1
-
-    population = (
-        "" if senders_per_shard is None else f", senders={senders_per_shard}"
-    )
-    return TxStream(
-        total=total_txs,
-        contracts=contracts,
-        shard_counts={index: count for index, count in enumerate(counts)},
-        factory=factory,
-        description=(
-            f"powerlaw_contract(total={total_txs}, shards={contract_shards}, "
-            f"alpha={alpha:g}, seed={seed}{population})"
-        ),
+def _single_shard(
+    count: int, seed: int | None, fees: list[int] | None = None
+) -> TxStream:
+    if count < 0:
+        raise WorkloadError("count cannot be negative")
+    return _emit(
+        [0, count],
+        _slice_by_slice,
+        [None, _calls(1, "solo", seed)],
+        seed,
+        f"single_shard(count={count}, seed={seed})",
+        fees=fees,
     )
 
 
 def streaming_single_shard_workload(
     count: int,
-    fee_low: int = 1,
-    fee_high: int = 100,
     seed: int | None = None,
 ) -> TxStream:
     """:func:`single_shard_workload` as a bounded-memory stream."""
-    if count < 0:
-        raise WorkloadError("count cannot be negative")
-    contract = _contract_address(1)
-
-    def factory() -> Iterator[Transaction]:
-        builder = WorkloadBuilder(seed=seed)
-        fee_iter = uniform_fee_stream(fee_low, fee_high, seed=seed)
-        for i in range(count):
-            yield builder.contract_call(
-                _user_address(f"solo-{seed}-{i}"), contract, fee=next(fee_iter)
-            )
-
-    return TxStream(
-        total=count,
-        contracts=(contract,),
-        shard_counts={0: 0, 1: count},
-        factory=factory,
-        description=f"single_shard(count={count}, seed={seed})",
-    )
-
-
-def small_shard_workload(
-    total_txs: int,
-    shard_count: int,
-    small_shard_sizes: list[int],
-    fee_low: int = 1,
-    fee_high: int = 100,
-    seed: int | None = None,
-) -> tuple[list[Transaction], dict[int, int]]:
-    """The Sec. VI-C workload: some deliberately tiny shards.
-
-    ``small_shard_sizes`` fixes the transaction count of the first
-    ``len(small_shard_sizes)`` contract shards (the paper injects 1-9
-    each); the remaining transactions spread evenly over the other
-    contract shards ("more than 22 transactions into a regular shard").
-    Returns the transactions plus the intended size of every contract
-    shard (keyed by shard index starting at 1; the MaxShard gets none
-    here, matching the experiment's pure-contract traffic).
-    """
-    small_count = len(small_shard_sizes)
-    if shard_count <= small_count:
-        raise WorkloadError(
-            f"need more shards ({shard_count}) than small shards ({small_count})"
-        )
-    small_total = sum(small_shard_sizes)
-    if small_total > total_txs:
-        raise WorkloadError("small shards cannot hold more than the whole workload")
-    regular_count = shard_count - small_count
-    regular_counts = _per_shard_counts(total_txs - small_total, regular_count)
-
-    sizes: dict[int, int] = {}
-    for index, size in enumerate(small_shard_sizes, start=1):
-        sizes[index] = size
-    for index, size in enumerate(regular_counts, start=small_count + 1):
-        sizes[index] = size
-
-    builder = WorkloadBuilder(seed=seed)
-    fees = uniform_fees(total_txs, fee_low, fee_high, seed=seed)
-    fee_iter = iter(fees)
-    txs: list[Transaction] = []
-    for shard_index, size in sizes.items():
-        contract = _contract_address(shard_index)
-        for i in range(size):
-            sender = _user_address(f"c{shard_index}-{seed}-{i}")
-            txs.append(builder.contract_call(sender, contract, fee=next(fee_iter)))
-    return txs, sizes
-
-
-def three_input_workload(
-    count: int,
-    inputs: int = 3,
-    fee_low: int = 1,
-    fee_high: int = 100,
-    seed: int | None = None,
-) -> list[Transaction]:
-    """The Fig. 4(b) workload: transactions whose validation reads
-    ``inputs`` accounts ("All the injected transactions have 3 inputs").
-
-    In our design these are multi-account transfers routed to the
-    MaxShard (zero cross-shard communication); ChainSpace scatters them
-    randomly and pays S-BAC consensus per foreign input shard.
-    """
-    if inputs < 1:
-        raise WorkloadError("a transaction needs at least one input")
-    builder = WorkloadBuilder(seed=seed)
-    fees = uniform_fees(count, fee_low, fee_high, seed=seed)
-    txs: list[Transaction] = []
-    for i in range(count):
-        sender = _user_address(f"multi-{seed}-{i}")
-        recipient = _user_address(f"multidst-{seed}-{i}")
-        extra = tuple(
-            _user_address(f"input-{seed}-{i}-{k}") for k in range(inputs - 1)
-        )
-        txs.append(
-            builder.direct_transfer(
-                sender, recipient, fee=fees[i], extra_inputs=extra
-            )
-        )
-    return txs
+    return _single_shard(count, seed)
 
 
 def single_shard_workload(
@@ -576,16 +415,79 @@ def single_shard_workload(
 
     All senders invoke the same contract, so the whole workload lands in
     one shard and the intra-shard selection game is the only lever.
+    Explicit ``fees`` replace the seeded draw, one per transaction.
     """
-    if fees is None:
-        fees = uniform_fees(count, seed=seed)
-    if len(fees) != count:
+    if fees is not None and len(fees) != count:
         raise WorkloadError(f"{len(fees)} fees for {count} transactions")
-    builder = WorkloadBuilder(seed=seed)
-    contract = _contract_address(1)
-    return [
-        builder.contract_call(
-            _user_address(f"solo-{seed}-{i}"), contract, fee=fees[i]
+    return list(_single_shard(count, seed, fees))
+
+
+def small_shard_workload(
+    total_txs: int,
+    shard_count: int,
+    small_shard_sizes: list[int],
+    seed: int | None = None,
+) -> tuple[list[Transaction], dict[int, int]]:
+    """The Sec. VI-C workload: some deliberately tiny shards.
+
+    ``small_shard_sizes`` fixes the transaction count of the first
+    ``len(small_shard_sizes)`` contract shards (the paper injects 1-9
+    each); the remaining transactions spread evenly over the other
+    contract shards ("more than 22 transactions into a regular shard").
+    Returns the transactions plus the intended size of every contract
+    shard (keyed by shard index starting at 1; the MaxShard gets none
+    here, matching the experiment's pure-contract traffic). Each
+    intended shard needs a transaction to form at all; an empty one
+    would shift the id of every later shard.
+    """
+    small_count = len(small_shard_sizes)
+    if shard_count <= small_count:
+        raise WorkloadError(
+            f"need more shards ({shard_count}) than small shards ({small_count})"
         )
-        for i in range(count)
-    ]
+    if min(small_shard_sizes, default=1) < 1:
+        raise WorkloadError(
+            f"small_shard_sizes must be positive: {small_shard_sizes}"
+        )
+    regular = total_txs - sum(small_shard_sizes)
+    if regular < shard_count - small_count:
+        raise WorkloadError(
+            f"total_txs={total_txs} leaves {regular} transactions for "
+            f"{shard_count - small_count} regular shards; each needs one"
+        )
+    sizes = list(small_shard_sizes) + _per_shard_counts(
+        regular, shard_count - small_count
+    )
+    stream = _emit(
+        [0] + sizes,
+        _slice_by_slice,
+        [None] + [_calls(k, f"c{k}", seed) for k in range(1, shard_count + 1)],
+        seed,
+        "small_shard",
+    )
+    return list(stream), dict(enumerate(sizes, start=1))
+
+
+def three_input_workload(
+    count: int,
+    inputs: int = 3,
+    seed: int | None = None,
+) -> list[Transaction]:
+    """The Fig. 4(b) workload: transactions whose validation reads
+    ``inputs`` accounts ("All the injected transactions have 3 inputs").
+
+    In our design these are multi-account transfers routed to the
+    MaxShard (zero cross-shard communication); ChainSpace scatters them
+    randomly and pays S-BAC consensus per foreign input shard.
+    """
+    if count < 0:
+        raise WorkloadError("count cannot be negative")
+    if inputs < 1:
+        raise WorkloadError("a transaction needs at least one input")
+    transfer = _transfers("multi", seed)
+
+    def make(builder: WorkloadBuilder, i: int, fee: int) -> Transaction:
+        extra = (_user_address(f"input-{seed}-{i}-{k}") for k in range(inputs - 1))
+        return transfer(builder, i, fee, tuple(extra))
+
+    return list(_emit([count], _slice_by_slice, [make], seed, "three_input"))

@@ -67,7 +67,7 @@ class TestScanCostAccounting:
 
 @st.composite
 def random_traffic(draw):
-    builder = WorkloadBuilder(seed=draw(st.integers(0, 10_000)))
+    builder = WorkloadBuilder()
     contracts = [CONTRACT_A, CONTRACT_B]
     txs = []
     for i in range(draw(st.integers(min_value=1, max_value=25))):

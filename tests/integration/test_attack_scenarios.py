@@ -25,7 +25,7 @@ class TestCrossShardDoubleSpend:
     the double spend dies on the balance check."""
 
     def test_multi_contract_spender_is_serialized_in_maxshard(self):
-        builder = WorkloadBuilder(seed=1)
+        builder = WorkloadBuilder()
         tx1 = builder.contract_call("0xua", CONTRACT_A, fee=0, amount=8)
         tx2 = builder.contract_call("0xua", CONTRACT_B, fee=0, amount=3)
         shard_map, graph = form_shards([tx1, tx2])
@@ -35,7 +35,7 @@ class TestCrossShardDoubleSpend:
         assert shard_map.shard_of_transaction(tx2, graph) == MAXSHARD_ID
 
     def test_double_spend_rejected_by_serial_state(self):
-        builder = WorkloadBuilder(seed=2)
+        builder = WorkloadBuilder()
         tx1 = builder.direct_transfer("0xua", "0xub", fee=0, amount=8)
         tx2 = builder.direct_transfer("0xua", "0xuc", fee=0, amount=3)
         state = WorldState()
@@ -51,7 +51,7 @@ class TestCrossShardDoubleSpend:
         """The inverse guarantee: transactions that *do* land in distinct
         contract shards come from disjoint sender sets, so no account's
         balance is touched from two shards."""
-        builder = WorkloadBuilder(seed=3)
+        builder = WorkloadBuilder()
         txs = [
             builder.contract_call(f"0xuA{i}", CONTRACT_A, fee=1) for i in range(5)
         ] + [

@@ -65,16 +65,10 @@ class TestTracer:
     def test_event_assigns_sequence_numbers(self):
         tracer = Tracer()
         first = tracer.event("a")
-        second = tracer.event("b", shard=1)
+        second = tracer.event("b", shard=1, time=1.0)
         assert (first.seq, second.seq) == (0, 1)
+        assert (first.time, second.time) == (None, 1.0)
         assert len(tracer) == 2
-
-    def test_clock_supplies_default_time(self):
-        tracer = Tracer(clock=lambda: 7.5)
-        assert tracer.event("a").time == 7.5
-        assert tracer.event("b", time=1.0).time == 1.0  # explicit wins
-        tracer.set_clock(None)
-        assert tracer.event("c").time is None
 
     def test_count_filters_by_name_and_phase(self):
         tracer = Tracer()

@@ -13,7 +13,7 @@ MINERS = [MinerIdentity.create(f"prop-epoch-{i}") for i in range(16)]
 @st.composite
 def epoch_workloads(draw):
     """Random mixes of shardable and MaxShard traffic."""
-    builder = WorkloadBuilder(seed=draw(st.integers(0, 5_000)))
+    builder = WorkloadBuilder()
     txs = []
     for i in range(draw(st.integers(min_value=3, max_value=30))):
         pattern = draw(st.integers(0, 2))

@@ -14,7 +14,7 @@ from repro.workloads.generators import WorkloadBuilder
 @st.composite
 def mixed_workloads(draw):
     """Random mixes of the three Fig. 1 sender patterns."""
-    builder = WorkloadBuilder(seed=draw(st.integers(0, 1_000)))
+    builder = WorkloadBuilder()
     contracts = [f"0xc{i:039d}" for i in range(1, 4)]
     txs = []
     pattern_choices = draw(

@@ -148,7 +148,7 @@ class TestCallGraphMemo:
 
         The oracle is the Sec. III-C "trivial" full-history scan, which
         recomputes every answer from the recorded transactions."""
-        builder = WorkloadBuilder(seed=4)
+        builder = WorkloadBuilder()
         rng = random.Random(4)
         txs = []
         for i in range(120):

@@ -40,7 +40,7 @@ def test_experiment_rows_bit_identical(experiment_id):
 
 def _campaign_fingerprint(executor):
     def batch(epoch):
-        builder = WorkloadBuilder(seed=700 + epoch)
+        builder = WorkloadBuilder()
         return [
             builder.contract_call(
                 f"0xu-par-e{epoch}-c{c}-{u}", f"0xc{c:039d}", fee=1 + u % 5

@@ -10,7 +10,7 @@ from repro.workloads.generators import WorkloadBuilder
 
 
 def traffic_batch(epoch: int, contracts: int = 3, per_contract: int = 15):
-    builder = WorkloadBuilder(seed=500 + epoch)
+    builder = WorkloadBuilder()
     txs = []
     for c in range(1, contracts + 1):
         contract = f"0xc{c:039d}"

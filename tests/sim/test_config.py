@@ -72,5 +72,3 @@ class TestSimulationConfig:
             SimulationConfig(block_capacity=0)
         with pytest.raises(ConfigError):
             SimulationConfig(window=0.0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(max_events=0)

@@ -77,18 +77,6 @@ class TestUnpacedStreamParity:
         result = _simulate_stream(**PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
-    def test_stream_fields_match_list_generator(self):
-        stream_txs = _stream().materialize()
-        list_txs = uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
-        )
-        assert len(stream_txs) == len(list_txs)
-        for a, b in zip(stream_txs, list_txs):
-            assert (a.sender, a.recipient, a.amount, a.fee, a.kind,
-                    a.contract, a.nonce) == (
-                b.sender, b.recipient, b.amount, b.fee, b.kind,
-                b.contract, b.nonce)
-
 
 class TestPacedStreamingParity:
     """Paced injection, repeatably."""

@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.distributions import (
+    FEE_HIGH,
+    FEE_LOW,
     binomial_fees,
     exponential_fees,
     random_small_shard_sizes,
@@ -15,8 +17,8 @@ from repro.workloads.distributions import (
 
 class TestUniformFees:
     def test_in_range(self):
-        fees = uniform_fees(200, low=5, high=15, seed=1)
-        assert all(5 <= f <= 15 for f in fees)
+        fees = uniform_fees(200, seed=1)
+        assert all(FEE_LOW <= f <= FEE_HIGH for f in fees)
 
     def test_deterministic(self):
         assert uniform_fees(10, seed=2) == uniform_fees(10, seed=2)
@@ -28,8 +30,6 @@ class TestUniformFees:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             uniform_fees(-1)
-        with pytest.raises(WorkloadError):
-            uniform_fees(1, low=10, high=5)
 
 
 class TestBinomialFees:

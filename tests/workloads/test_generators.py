@@ -10,6 +10,8 @@ from repro.workloads.generators import (
     WorkloadBuilder,
     single_shard_workload,
     small_shard_workload,
+    streaming_single_shard_workload,
+    streaming_uniform_contract_workload,
     three_input_workload,
     uniform_contract_workload,
 )
@@ -36,14 +38,14 @@ def assert_workload_validates(txs):
 
 class TestWorkloadBuilder:
     def test_nonces_increment_per_sender(self):
-        builder = WorkloadBuilder(seed=1)
+        builder = WorkloadBuilder()
         a1 = builder.direct_transfer("0xua", "0xub", fee=1)
         a2 = builder.direct_transfer("0xua", "0xub", fee=1)
         b1 = builder.direct_transfer("0xub", "0xua", fee=1)
         assert (a1.nonce, a2.nonce, b1.nonce) == (0, 1, 0)
 
     def test_senders_seen(self):
-        builder = WorkloadBuilder(seed=2)
+        builder = WorkloadBuilder()
         builder.direct_transfer("0xua", "0xub", fee=1)
         assert builder.senders_seen() == ["0xua"]
 
@@ -93,6 +95,25 @@ class TestSmallShardWorkload:
     def test_oversized_small_shards_rejected(self):
         with pytest.raises(WorkloadError):
             small_shard_workload(10, 9, [9, 9], seed=9)
+
+    @pytest.mark.parametrize(
+        "total, sizes, argument",
+        [
+            # An empty small shard never forms and shifts every later id.
+            (40, [0, 3], "small_shard_sizes"),
+            (40, [3, -1], "small_shard_sizes"),
+            # 8 regular shards cannot each get one of 3 leftover txs.
+            (5, [1, 1], "total_txs"),
+        ],
+    )
+    def test_sizes_that_break_intended_refused(self, total, sizes, argument):
+        with pytest.raises(WorkloadError, match=argument):
+            small_shard_workload(total, 10, sizes, seed=1)
+
+    def test_smallest_total_forms_every_intended_shard(self):
+        txs, sizes = small_shard_workload(10, 9, [1, 1], seed=1)
+        partition = partition_transactions(txs)
+        assert partition.shard_sizes == {MAXSHARD_ID: 0, **sizes}
 
     def test_validates_against_state(self):
         txs, __ = small_shard_workload(100, 9, [2, 4], seed=10)
@@ -201,9 +222,42 @@ class TestStreamingPopulationAndInterleave:
             assert tx.nonce == seen.get(tx.sender, 0)
             seen[tx.sender] = tx.nonce + 1
 
-    def test_default_order_matches_list_generator(self):
-        listed = uniform_contract_workload(120, contract_shards=3, seed=9)
-        streamed = list(self._stream())
-        assert [
-            (t.sender, t.fee, t.nonce, t.contract) for t in listed
-        ] == [(t.sender, t.fee, t.nonce, t.contract) for t in streamed]
+
+def _fields(tx):
+    return (
+        tx.sender,
+        tx.recipient,
+        tx.amount,
+        tx.fee,
+        tx.kind,
+        tx.contract,
+        tx.nonce,
+        tx.extra_inputs,
+    )
+
+
+@pytest.mark.parametrize("seed", [7, 9])
+@pytest.mark.parametrize(
+    "listed, streamed",
+    [
+        (
+            lambda seed: uniform_contract_workload(40, 3, seed=seed),
+            lambda seed: streaming_uniform_contract_workload(40, 3, seed=seed),
+        ),
+        (
+            lambda seed: uniform_contract_workload(121, 0, seed=seed),
+            lambda seed: streaming_uniform_contract_workload(121, 0, seed=seed),
+        ),
+        (
+            lambda seed: single_shard_workload(30, seed=seed),
+            lambda seed: streaming_single_shard_workload(30, seed=seed),
+        ),
+    ],
+    ids=["uniform", "maxshard-only", "single-shard"],
+)
+def test_list_equals_materialized_stream(listed, streamed, seed):
+    """A list generator's output is its streaming counterpart's, field
+    for field and in order."""
+    assert [_fields(tx) for tx in listed(seed)] == [
+        _fields(tx) for tx in streamed(seed).materialize()
+    ]
