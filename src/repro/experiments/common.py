@@ -160,7 +160,7 @@ def merging_pipeline_once(
     small_count: int, seed: int, sweep_leftovers: bool = True
 ) -> dict[str, float]:
     """One seeded run of the before/after/random merging comparison."""
-    sizes = random_small_shard_sizes(small_count, low=1, high=9, seed=seed)
+    sizes = random_small_shard_sizes(small_count, seed=seed)
     txs, intended = small_shard_workload(
         total_txs=200, shard_count=9, small_shard_sizes=sizes, seed=seed
     )

@@ -26,7 +26,7 @@ LARGE_SCALE_CONFIG = MergingGameConfig(
 
 def measure_point(small_shards: int, seed: int) -> tuple[int, int]:
     """(ours, optimal) new-shard counts for one population size."""
-    sizes = random_small_shard_sizes(small_shards, low=1, high=9, seed=seed)
+    sizes = random_small_shard_sizes(small_shards, seed=seed)
     players = [
         ShardPlayer(shard_id=i, size=size, cost=2.0)
         for i, size in enumerate(sizes, start=1)

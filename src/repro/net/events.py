@@ -7,6 +7,17 @@ fire in scheduling order, keeping runs deterministic. An event, once
 scheduled, fires: the protocol never moves a scheduled time, so there
 is no cancellation.
 
+**The horizon.** A scheduler may be built with the run's ``horizon``
+(a protocol run passes its ``max_duration``; the default is ``inf``).
+It holds nothing the run cannot fire: every scheduled event and wave
+item still draws its sequence number, so the ones that fire keep their
+``(time, sequence)`` order bit for bit, but an event or wave item due
+past the horizon (``time > horizon``, the same test as :meth:`run`'s
+``time > until`` stop) is dropped there and then, and a wave whose items
+are all late pushes no heap entry. :meth:`Scheduler.run` runs to the
+horizon by default and refuses to run past it, so a dropped event can
+never have been due.
+
 This is the hot loop of every protocol simulation, so the engine is
 built for throughput:
 
@@ -15,9 +26,11 @@ built for throughput:
   and the entry is the whole event, dispatched as ``callback(*args)``,
   so callers schedule bound methods with arguments instead of
   allocating a closure per send;
-* ``Scheduler.pending`` is O(1): every scheduled event draws one
-  sequence number and leaves the heap by firing, so the pending count
-  is the numbers drawn minus the events fired;
+* ``Scheduler.pending`` is O(1): the sequence numbers drawn minus the
+  events fired. Every scheduled event draws one, so it still counts the
+  late events the horizon dropped, which never fire;
+  ``Scheduler.peak_pending`` is the high-water mark of physical heap
+  entries, which the horizon lowers;
 * fan-outs are **wave-scheduled**: a broadcast to N recipients — faulty
   or not, the fault layer only filters the recipient list — is one
   self-re-arming :class:`DeliveryWave` heap entry instead of N pushes.
@@ -40,6 +53,8 @@ allocation shows up as a digest mismatch.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -84,9 +99,14 @@ class DeliveryWave:
 
 
 class Scheduler:
-    """Owns the clock and the event heap, and runs the event loop."""
+    """Owns the clock, the event heap and the horizon, and runs the
+    event loop."""
 
-    def __init__(self) -> None:
+    def __init__(self, horizon: float = math.inf) -> None:
+        # ``not x >= 0`` also rejects NaN, which fails every comparison.
+        if not horizon >= 0:
+            raise SimulationError(f"horizon must be non-negative: {horizon}")
+        self._horizon = horizon
         # Entries are (time, sequence, callback, args) or, for a wave,
         # (time, sequence, wave, None): sequence is unique, so tuple
         # comparison never reaches the third field.
@@ -111,7 +131,9 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
-        """Scheduled events not yet fired (a wave counts per item)."""
+        """Sequence numbers drawn minus events fired (a wave counts per
+        item). Late events the horizon dropped count too: they never
+        fire."""
         return self._next_seq - self._events_fired
 
     def schedule_at(self, time: float, callback: EventCallback, *args) -> None:
@@ -119,7 +141,8 @@ class Scheduler:
 
         Extra positional ``args`` are passed to ``callback`` when the
         event fires — schedule bound methods directly instead of
-        wrapping them in closures.
+        wrapping them in closures. An event due past the horizon draws
+        its sequence number and is dropped.
         """
         if time < self._now:
             raise SimulationError(
@@ -136,6 +159,8 @@ class Scheduler:
     def _push(self, time: float, callback: EventCallback, args: tuple) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
+        if time > self._horizon:
+            return
         heap = self._heap
         heapq.heappush(heap, (time, seq, callback, args))
         if len(heap) > self.peak_pending:
@@ -155,27 +180,37 @@ class Scheduler:
         numbers are allocated contiguously in item order, then the wave
         is sorted into ``(time, sequence)`` delivery order (the sort is
         stable, so equal-time items keep their push order, matching
-        per-event tie-breaking bit for bit).
+        per-event tie-breaking bit for bit). The wave then holds only
+        the items due at or before the horizon, so a wave whose items
+        are all late pushes nothing.
         """
         n = len(times)
         if n == 0:
             return
-        if min(times) < self._now:
+        first = min(times)
+        if first < self._now:
             raise SimulationError(
-                f"cannot schedule wave at {min(times):.3f}s: "
+                f"cannot schedule wave at {first:.3f}s: "
                 f"clock is already at {self._now:.3f}s"
             )
         seq0 = self._next_seq
         self._next_seq = seq0 + n
+        horizon = self._horizon
+        if first > horizon:
+            return
         order = sorted(range(n), key=times.__getitem__)
+        due = [times[i] for i in order]
+        if due[-1] > horizon:
+            held = bisect_right(due, horizon)
+            del due[held:], order[held:]
         wave = DeliveryWave(
-            [times[i] for i in order],
+            due,
             [seq0 + i for i in order],
             [items[i] for i in order],
             deliver,
         )
         heap = self._heap
-        heapq.heappush(heap, (wave.times[0], wave.seqs[0], wave, None))
+        heapq.heappush(heap, (due[0], wave.seqs[0], wave, None))
         if len(heap) > self.peak_pending:
             self.peak_pending = len(heap)
 
@@ -188,12 +223,21 @@ class Scheduler:
         """Drain the queue; returns the final clock value.
 
         ``until`` caps simulated time (the clock is advanced to it when
-        the queue drains without the stop condition firing);
+        the queue drains without the stop condition firing). It defaults
+        to the horizon, and a run asked to go past the horizon is
+        refused, since the events due there were never held;
         ``stop_condition`` is re-evaluated after every event — when it
         fires the clock stays at the stopping event's time, so callers
         can read ``now`` as the actual completion time;
         ``max_events`` is a runaway-loop guard.
         """
+        if until is None:
+            until = self._horizon
+        elif until > self._horizon:
+            raise SimulationError(
+                f"cannot run until {until:.3f}s: past the horizon "
+                f"at {self._horizon:.3f}s"
+            )
         heap = self._heap
         pop, replace = heapq.heappop, heapq.heapreplace
         budget = self._events_fired + max_events
@@ -203,7 +247,7 @@ class Scheduler:
             if not heap:
                 break  # drained
             time, __, target, args = heap[0]
-            if until is not None and time > until:
+            if time > until:
                 self._now = until
                 return until
             self._now = time
@@ -227,6 +271,6 @@ class Scheduler:
                 raise SimulationError(
                     f"event budget exhausted after {max_events} events"
                 )
-        if until is not None and until > self._now:
+        if self._now < until < math.inf:
             self._now = until
         return self._now

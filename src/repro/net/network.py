@@ -202,7 +202,9 @@ class Network:
         delivered. A dropped recipient still consumes its latency draw;
         a duplicate is an extra item just before its original, so it
         takes the sequence number a separate schedule ahead of the
-        original would.
+        original would. A recipient due past the scheduler's horizon
+        keeps its draw and its filter call too (both RNG streams stay
+        unchanged); the wave then drops it.
         """
         scheduler = self._scheduler
         delays = self._latency.sample_many(self._rng, len(targets))

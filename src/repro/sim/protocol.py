@@ -391,7 +391,9 @@ class ProtocolSimulation:
         self._commitment = self._packet.digest() if self._packet is not None else None
         self._distribute_packet = unified and self._fault_model is not None
 
-        self._scheduler = Scheduler()
+        # The run ends at max_duration, so the scheduler holds nothing
+        # due past it.
+        self._scheduler = Scheduler(self._config.max_duration)
         self._network = Network(
             self._scheduler,
             latency=self._config.latency,
@@ -688,18 +690,15 @@ class ProtocolSimulation:
                 # event, and the lineage probe sees no head movement),
                 # emits no trace events, and draws no randomness. Extra
                 # scheduler entries shift only the wall-sidecar counters
-                # (events_fired, peak_pending).
-                horizon = self._config.max_duration
-
+                # (events_fired, pending, peak_pending). A re-arm past
+                # the horizon is dropped by the scheduler.
                 def beat() -> None:
                     self._sample_heartbeat(telemetry)
-                    if self._scheduler.now + interval <= horizon:
-                        self._scheduler.schedule_in(interval, beat)
+                    self._scheduler.schedule_in(interval, beat)
 
                 self._scheduler.schedule_in(interval, beat)
 
         self._scheduler.run(
-            until=self._config.max_duration,
             stop_condition=drained,
             max_events=(
                 MAX_EVENTS
@@ -1098,12 +1097,9 @@ class ProtocolSimulation:
                 blocks_regossiped=blocks_regossiped,
                 packet_resends=packet_resends,
             )
-        if self._scheduler.now + self._config.retransmit_interval <= (
-            self._config.max_duration
-        ):
-            self._scheduler.schedule_in(
-                self._config.retransmit_interval, self._retransmit_sweep
-            )
+        self._scheduler.schedule_in(
+            self._config.retransmit_interval, self._retransmit_sweep
+        )
 
     def _retransmit_packet(self) -> int:
         """An honest, live leader re-sends the packet to uncovered nodes.

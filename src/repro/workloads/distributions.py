@@ -11,6 +11,10 @@ from repro.errors import WorkloadError
 #: fees from ``[FEE_LOW, FEE_HIGH]``.
 FEE_LOW, FEE_HIGH = 1, 100
 
+#: Sec. VI-C1's small-shard size range: "We only inject 1 to 9
+#: transactions into a small shard."
+SMALL_SHARD_LOW, SMALL_SHARD_HIGH = 1, 9
+
 
 def uniform_fee_stream(seed: int | None = None):
     """Integer fees drawn uniformly from ``[FEE_LOW, FEE_HIGH]``, forever.
@@ -73,17 +77,12 @@ def exponential_fees(
     return [max(1, round(rng.expovariate(1.0 / mean))) for __ in range(count)]
 
 
-def random_small_shard_sizes(
-    count: int, low: int = 1, high: int = 9, seed: int | None = None
-) -> list[int]:
-    """Random per-shard transaction counts for the merging simulations.
-
-    Defaults follow Sec. VI-C1: "We only inject 1 to 9 transactions into
-    a small shard."
-    """
+def random_small_shard_sizes(count: int, seed: int | None = None) -> list[int]:
+    """Random per-shard transaction counts for the merging simulations,
+    uniform over ``[SMALL_SHARD_LOW, SMALL_SHARD_HIGH]``."""
     if count < 0:
         raise WorkloadError("shard count cannot be negative")
-    if low <= 0 or high < low:
-        raise WorkloadError(f"invalid size range [{low}, {high}]")
     rng = random.Random(seed)
-    return [rng.randint(low, high) for __ in range(count)]
+    return [
+        rng.randint(SMALL_SHARD_LOW, SMALL_SHARD_HIGH) for __ in range(count)
+    ]

@@ -48,7 +48,6 @@ class WorkloadBuilder:
         contract: str,
         fee: int,
         amount: int = 1,
-        extra_inputs: tuple[str, ...] = (),
     ) -> Transaction:
         """A contract-invoking transaction with the sender's next nonce."""
         nonce = self._nonces[sender]
@@ -61,7 +60,6 @@ class WorkloadBuilder:
             kind=TransactionKind.CONTRACT_CALL,
             contract=contract,
             nonce=nonce,
-            extra_inputs=extra_inputs,
         )
 
     def direct_transfer(
@@ -84,9 +82,6 @@ class WorkloadBuilder:
             nonce=nonce,
             extra_inputs=extra_inputs,
         )
-
-    def senders_seen(self) -> list[str]:
-        return list(self._nonces)
 
 
 @dataclass(frozen=True)

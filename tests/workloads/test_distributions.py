@@ -92,7 +92,3 @@ class TestShardSizes:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             random_small_shard_sizes(-1)
-        with pytest.raises(WorkloadError):
-            random_small_shard_sizes(1, low=0)
-        with pytest.raises(WorkloadError):
-            random_small_shard_sizes(1, low=5, high=4)

@@ -44,11 +44,6 @@ class TestWorkloadBuilder:
         b1 = builder.direct_transfer("0xub", "0xua", fee=1)
         assert (a1.nonce, a2.nonce, b1.nonce) == (0, 1, 0)
 
-    def test_senders_seen(self):
-        builder = WorkloadBuilder()
-        builder.direct_transfer("0xua", "0xub", fee=1)
-        assert builder.senders_seen() == ["0xua"]
-
 
 class TestUniformContractWorkload:
     def test_partition_matches_paper_formula(self):
