@@ -24,7 +24,7 @@ a capacity limit that fails loudly in the run report, never silently.
 
 from __future__ import annotations
 
-from bisect import insort_right
+from bisect import bisect_left, insort_right
 
 from repro.chain.transaction import Transaction
 from repro.errors import ConfigError
@@ -106,14 +106,7 @@ class Mempool:
         ranked = self._ranked
         assert ranked is not None
         if self._ranked_stale:
-            rank = _fee_rank(tx)
-            lo, hi = 0, len(ranked)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _fee_rank(ranked[mid]) < rank:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_left(ranked, _fee_rank(tx), key=_fee_rank)
             if lo < len(ranked) and ranked[lo].tx_id == tx.tx_id:
                 self._ranked_stale -= 1
                 return

@@ -23,10 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised indirectly via MiningCalendar
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
+import numpy as np
 
 # Calibration anchor: difficulty 0x40000 == 60 s expected block time on the
 # paper's reference machine, giving the reference hash rate below.
@@ -134,9 +131,9 @@ class MiningCalendar:
     :meth:`set_next` call it makes only writes the array, and the
     single re-arm happens after it returns.
 
-    The argmin scan vectorizes over a persistent numpy mirror when numpy
-    is available and the shard is large enough; the pure-python
-    fallback is bit-identical (both return the *first* minimum).
+    The argmin scan vectorizes over a persistent numpy mirror when the
+    shard is large enough; below that a python ``min()`` is bit-identical
+    (both return the *first* minimum).
     """
 
     #: Below this many miners a python min() beats the numpy round trip.
@@ -185,9 +182,9 @@ class MiningCalendar:
         times = self._times
         if not times:
             return None
-        if len(times) >= self._NUMPY_MIN_MINERS and _np is not None:
+        if len(times) >= self._NUMPY_MIN_MINERS:
             if self._np_times is None:
-                self._np_times = _np.asarray(times, dtype=float)
+                self._np_times = np.asarray(times, dtype=float)
             return int(self._np_times.argmin())
         return min(range(len(times)), key=times.__getitem__)
 

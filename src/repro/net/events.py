@@ -14,7 +14,8 @@ item still draws its sequence number, so the ones that fire keep their
 ``(time, sequence)`` order bit for bit, but an event or wave item due
 past the horizon (``time > horizon``, the same test as :meth:`run`'s
 ``time > until`` stop) is dropped there and then, and a wave whose items
-are all late pushes no heap entry. :meth:`Scheduler.run` runs to the
+are all late pushes no heap entry (:meth:`Scheduler.drop_late_wave`
+spares a fan-out even building it). :meth:`Scheduler.run` runs to the
 horizon by default and refuses to run past it, so a dropped event can
 never have been due.
 
@@ -56,6 +57,8 @@ import heapq
 import math
 from bisect import bisect_right
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -166,9 +169,17 @@ class Scheduler:
         if len(heap) > self.peak_pending:
             self.peak_pending = len(heap)
 
+    def drop_late_wave(self, earliest: float, count: int) -> bool:
+        """Whether a wave of ``count`` items due no sooner than ``earliest``
+        is wholly late; if so, draw its sequence numbers as a wave would."""
+        if earliest <= self._horizon:
+            return False
+        self._next_seq += count
+        return True
+
     def schedule_wave(
         self,
-        times: list[float],
+        times: "list[float] | np.ndarray",
         items: list,
         deliver: Callable[[object], None],
     ) -> None:
@@ -182,12 +193,19 @@ class Scheduler:
         stable, so equal-time items keep their push order, matching
         per-event tie-breaking bit for bit). The wave then holds only
         the items due at or before the horizon, so a wave whose items
-        are all late pushes nothing.
+        are all late pushes nothing. An array of ``times`` is cut first.
         """
         n = len(times)
         if n == 0:
             return
-        first = min(times)
+        horizon = self._horizon
+        if isinstance(times, np.ndarray):
+            order = np.flatnonzero(times <= horizon)
+            order = order[times[order].argsort(kind="stable")]
+            due, order = times[order].tolist(), order.tolist()
+            first = due[0] if due else math.inf
+        else:
+            first, due = min(times), None
         if first < self._now:
             raise SimulationError(
                 f"cannot schedule wave at {first:.3f}s: "
@@ -195,14 +213,14 @@ class Scheduler:
             )
         seq0 = self._next_seq
         self._next_seq = seq0 + n
-        horizon = self._horizon
         if first > horizon:
             return
-        order = sorted(range(n), key=times.__getitem__)
-        due = [times[i] for i in order]
-        if due[-1] > horizon:
-            held = bisect_right(due, horizon)
-            del due[held:], order[held:]
+        if due is None:
+            order = sorted(range(n), key=times.__getitem__)
+            due = [times[i] for i in order]
+            if due[-1] > horizon:
+                held = bisect_right(due, horizon)
+                del due[held:], order[held:]
         wave = DeliveryWave(
             due,
             [seq0 + i for i in order],

@@ -8,27 +8,33 @@ builds that recipient's :class:`~repro.net.messages.Message` — the only
 one built for that delivery — drops it if the fault model says the
 recipient is down, counts it if it is cross-shard, and calls
 ``recipient.receive``.
+
+A fault-free fan-out builds only the deliveries that can fire: a wave
+whose base latency already lands past the horizon only advances the RNG
+and the sequence numbers, and a large one is drawn, cut and sorted as
+one numpy vector (:meth:`LatencyModel.sample_array`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 
-try:  # pragma: no cover - exercised indirectly via sample_many
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
-#: Below this fan-out the numpy round trip costs more than it saves.
-_NUMPY_BATCH_MIN = 32
+#: Fault-free fan-outs this large take the vector path; timed over a
+#: whole fan-out, it breaks even near 96 recipients and wins from 112.
+_NUMPY_BATCH_MIN = 112
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterable
+
     from repro.faults.model import FaultModel
     from repro.net.node import Node
 
@@ -44,23 +50,22 @@ class LatencyModel:
 
     Both fields are validated at construction: a negative base used to
     surface much later as a "cannot schedule in the past"
-    ``SimulationError`` deep inside the event loop, and a negative
-    jitter was silently ignored by :meth:`sample`.
+    ``SimulationError`` deep inside the event loop, a negative jitter
+    was silently ignored by :meth:`sample`, and an infinite one never
+    fires under a finite horizon (or, as ``inf * 0.0``, comes out NaN).
     """
 
     base_seconds: float = 0.05
     jitter_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        # ``not x >= 0`` also rejects NaN, which fails every comparison.
-        if not self.base_seconds >= 0:
-            raise ConfigError(
-                f"latency base_seconds must be non-negative: {self.base_seconds}"
-            )
-        if not self.jitter_seconds >= 0:
-            raise ConfigError(
-                f"latency jitter_seconds must be non-negative: {self.jitter_seconds}"
-            )
+        for name in ("base_seconds", "jitter_seconds"):
+            value = getattr(self, name)
+            # ``0 <= x < inf`` also rejects NaN, which fails every comparison.
+            if not 0 <= value < math.inf:
+                raise ConfigError(
+                    f"latency {name} must be finite and non-negative: {value}"
+                )
 
     def sample(self, rng: random.Random) -> float:
         if self.jitter_seconds <= 0:
@@ -71,27 +76,38 @@ class LatencyModel:
         """``count`` delays in one pass.
 
         Draw-order contract: consumes exactly the same RNG stream as
-        ``count`` successive :meth:`sample` calls (and nothing at all
-        when jitter is zero), so fan-out fast paths that pre-sample a
-        latency vector stay bit-identical to per-send sampling.
-
-        Large fan-outs vectorize the multiply-add over the raw uniforms
-        with numpy when it is available. ``rng.uniform(0.0, j)`` is
-        exactly ``0.0 + j * rng.random()`` in CPython, and IEEE-754
-        multiply/add are elementwise identical in numpy, so the batched
-        path is bit-equal to the scalar one (a pinned test property).
-        Only ``*`` and ``+`` are allowed here — numpy transcendentals
-        (``np.log`` etc.) do NOT match ``math``'s libm bit-for-bit.
+        ``count`` successive :meth:`sample` calls — two 32-bit Mersenne
+        Twister words per delay, and nothing at all when jitter is zero
+        — so fan-out fast paths that pre-sample a latency vector stay
+        bit-identical to per-send sampling. ``rng.uniform(0.0, j)`` is
+        exactly ``0.0 + j * rng.random()`` in CPython, which is
+        ``j * rng.random()`` for ``j >= 0``.
         """
         base = self.base_seconds
         jitter = self.jitter_seconds
         if jitter <= 0:
             return [base] * count
         draw = rng.random
-        uniforms = [draw() for __ in range(count)]
-        if _np is not None and count >= _NUMPY_BATCH_MIN:
-            return (base + jitter * _np.asarray(uniforms)).tolist()
-        return [base + jitter * u for u in uniforms]
+        return [base + jitter * draw() for __ in range(count)]
+
+    def skip(self, rng: random.Random, count: int) -> None:
+        """Advance ``rng`` past ``count`` delays without making them."""
+        if self.jitter_seconds > 0:
+            rng.getrandbits(64 * count)
+
+    def sample_array(self, rng: random.Random, count: int) -> np.ndarray:
+        """:meth:`sample_many` as a float64 array, bit for bit: each word
+        pair of one ``getrandbits`` call, least significant first, becomes
+        CPython's ``random()``, ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
+        Only exact steps and IEEE ``*``/``+`` are used: numpy's ``np.log``
+        etc. would not match ``math`` bit for bit."""
+        if self.jitter_seconds <= 0:
+            return np.full(count, self.base_seconds)
+        words = np.frombuffer(
+            rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+        )
+        uniforms = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+        return self.base_seconds + self.jitter_seconds * uniforms
 
 
 class Network:
@@ -160,7 +176,7 @@ class Network:
         """
         target = self.node(message.recipient)
         return self._fan_out(
-            [target], message.kind, message.sender, message.payload, message.shard_id
+            1, [target], message.kind, message.sender, message.payload, message.shard_id
         ) > 0
 
     def broadcast(self, message_kind: MessageKind, sender: str, payload: object,
@@ -170,8 +186,10 @@ class Network:
         Returns the number of sends actually scheduled (the fault layer
         may swallow some).
         """
-        targets = [node for nid, node in self._nodes.items() if nid != sender]
-        return self._fan_out(targets, message_kind, sender, payload, shard_id)
+        nodes = self._nodes
+        count = len(nodes) - (sender in nodes)
+        targets = (node for nid, node in nodes.items() if nid != sender)
+        return self._fan_out(count, targets, message_kind, sender, payload, shard_id)
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
                   recipients: list[str], shard_id: int | None = None) -> int:
@@ -191,27 +209,38 @@ class Network:
                     f"unknown recipient {recipient} in "
                     f"{message_kind.name} multicast from {sender}"
                 ) from None
-        return self._fan_out(targets, message_kind, sender, payload, shard_id)
+        return self._fan_out(
+            len(targets), targets, message_kind, sender, payload, shard_id
+        )
 
-    def _fan_out(self, targets: list["Node"], message_kind: MessageKind,
+    def _fan_out(self, count: int, targets: "Iterable[Node]", message_kind: MessageKind,
                  sender: str, payload: object, shard_id: int | None) -> int:
-        """One wave delivering ``payload`` to ``targets``; returns sends made.
+        """One wave delivering ``payload`` to ``count`` targets; returns sends made.
 
         The fault model judges every recipient against one unaddressed
         message, so a send builds its :class:`Message` only when it is
         delivered. A dropped recipient still consumes its latency draw;
         a duplicate is an extra item just before its original, so it
         takes the sequence number a separate schedule ahead of the
-        original would. A recipient due past the scheduler's horizon
-        keeps its draw and its filter call too (both RNG streams stay
-        unchanged); the wave then drops it.
+        original would. A faulty recipient due past the scheduler's
+        horizon keeps its draw and its filter call too (both RNG streams
+        stay unchanged); the wave then drops it. A wholly late fault-free
+        wave never builds ``targets``.
         """
         scheduler = self._scheduler
-        delays = self._latency.sample_many(self._rng, len(targets))
+        latency = self._latency
+        rng = self._rng
         now = scheduler.now
-        sent = len(targets)
         faults = self._faults
+        if faults is None and scheduler.drop_late_wave(
+            now + latency.base_seconds, count
+        ):
+            latency.skip(rng, count)
+            return count
+        targets = list(targets)
+        sent = count
         if faults is not None:
+            delays = latency.sample_many(rng, count)
             unaddressed = Message(message_kind, sender, None, payload, shard_id)
             kept: list["Node"] = []
             times: list[float] = []
@@ -227,8 +256,10 @@ class Network:
                 kept.append(target)
                 times.append(now + delay)
             targets = kept
+        elif count >= _NUMPY_BATCH_MIN:
+            times = now + latency.sample_array(rng, count)
         else:
-            times = [now + delay for delay in delays]
+            times = [now + delay for delay in latency.sample_many(rng, count)]
         cross_shard = message_kind.is_cross_shard
 
         def deliver(target: "Node") -> None:

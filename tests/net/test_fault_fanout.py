@@ -24,7 +24,7 @@ from repro.net.node import Node
 from repro.observe import Tracer
 from tests.net.test_events import run_keyed
 
-#: 36 nodes: a broadcast fans out to 35, past the numpy latency batch.
+#: 36 nodes: a broadcast fans out to 35.
 NODES = [f"n{i}" for i in range(36)]
 LATENCY = LatencyModel(base_seconds=0.05, jitter_seconds=0.1)
 PLAN = FaultPlan(

@@ -1,5 +1,7 @@
 """Tests for repro.net.network and repro.net.messages."""
 
+import math
+
 import pytest
 
 from repro.errors import NetworkError
@@ -320,6 +322,16 @@ class TestLatencyModel:
 
         with pytest.raises(ConfigError, match=field):
             LatencyModel(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["base_seconds", "jitter_seconds"])
+    def test_infinite_rejected_naming_field(self, field):
+        # An infinite delay never fires under a finite horizon, fires at
+        # t = inf under an infinite one, and infinite jitter times a zero
+        # uniform is NaN.
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            LatencyModel(**{field: math.inf})
 
     def test_sample_many_count_and_bounds(self):
         import random

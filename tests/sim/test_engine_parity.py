@@ -232,30 +232,19 @@ class TestDrawOrderContract:
         assert rng.getstate() == before
 
     def test_sample_many_numpy_batch_bit_equal_to_scalar(self):
-        """Counts at/above the numpy batching threshold must still be
-        bit-identical to per-call sampling — IEEE multiply/add is
-        elementwise identical, and digests depend on it."""
+        """Counts at/above the numpy batching threshold take the
+        one-call kernel, which must still be bit-identical to per-call
+        sampling: digests depend on it."""
         from repro.net import network as network_mod
 
         threshold = network_mod._NUMPY_BATCH_MIN
         model = LatencyModel(base_seconds=0.05, jitter_seconds=0.03)
         for count in (threshold, threshold + 1, 4 * threshold + 3):
             a, b = random.Random(7), random.Random(7)
-            batched = model.sample_many(a, count)
+            batched = model.sample_array(a, count).tolist()
             scalar = [model.sample(b) for __ in range(count)]
             assert batched == scalar  # exact float equality, not approx
             assert a.random() == b.random()
-
-    def test_sample_many_without_numpy_matches(self, monkeypatch):
-        """The pure-Python fallback (numpy absent) is the same stream."""
-        from repro.net import network as network_mod
-
-        model = LatencyModel(base_seconds=0.05, jitter_seconds=0.03)
-        a, b = random.Random(13), random.Random(13)
-        with_np = model.sample_many(a, 64)
-        monkeypatch.setattr(network_mod, "_np", None)
-        without_np = model.sample_many(b, 64)
-        assert with_np == without_np
 
 
 class TestMiningPrefetchContract:
