@@ -12,10 +12,10 @@ models those failures deterministically:
   optional recovery, network partitions with heal times, and a
   :class:`FaultyLeader` that withholds or equivocates its
   :class:`~repro.core.unification.UnificationPacket`.
-* :class:`FaultModel` — the runtime engine the network consults on every
-  send/delivery. It owns a dedicated RNG so that installing a no-op plan
-  leaves every other random stream — latency, mining, assignment —
-  bit-identical to a run without the fault layer.
+* :class:`FaultModel` — the runtime engine the network consults once
+  per fan-out and on every delivery. It owns a dedicated RNG so that
+  installing a no-op plan leaves every other random stream — latency,
+  mining, assignment — bit-identical to a run without the fault layer.
 * :class:`FaultStats` — the per-fault counters (``drops``,
   ``retransmissions``, ``fallbacks``, ``equivocations_detected``, ...)
   surfaced on :class:`~repro.sim.protocol.ProtocolResult`.

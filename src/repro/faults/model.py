@@ -1,7 +1,9 @@
 """The runtime fault engine the network consults.
 
 :class:`FaultModel` turns a declarative :class:`~repro.faults.plan.FaultPlan`
-into per-message decisions. Two properties matter:
+into decisions about live traffic: :meth:`FaultModel.judge_wave` judges
+a whole fan-out at once, and :meth:`FaultModel.filter_delivery` checks
+each delivery as it falls due. Two properties matter:
 
 * **determinism** — all randomness comes from one dedicated
   ``random.Random`` seeded at construction, so a (plan, seed) pair
@@ -22,23 +24,29 @@ from repro.faults.plan import FaultPlan, FaultStats
 from repro.net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Sequence
+
     from repro.observe import Tracer
 
 
 @dataclass(frozen=True)
 class FaultDecision:
-    """What the fault layer decided for one message send."""
+    """What the fault layer decided for one message send.
+
+    Both delays are added to the send's latency: ``extra_delay`` to the
+    original's, ``duplicate_delay`` to the copy's (the original's spike
+    plus the copy's own path), or ``None`` when no copy is delivered.
+    """
 
     dropped: bool = False
     extra_delay: float = 0.0
-    duplicate_delay: float | None = None  # None = no duplicate delivery
+    duplicate_delay: float | None = None
 
     @property
     def duplicated(self) -> bool:
         return self.duplicate_delay is not None
 
 
-_CLEAN = FaultDecision()
 _DROPPED = FaultDecision(dropped=True)
 
 
@@ -54,10 +62,10 @@ class FaultModel:
         self.plan = plan or FaultPlan.none()
         self.stats = FaultStats()
         self._rng = random.Random(seed)
-        # Crash schedules indexed by node: `crashed` runs on every send
-        # *and* delivery, so a linear scan of the whole plan per message
-        # dominates large runs. Pure reindexing — no RNG, no behavior
-        # change.
+        # Crash schedules indexed by node: `crashed` runs once per
+        # fan-out and on every delivery, so a linear scan of the whole
+        # plan per message dominates large runs. Pure reindexing — no
+        # RNG, no behavior change.
         self._crashes_by_node: dict[str, list] = {}
         for crash in self.plan.crashes:
             self._crashes_by_node.setdefault(crash.node_id, []).append(crash)
@@ -101,67 +109,106 @@ class FaultModel:
     # ------------------------------------------------------------------
     # message path
     # ------------------------------------------------------------------
+    def judge_wave(
+        self,
+        message: Message,
+        now: float,
+        recipients: "Sequence[str]",
+        delays: list[float],
+    ) -> tuple[list[int], list[float], int]:
+        """Judge one fan-out: ``message`` (unaddressed) sent at ``now`` to
+        ``recipients``, whose latency draws are ``delays``.
+
+        Returns ``(kept, delays, sent)``: the positions in ``recipients``
+        of the deliveries that survive, the delay of each (its latency
+        plus any spike), and how many recipients were not dropped. A
+        duplicated recipient appears twice, its copy first, delayed a
+        further independent draw. The caller adds ``now`` to each delay.
+
+        What every recipient shares is resolved once per wave: whether
+        the sender is down (then all of them are crash drops), whether
+        the plan has partitions, and the faults of the message's kind.
+        Per recipient, in order, only the partition test and then the
+        dice remain: drop, spike, duplicate. The dice draw from this
+        model's RNG in the order a per-recipient judge would, and every
+        fault is counted and noted per recipient.
+        """
+        count = len(recipients)
+        stats = self.stats
+        if self.crashed(message.sender, now):
+            stats.crash_drops += count
+            if self._tracer is not None:
+                for recipient in recipients:
+                    self._note("fault.crash_drop", message, recipient, now)
+            return [], [], 0
+        has_partitions = self._has_partitions
+        faults = self.plan.faults_for(message.kind)
+        if faults.is_noop and not has_partitions:
+            return list(range(count)), delays, count
+
+        drop_p = faults.drop_probability
+        spike_p = faults.delay_spike_probability
+        duplicate_p = faults.duplicate_probability
+        spike_s = faults.delay_spike_seconds
+        # A copy takes its own (spiked) path through the network.
+        duplicate_s = max(spike_s, 0.1)
+        random = self._rng.random
+        uniform = self._rng.uniform
+        note = self._note if self._tracer is not None else None
+        sender = message.sender
+        dropped = 0
+        kept: list[int] = []
+        judged: list[float] = []
+        for position, delay in enumerate(delays):
+            if has_partitions and self.partitioned(
+                sender, recipients[position], now
+            ):
+                stats.partition_drops += 1
+                dropped += 1
+                if note:
+                    note("fault.partition_drop", message, recipients[position], now)
+                continue
+            if drop_p > 0 and random() < drop_p:
+                stats.drops += 1
+                dropped += 1
+                if note:
+                    note("fault.drop", message, recipients[position], now)
+                continue
+            if spike_p > 0 and random() < spike_p:
+                extra_delay = uniform(0.0, spike_s)
+                delay += extra_delay
+                stats.delay_spikes += 1
+                if note:
+                    note(
+                        "fault.delay",
+                        message,
+                        recipients[position],
+                        now,
+                        extra_delay=round(extra_delay, 9),
+                    )
+            if duplicate_p > 0 and random() < duplicate_p:
+                kept.append(position)
+                judged.append(delay + uniform(0.0, duplicate_s))
+                stats.duplicates += 1
+                if note:
+                    note("fault.duplicate", message, recipients[position], now)
+            kept.append(position)
+            judged.append(delay)
+        return kept, judged, count - dropped
+
     def filter_send(
         self, message: Message, time: float, recipient: str | None = None
     ) -> FaultDecision:
-        """Decide one send's fate; called by the network's fan-out.
-
-        ``recipient`` (default ``message.recipient``) names who the send
-        goes to: a fan-out judges all its recipients against one
-        unaddressed message and addresses one only to a survivor.
-
-        Crash and partition checks come first (they are deterministic in
-        time and consume no randomness), then the probabilistic message
-        faults for the message's kind.
-        """
+        """Judge one send to ``recipient`` (default ``message.recipient``):
+        :meth:`judge_wave` for a wave of one with a zero latency."""
         if recipient is None:
             recipient = message.recipient
-        if self.crashed(message.sender, time):
-            self.stats.crash_drops += 1
-            self._note("fault.crash_drop", message, recipient, time)
+        __, delays, sent = self.judge_wave(message, time, (recipient,), [0.0])
+        if not sent:
             return _DROPPED
-        if self.partitioned(message.sender, recipient, time):
-            self.stats.partition_drops += 1
-            self._note("fault.partition_drop", message, recipient, time)
-            return _DROPPED
-
-        faults = self.plan.faults_for(message.kind)
-        if faults.is_noop:
-            return _CLEAN
-
-        if faults.drop_probability > 0 and self._rng.random() < faults.drop_probability:
-            self.stats.drops += 1
-            self._note("fault.drop", message, recipient, time)
-            return _DROPPED
-
-        extra_delay = 0.0
-        if (
-            faults.delay_spike_probability > 0
-            and self._rng.random() < faults.delay_spike_probability
-        ):
-            extra_delay = self._rng.uniform(0.0, faults.delay_spike_seconds)
-            self.stats.delay_spikes += 1
-            self._note(
-                "fault.delay",
-                message,
-                recipient,
-                time,
-                extra_delay=round(extra_delay, 9),
-            )
-
-        duplicate_delay: float | None = None
-        if (
-            faults.duplicate_probability > 0
-            and self._rng.random() < faults.duplicate_probability
-        ):
-            # The copy takes its own (spiked) path through the network.
-            duplicate_delay = self._rng.uniform(0.0, max(faults.delay_spike_seconds, 0.1))
-            self.stats.duplicates += 1
-            self._note("fault.duplicate", message, recipient, time)
-
-        return FaultDecision(
-            dropped=False, extra_delay=extra_delay, duplicate_delay=duplicate_delay
-        )
+        if len(delays) == 1:
+            return FaultDecision(extra_delay=delays[0])
+        return FaultDecision(extra_delay=delays[1], duplicate_delay=delays[0])
 
     def filter_delivery(self, message: Message, time: float) -> bool:
         """Whether a scheduled delivery still lands, checked as it falls due.

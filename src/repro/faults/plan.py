@@ -9,6 +9,7 @@ is what makes chaos tests assertable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import FaultConfigError
@@ -42,10 +43,11 @@ class MessageFaults:
         _check_probability("drop_probability", self.drop_probability)
         _check_probability("duplicate_probability", self.duplicate_probability)
         _check_probability("delay_spike_probability", self.delay_spike_probability)
-        # ``not x >= 0`` also rejects NaN, which fails every comparison.
-        if not self.delay_spike_seconds >= 0:
+        # ``0 <= x < inf`` also rejects NaN, which fails every comparison;
+        # an infinite bound would draw an infinite (or NaN) spike.
+        if not 0 <= self.delay_spike_seconds < math.inf:
             raise FaultConfigError(
-                f"delay_spike_seconds cannot be negative or NaN, "
+                f"delay_spike_seconds must be finite and non-negative, "
                 f"got {self.delay_spike_seconds}"
             )
 
@@ -101,6 +103,14 @@ class Partition:
     heals_at: float | None = None
 
     def __post_init__(self) -> None:
+        # A bare string would pass every test below and then match
+        # substrings in :meth:`separates` ("n1" in "n10").
+        if isinstance(self.members, str) or not all(
+            isinstance(member, str) for member in self.members
+        ):
+            raise FaultConfigError(
+                f"members must be a collection of node ids, got {self.members!r}"
+            )
         if not self.members:
             raise FaultConfigError("members: a partition needs at least one")
         if not self.starts_at >= 0:

@@ -12,7 +12,10 @@ recipient is down, counts it if it is cross-shard, and calls
 A fault-free fan-out builds only the deliveries that can fire: a wave
 whose base latency already lands past the horizon only advances the RNG
 and the sequence numbers, and a large one is drawn, cut and sorted as
-one numpy vector (:meth:`LatencyModel.sample_array`).
+one numpy vector (:meth:`LatencyModel.sample_array`). A faulty fan-out
+is judged as one wave: :meth:`~repro.faults.model.FaultModel.judge_wave`
+gets the wave's latency draws and returns the surviving recipients and
+their delays, so the network builds no per-recipient fault decision.
 """
 
 from __future__ import annotations
@@ -122,11 +125,12 @@ class Network:
     :meth:`multicast` share one fan-out. It draws one latency per
     recipient in recipient order (registration order for
     :meth:`broadcast`, list order for :meth:`multicast`), lets an
-    optional :class:`~repro.faults.model.FaultModel` drop, delay or
-    duplicate each recipient in that order, and schedules the survivors
-    as one wave. The fault model owns its own RNG, so omitting it leaves
-    the latency stream bit-identical; ``tests/sim/seed_digests.json``
-    pins both streams and the sequence numbers.
+    optional :class:`~repro.faults.model.FaultModel` judge the whole
+    wave (drop, delay or duplicate each recipient in that order), and
+    schedules the survivors as one wave. The fault model owns its own
+    RNG, so omitting it leaves the latency stream bit-identical;
+    ``tests/sim/seed_digests.json`` pins both streams and the sequence
+    numbers.
     """
 
     def __init__(
@@ -217,14 +221,14 @@ class Network:
                  sender: str, payload: object, shard_id: int | None) -> int:
         """One wave delivering ``payload`` to ``count`` targets; returns sends made.
 
-        The fault model judges every recipient against one unaddressed
+        The fault model judges the whole wave against one unaddressed
         message, so a send builds its :class:`Message` only when it is
         delivered. A dropped recipient still consumes its latency draw;
         a duplicate is an extra item just before its original, so it
         takes the sequence number a separate schedule ahead of the
         original would. A faulty recipient due past the scheduler's
-        horizon keeps its draw and its filter call too (both RNG streams
-        stay unchanged); the wave then drops it. A wholly late fault-free
+        horizon is judged too (both RNG streams stay unchanged); the
+        wave then drops it. A wholly late fault-free
         wave never builds ``targets``.
         """
         scheduler = self._scheduler
@@ -240,22 +244,14 @@ class Network:
         targets = list(targets)
         sent = count
         if faults is not None:
-            delays = latency.sample_many(rng, count)
-            unaddressed = Message(message_kind, sender, None, payload, shard_id)
-            kept: list["Node"] = []
-            times: list[float] = []
-            for target, delay in zip(targets, delays):
-                decision = faults.filter_send(unaddressed, now, target.node_id)
-                if decision.dropped:
-                    sent -= 1
-                    continue
-                delay += decision.extra_delay
-                if decision.duplicated:
-                    kept.append(target)
-                    times.append(now + (delay + decision.duplicate_delay))
-                kept.append(target)
-                times.append(now + delay)
-            targets = kept
+            kept, delays, sent = faults.judge_wave(
+                Message(message_kind, sender, None, payload, shard_id),
+                now,
+                [target.node_id for target in targets],
+                latency.sample_many(rng, count),
+            )
+            targets = [targets[position] for position in kept]
+            times = [now + delay for delay in delays]
         elif count >= _NUMPY_BATCH_MIN:
             times = now + latency.sample_array(rng, count)
         else:

@@ -151,6 +151,24 @@ class TestConstructionErrors:
         with pytest.raises(SimulationError, match="heals_at"):
             Partition(members=("a",), starts_at=2.0, heals_at=nan)
 
+    def test_infinite_spike_names_the_field(self):
+        # ``uniform(0, inf)`` is an infinite delay, or NaN when the draw
+        # is exactly 0.0.
+        with pytest.raises(SimulationError, match="delay_spike_seconds"):
+            MessageFaults(delay_spike_seconds=float("inf"))
+        with pytest.raises(SimulationError, match="delay_spike_seconds"):
+            MessageFaults(delay_spike_seconds=float("-inf"))
+
+    def test_partition_members_bare_string_names_the_field(self):
+        # ``in`` on a string matches substrings: "n1" would count as a
+        # member of "n10".
+        with pytest.raises(SimulationError, match="members"):
+            Partition(members="n10")
+
+    def test_partition_members_non_string_names_the_field(self):
+        with pytest.raises(SimulationError, match="members"):
+            Partition(members=("n1", 5))
+
     def test_partition_errors_name_the_field(self):
         with pytest.raises(SimulationError, match="members"):
             Partition(members=())

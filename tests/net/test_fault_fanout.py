@@ -1,12 +1,13 @@
 """Differential test: fault-filtered fan-outs against the per-recipient loop.
 
 :class:`~repro.net.network.Network` schedules every fan-out as one
-delivery wave and lets the fault model filter each recipient inside it.
+delivery wave and lets the fault model judge the whole wave at once.
 The reference below is the per-recipient loop it replaced: one latency
-draw, one ``filter_send``, then one ``schedule_in`` for a duplicate and
-one for the original, per recipient. Under a plan that mixes drops,
-duplicates, delay spikes, a partition and crashes (one starting exactly
-at a send time, one while deliveries are in flight), both must produce
+draw, one :func:`~tests.faults.oracle.judge_one`, then one
+``schedule_in`` for a duplicate and one for the original, per
+recipient. Under a plan that mixes drops, duplicates, delay spikes, a
+partition and crashes (one starting exactly at a send time, one while
+deliveries are in flight), both must produce
 the same arrivals, the same :class:`~repro.faults.plan.FaultStats` and
 the same ``fault.*`` trace records, seed after seed.
 """
@@ -22,6 +23,7 @@ from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node
 from repro.observe import Tracer
+from tests.faults.oracle import judge_one
 from tests.net.test_events import run_keyed
 
 #: 36 nodes: a broadcast fans out to 35.
@@ -61,7 +63,7 @@ class Recorder(Node):
 
 
 class PerRecipientNetwork:
-    """The retired fault path: one filtered send and heap push per recipient."""
+    """The retired fault path: one judged send and heap push per recipient."""
 
     def __init__(self, scheduler, latency, seed, faults):
         self._scheduler = scheduler
@@ -76,7 +78,9 @@ class PerRecipientNetwork:
     def send(self, message):
         target = self._nodes[message.recipient]
         delay = self._latency.sample(self._rng)
-        decision = self._faults.filter_send(message, self._scheduler.now)
+        decision = judge_one(
+            self._faults, message, self._scheduler.now, message.recipient
+        )
         if decision.dropped:
             return False
         delay += decision.extra_delay
