@@ -78,7 +78,10 @@ class Block:
             tx_root=tree.root,
             nonce=nonce,
         )
-        return cls(header=header, transactions=txs)
+        block = cls(header=header, transactions=txs)
+        # The root was just computed from this very body.
+        block.__dict__["_commits_to_body"] = True
+        return block
 
     @classmethod
     def genesis(cls, shard_id: int = 0) -> "Block":
@@ -116,7 +119,8 @@ class Block:
 
         Memoized on the (immutable) instance: every receiver of a
         broadcast block runs this check, but the Merkle tree only needs
-        to be rebuilt once per block object.
+        to be rebuilt once per block object, and not at all for one
+        :meth:`build` made.
         """
         cached = self.__dict__.get("_commits_to_body")
         if cached is None:

@@ -44,12 +44,17 @@ _CROSS_SHARD_KINDS = {
 
 
 class Message(NamedTuple):
-    """An addressed payload with a kind tag and optional shard context.
+    """An addressed payload with a kind tag and optional home shard.
 
     An immutable tuple: one message is built per delivery, and a tuple
     costs a fraction of a frozen dataclass to build. ``recipient`` is
     ``None`` only on the unaddressed message a faulty fan-out judges
     its recipients against; a delivered message always names one.
+
+    ``shard_id`` is the payload's home shard, established once by the
+    sender: the network screens out its delivery to any node of another
+    shard (see :mod:`repro.net.network`). ``None`` reaches every
+    recipient, which then decides for itself.
     """
 
     kind: MessageKind
@@ -58,8 +63,9 @@ class Message(NamedTuple):
     payload: object = None
     shard_id: int | None = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        recipient = None if self.recipient is None else self.recipient[:8]
         return (
-            f"Message({self.kind.value}, {self.sender[:8]}->{self.recipient[:8]}, "
+            f"Message({self.kind.value}, {self.sender[:8]}->{recipient}, "
             f"shard={self.shard_id})"
         )

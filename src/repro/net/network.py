@@ -2,12 +2,17 @@
 
 One call per delivery: each fan-out schedules one
 :class:`~repro.net.events.DeliveryWave` with a ``deliver`` closure that
-holds what the wave's deliveries share (kind, sender, payload, shard,
-fault model, the kind's cross-shard flag). Handed a due recipient, it
-builds that recipient's :class:`~repro.net.messages.Message` — the only
-one built for that delivery — drops it if the fault model says the
-recipient is down, counts it if it is cross-shard, and calls
-``recipient.receive``.
+holds what the wave's deliveries share (kind, sender, payload, home
+shard, fault model, the kind's cross-shard flag). Handed a due
+recipient, it drops the delivery if the fault model says the recipient
+is down, counts it if it is cross-shard, and then screens it: a
+delivery whose payload has a home shard
+(:attr:`~repro.net.messages.Message.shard_id`) is settled at a
+recipient in another shard by one comparison, and the recipient is
+never called. On a fault-free wave the screen comes first, so a
+screened delivery builds no :class:`~repro.net.messages.Message`
+either. Any other recipient gets its message, the only one built for
+that delivery, through ``recipient.receive``.
 
 A fault-free fan-out builds only the deliveries that can fire: a wave
 whose base latency already lands past the horizon only advances the RNG
@@ -36,8 +41,6 @@ from repro.net.messages import Message, MessageKind
 _NUMPY_BATCH_MIN = 112
 
 if TYPE_CHECKING:  # pragma: no cover
-    from collections.abc import Iterable
-
     from repro.faults.model import FaultModel
     from repro.net.node import Node
 
@@ -130,7 +133,9 @@ class Network:
     schedules the survivors as one wave. The fault model owns its own
     RNG, so omitting it leaves the latency stream bit-identical;
     ``tests/sim/seed_digests.json`` pins both streams and the sequence
-    numbers.
+    numbers. A payload's home shard (``shard_id``) screens the wave: a
+    recipient whose ``shard_id`` is another shard is not called, and a
+    recipient whose ``shard_id`` is ``None`` takes every message.
     """
 
     def __init__(
@@ -144,7 +149,10 @@ class Network:
         self._latency = latency or LatencyModel()
         self._rng = random.Random(seed)
         self._faults = faults
-        self._nodes: dict[str, "Node"] = {}
+        # Registration order, and each node id's place in it: a
+        # broadcast slices its recipients out of the list.
+        self._nodes: list["Node"] = []
+        self._positions: dict[str, int] = {}
         self.cross_shard_messages = 0
 
     @property
@@ -155,19 +163,20 @@ class Network:
     # membership
     # ------------------------------------------------------------------
     def register(self, node: "Node") -> None:
-        if node.node_id in self._nodes:
+        if node.node_id in self._positions:
             raise NetworkError(f"node {node.node_id} already registered")
-        self._nodes[node.node_id] = node
+        self._positions[node.node_id] = len(self._nodes)
+        self._nodes.append(node)
 
     def node(self, node_id: str) -> "Node":
         try:
-            return self._nodes[node_id]
+            return self._nodes[self._positions[node_id]]
         except KeyError:
             raise NetworkError(f"unknown node {node_id}") from None
 
     @property
     def node_ids(self) -> list[str]:
-        return list(self._nodes)
+        return list(self._positions)
 
     # ------------------------------------------------------------------
     # delivery
@@ -180,7 +189,8 @@ class Network:
         """
         target = self.node(message.recipient)
         return self._fan_out(
-            1, [target], message.kind, message.sender, message.payload, message.shard_id
+            [target], None, message.kind, message.sender, message.payload,
+            message.shard_id,
         ) > 0
 
     def broadcast(self, message_kind: MessageKind, sender: str, payload: object,
@@ -190,10 +200,10 @@ class Network:
         Returns the number of sends actually scheduled (the fault layer
         may swallow some).
         """
-        nodes = self._nodes
-        count = len(nodes) - (sender in nodes)
-        targets = (node for nid, node in nodes.items() if nid != sender)
-        return self._fan_out(count, targets, message_kind, sender, payload, shard_id)
+        return self._fan_out(
+            self._nodes, self._positions.get(sender), message_kind, sender,
+            payload, shard_id,
+        )
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
                   recipients: list[str], shard_id: int | None = None) -> int:
@@ -201,25 +211,27 @@ class Network:
 
         The sender is skipped and does not count toward the fan-out.
         """
-        nodes = self._nodes
+        nodes, positions = self._nodes, self._positions
         targets = []
         for recipient in recipients:
             if recipient == sender:
                 continue
             try:
-                targets.append(nodes[recipient])
+                targets.append(nodes[positions[recipient]])
             except KeyError:
                 raise NetworkError(
                     f"unknown recipient {recipient} in "
                     f"{message_kind.name} multicast from {sender}"
                 ) from None
         return self._fan_out(
-            len(targets), targets, message_kind, sender, payload, shard_id
+            targets, None, message_kind, sender, payload, shard_id
         )
 
-    def _fan_out(self, count: int, targets: "Iterable[Node]", message_kind: MessageKind,
-                 sender: str, payload: object, shard_id: int | None) -> int:
-        """One wave delivering ``payload`` to ``count`` targets; returns sends made.
+    def _fan_out(self, targets: list["Node"], skip: int | None,
+                 message_kind: MessageKind, sender: str, payload: object,
+                 home: int | None) -> int:
+        """One wave delivering ``payload`` to ``targets`` but the one at
+        position ``skip`` (the sender, if any); returns sends made.
 
         The fault model judges the whole wave against one unaddressed
         message, so a send builds its :class:`Message` only when it is
@@ -228,24 +240,30 @@ class Network:
         takes the sequence number a separate schedule ahead of the
         original would. A faulty recipient due past the scheduler's
         horizon is judged too (both RNG streams stay unchanged); the
-        wave then drops it. A wholly late fault-free
-        wave never builds ``targets``.
+        wave then drops it. A wholly late fault-free wave never slices
+        ``targets``.
+
+        ``home`` is the payload's home shard, or ``None``: a delivery to
+        a recipient whose ``shard_id`` is another shard is screened out
+        (see the module docstring).
         """
         scheduler = self._scheduler
         latency = self._latency
         rng = self._rng
         now = scheduler.now
         faults = self._faults
+        count = len(targets) - (skip is not None)
         if faults is None and scheduler.drop_late_wave(
             now + latency.base_seconds, count
         ):
             latency.skip(rng, count)
             return count
-        targets = list(targets)
+        if skip is not None:
+            targets = targets[:skip] + targets[skip + 1:]
         sent = count
         if faults is not None:
             kept, delays, sent = faults.judge_wave(
-                Message(message_kind, sender, None, payload, shard_id),
+                Message(message_kind, sender, None, payload, home),
                 now,
                 [target.node_id for target in targets],
                 latency.sample_many(rng, count),
@@ -258,15 +276,27 @@ class Network:
             times = [now + delay for delay in latency.sample_many(rng, count)]
         cross_shard = message_kind.is_cross_shard
 
-        def deliver(target: "Node") -> None:
-            message = Message(message_kind, sender, target.node_id, payload, shard_id)
-            if faults is not None and not faults.filter_delivery(
-                message, scheduler.now
-            ):
-                return
-            if cross_shard:
-                self.cross_shard_messages += 1
-            target.receive(message)
+        if faults is None:
+            def deliver(target: "Node") -> None:
+                if cross_shard:
+                    self.cross_shard_messages += 1
+                shard = target.shard_id
+                if shard != home and shard is not None and home is not None:
+                    return
+                target.receive(
+                    Message(message_kind, sender, target.node_id, payload, home)
+                )
+        else:
+            def deliver(target: "Node") -> None:
+                message = Message(message_kind, sender, target.node_id, payload, home)
+                if not faults.filter_delivery(message, scheduler.now):
+                    return
+                if cross_shard:
+                    self.cross_shard_messages += 1
+                shard = target.shard_id
+                if shard != home and shard is not None and home is not None:
+                    return
+                target.receive(message)
 
         scheduler.schedule_wave(times, targets, deliver)
         return sent

@@ -11,6 +11,15 @@ paper describes it:
 * on a block — run the two verifications (packer really in the claimed
   shard; claimed shard == own shard), then record, apply and de-pool.
 
+Both screens are pure functions of public data, so every receiver of a
+gossiped payload reaches the same verdict on whether it is foreign. The
+protocol coordinator settles that once per wave: it gives a verified
+block or a classified transaction a home shard, and the network never
+calls a node of another shard with it (:attr:`Node.shard_id`). What
+reaches :meth:`FullNode.on_block` and :meth:`FullNode.on_transaction`
+is in-shard gossip, or a payload with no established home (a shard
+liar's block), which takes both checks here as before.
+
 The world-state bookkeeping is **tip-delta**: every applied canonical
 block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, and
 each :class:`~repro.chain.ledger.HeadMove` the ledger returns is
@@ -90,6 +99,11 @@ class Node(abc.ABC):
 
     __slots__ = ()
 
+    #: The shard this node keeps. The network calls it only with
+    #: messages whose home shard is this one or unset; ``None`` takes
+    #: every message.
+    shard_id: int | None = None
+
     @property
     @abc.abstractmethod
     def node_id(self) -> str:
@@ -105,9 +119,7 @@ class NodeStats:
     """Receive-side counters for one node."""
 
     txs_pooled: int = 0
-    txs_ignored: int = 0
     blocks_recorded: int = 0
-    blocks_foreign: int = 0
     blocks_rejected: int = 0
     rejection_reasons: list[str] = field(default_factory=list)
     # failure-hardening counters
@@ -225,7 +237,6 @@ class FullNode(Node):
     def on_transaction(self, tx: Transaction) -> bool:
         """Pool a delivered transaction iff it belongs to this node's shard."""
         if self._tx_classifier(tx) != self.shard_id:
-            self.stats.txs_ignored += 1
             return False
         return self.pool(tx)
 
@@ -296,7 +307,6 @@ class FullNode(Node):
                 self.on_rejected(self, block, verdict.reason)
             return verdict
         if not verdict.recorded:
-            self.stats.blocks_foreign += 1
             return verdict
         if self._selection_replay is not None and not (
             self._selection_replay.block_follows_selection(block)

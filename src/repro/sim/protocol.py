@@ -10,6 +10,13 @@ receiver runs the two Sec. III-C verifications backed by the publicly
 verifiable miner assignment. Cheaters (wrong ShardID, ignored
 selection) are injected through miner behaviors and get their blocks
 rejected — the integration surface the security tests exercise.
+
+Both verifications depend only on public data, so the coordinator
+establishes each gossiped payload's home shard once per wave (a
+transaction's classified shard; a block's claimed shard once its body
+commitment and its packer's membership verify) and the network screens
+out deliveries to other shards' nodes. A block whose claim fails gets
+no home and reaches every receiver, which rejects it itself.
 """
 
 from __future__ import annotations
@@ -482,7 +489,9 @@ class ProtocolSimulation:
         return classify
 
     def _build_nodes(self) -> None:
-        verifier = self._assignment.verifier()
+        # One memoized membership verifier for every node and for the
+        # coordinator's home-shard check of each gossiped block.
+        verifier = self._verifier = self._assignment.verifier()
         # Each shard's replicas, in node order: the coordinator classifies
         # a transaction once and hands it to exactly these nodes.
         self._shard_nodes: dict[int, list[FullNode]] = {}
@@ -983,7 +992,10 @@ class ProtocolSimulation:
             else:
                 for node in replicas:
                     node.provision(tx, balance)
-                announce(MessageKind.TX, sender=f"user:{tx.sender}", payload=tx)
+                announce(
+                    MessageKind.TX, sender=f"user:{tx.sender}", payload=tx,
+                    shard_id=shard,
+                )
         self._injected += len(batch)
         return routed
 
@@ -1073,7 +1085,8 @@ class ProtocolSimulation:
                 continue
             txs_reannounced += 1
             sent = self._network.broadcast(
-                MessageKind.TX, sender=f"user:{tx.sender}", payload=tx
+                MessageKind.TX, sender=f"user:{tx.sender}", payload=tx,
+                shard_id=self._classify(tx),
             )
             if sent:
                 self._fault_model.note_retransmission()
@@ -1083,7 +1096,8 @@ class ProtocolSimulation:
             for block in node.canonical_tip_blocks(self._config.retransmit_blocks):
                 blocks_regossiped += 1
                 sent = self._network.broadcast(
-                    MessageKind.BLOCK, sender=public, payload=block
+                    MessageKind.BLOCK, sender=public, payload=block,
+                    shard_id=self._home_of(block),
                 )
                 if sent:
                     self._fault_model.note_retransmission()
@@ -1192,9 +1206,10 @@ class ProtocolSimulation:
                 **attrs,
             )
         targets = node.behavior.broadcast_targets(self._network.node_ids)
+        home = self._home_of(block)
         if targets is None:
             self._network.broadcast(
-                MessageKind.BLOCK, sender=public, payload=block, shard_id=None
+                MessageKind.BLOCK, sender=public, payload=block, shard_id=home
             )
         else:
             # Withholding adversary: the block reaches only the chosen
@@ -1205,9 +1220,22 @@ class ProtocolSimulation:
                 sender=public,
                 payload=block,
                 recipients=targets,
-                shard_id=None,
+                shard_id=home,
             )
         self._schedule_mining(public)
+
+    def _home_of(self, block) -> int | None:
+        """The shard a gossiped block belongs to, or ``None``.
+
+        The claimed shard, once the two checks every receiver would make
+        alike pass: the header commits to the body and the packer is a
+        member of the claimed shard. A block that fails either has no
+        home, so every receiver inspects (and rejects) it itself.
+        """
+        shard = block.header.shard_id
+        if block.commits_to_body() and self._verifier(block.header.miner, shard):
+            return shard
+        return None
 
     # ------------------------------------------------------------------
     # result assembly

@@ -58,6 +58,15 @@ class TestBlock:
         block = build_block([make_call("0xua")])
         assert block.commits_to_body()
 
+    def test_built_block_check_builds_no_tree(self, monkeypatch):
+        block = build_block([make_call("0xua")])
+
+        def no_tree(items):
+            raise AssertionError("commits_to_body rebuilt a Merkle tree")
+
+        monkeypatch.setattr("repro.chain.block.MerkleTree", no_tree)
+        assert block.commits_to_body()
+
     def test_detects_body_tampering(self):
         block = build_block([make_call("0xua")])
         tampered = Block(

@@ -55,7 +55,6 @@ class TestTransactionPath:
         node = make_node(shard=1)
         assert not node.on_transaction(make_transfer("0xualice", "0xubob"))
         assert len(node.mempool) == 0
-        assert node.stats.txs_ignored == 1
 
     def test_maxshard_node_accepts_direct_transfers(self):
         node = make_node(shard=MAXSHARD_ID)
@@ -88,7 +87,6 @@ class TestTransactionPath:
         node = make_node(shard=1)
         assert node.pool(make_transfer("0xualice", "0xubob"))
         assert len(node.mempool) == 1
-        assert node.stats.txs_ignored == 0
 
     def test_pool_refuses_duplicate(self):
         node = make_node(shard=1)
@@ -192,7 +190,6 @@ class TestBlockPath:
         block = packer.forge_block(timestamp=1.0, capacity=10)
         verdict = receiver.on_block(block)
         assert verdict.accepted and not verdict.recorded
-        assert receiver.stats.blocks_foreign == 1
         assert receiver.ledger.height == 0
 
     def test_shard_liar_block_rejected(self):
