@@ -32,10 +32,6 @@ class RandomMergeResult:
     def new_shard_count(self) -> int:
         return len(self.new_shard_sizes)
 
-    @property
-    def merged_player_count(self) -> int:
-        return sum(len(members) for members in self.new_shard_members)
-
 
 class RandomizedMerging:
     """The p=0.5 coin-flip merging baseline."""

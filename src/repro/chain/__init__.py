@@ -14,9 +14,8 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.state import WorldState
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
-from repro.chain.validation import TransactionValidator, BlockValidator
+from repro.chain.validation import BlockValidator
 from repro.chain.callgraph import CallGraph, SenderClass
-from repro.chain.history import TransactionHistory
 from repro.chain.fees import FeePolicy
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "WorldState",
     "Ledger",
     "Mempool",
-    "TransactionValidator",
     "BlockValidator",
     "CallGraph",
     "SenderClass",
-    "TransactionHistory",
     "FeePolicy",
 ]

@@ -93,22 +93,6 @@ class CallGraph:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def contracts_of(self, sender: str) -> set[str]:
-        """Contracts the sender has ever invoked."""
-        return {
-            peer
-            for peer in self._adjacency.get(sender, ())
-            if self._kind.get(peer) == _CONTRACT
-        }
-
-    def direct_peers_of(self, sender: str) -> set[str]:
-        """Users the sender has transacted with directly."""
-        return {
-            peer
-            for peer in self._adjacency.get(sender, ())
-            if self._kind.get(peer) == _USER
-        }
-
     def _analyze(self, sender: str) -> tuple[SenderClass, str | None]:
         """Derive (classification, sole contract) in one adjacency walk."""
         if sender not in self._kind:
@@ -130,31 +114,6 @@ class CallGraph:
         """Classify a sender into one of the Fig. 1 patterns."""
         return self._analysis.get(sender, lambda: self._analyze(sender))[0]
 
-    def is_single_contract(self, sender: str) -> bool:
-        """The shardability predicate of Sec. II-C."""
-        return self.classify(sender) is SenderClass.SINGLE_CONTRACT
-
     def sole_contract_of(self, sender: str) -> str | None:
         """The unique contract of a single-contract sender, else None."""
         return self._analysis.get(sender, lambda: self._analyze(sender))[1]
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def user_count(self) -> int:
-        return sum(1 for kind in self._kind.values() if kind == _USER)
-
-    def contract_count(self) -> int:
-        return sum(1 for kind in self._kind.values() if kind == _CONTRACT)
-
-    def cache_stats(self) -> tuple[int, int]:
-        """(hits, misses) of the classification memo — observability."""
-        return (self._analysis.hits, self._analysis.misses)
-
-    def classification_histogram(self) -> dict[SenderClass, int]:
-        """How many senders fall into each Fig. 1 pattern."""
-        histogram = {cls: 0 for cls in SenderClass}
-        for node, kind in self._kind.items():
-            if kind == _USER:
-                histogram[self.classify(node)] += 1
-        return histogram

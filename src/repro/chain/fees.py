@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.block import Block
-
 
 @dataclass(frozen=True)
 class FeePolicy:
@@ -43,11 +41,3 @@ class FeePolicy:
         if self.gas_per_tx <= 0:
             raise ValueError("gas_per_tx must be positive")
         return self.gas_limit // self.gas_per_tx
-
-    def block_payout(self, block: Block) -> int:
-        """Total coins the packing miner earns from one appended block."""
-        return self.block_reward + block.total_fees
-
-    def merge_payout(self, merged_size: int, lower_bound: int) -> int:
-        """The shard reward, paid only when constraint (1) holds."""
-        return self.shard_reward if merged_size >= lower_bound else 0

@@ -207,11 +207,6 @@ class Ledger:
     # chain views
     # ------------------------------------------------------------------
     @property
-    def head(self) -> Block:
-        """The block at the tip of the canonical (longest) chain."""
-        return self._entries[self._head_hash].block
-
-    @property
     def head_hash(self) -> str:
         return self._head_hash
 
@@ -231,13 +226,6 @@ class Ledger:
         except KeyError:
             raise LedgerError(f"unknown block {block_hash[:10]}") from None
 
-    def parent_of(self, block_hash: str) -> str | None:
-        """Parent hash of a known block (None for genesis)."""
-        try:
-            return self._entries[block_hash].parent
-        except KeyError:
-            raise LedgerError(f"unknown block {block_hash[:10]}") from None
-
     def canonical_chain(self) -> list[Block]:
         """The canonical chain, genesis first."""
         chain: list[Block] = []
@@ -248,14 +236,6 @@ class Ledger:
             cursor = entry.parent
         chain.reverse()
         return chain
-
-    def canonical_hashes(self) -> set[str]:
-        """Hashes of every block on the canonical chain."""
-        return set(self._canonical)
-
-    def is_canonical(self, block_hash: str) -> bool:
-        """Whether a block is on the canonical chain — O(1)."""
-        return block_hash in self._canonical
 
     def all_blocks(self) -> list[Block]:
         """Every block ever inserted, including orphans (genesis first)."""
@@ -279,13 +259,6 @@ class Ledger:
         read-only (copy before mutating).
         """
         return self._confirmed_ids
-
-    def count_empty_blocks(self, *, canonical_only: bool = True) -> int:
-        """Number of empty non-genesis blocks (the wasted-power metric)."""
-        blocks = self.canonical_chain() if canonical_only else self.all_blocks()
-        return sum(
-            1 for block in blocks if block.is_empty and block.header.height > 0
-        )
 
     def count_stale_blocks(self) -> int:
         """Blocks that lost the fork race (mined but not canonical)."""

@@ -153,10 +153,6 @@ class Mempool:
             # entry sits mid-view behind stale ones): lazy-invalidate.
             self._note_removed(1)
 
-    def add_many(self, txs: list[Transaction]) -> int:
-        """Insert many transactions; returns how many were new."""
-        return sum(1 for tx in txs if self.add(tx))
-
     def remove(self, tx_id: str) -> Transaction | None:
         """Remove and return a transaction, or None when absent."""
         removed = self._pool.pop(tx_id, None)

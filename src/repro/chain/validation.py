@@ -1,4 +1,4 @@
-"""Transaction and block validation.
+"""Block validation.
 
 Implements the two verifications of Sec. III-C performed when a miner X
 receives a block packed by miner Y:
@@ -8,63 +8,19 @@ receives a block packed by miner Y:
 2. X checks whether she is in the same shard as Y — only then does she
    record the block locally.
 
-Plus the stateful transaction checks (balances, nonces, contract
-conditions) against a :class:`~repro.chain.state.WorldState`.
+The stateful transaction checks (balances, nonces, contract conditions)
+are :class:`~repro.chain.state.WorldState`'s, run when a block applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.chain.block import Block
-from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction
-from repro.errors import ValidationError
 
 # A shard-membership verifier: (miner public key, claimed shard id) -> bool.
 ShardMembershipVerifier = Callable[[str, int], bool]
-
-
-@dataclass(frozen=True)
-class TxVerdict:
-    """The outcome of validating one transaction."""
-
-    tx: Transaction
-    valid: bool
-    reason: str = ""
-
-
-class TransactionValidator:
-    """Stateful transaction validation against a world state."""
-
-    def __init__(self, state: WorldState) -> None:
-        self._state = state
-
-    def validate(self, tx: Transaction) -> TxVerdict:
-        """Check a transaction without mutating the state."""
-        try:
-            self._state._check(tx)
-        except ValidationError as exc:
-            return TxVerdict(tx=tx, valid=False, reason=str(exc))
-        return TxVerdict(tx=tx, valid=True)
-
-    def validate_batch(self, txs: list[Transaction]) -> list[TxVerdict]:
-        """Validate a batch *sequentially* against a speculative state.
-
-        Later transactions see the effects of earlier ones (nonce order,
-        spent balances) — the check a miner runs before packing a block.
-        """
-        speculative = self._state.snapshot()
-        verdicts: list[TxVerdict] = []
-        for tx in txs:
-            try:
-                speculative.apply_transaction(tx)
-            except ValidationError as exc:
-                verdicts.append(TxVerdict(tx=tx, valid=False, reason=str(exc)))
-            else:
-                verdicts.append(TxVerdict(tx=tx, valid=True))
-        return verdicts
 
 
 @dataclass(frozen=True)

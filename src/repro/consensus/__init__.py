@@ -10,13 +10,10 @@ transactions per second per miner at difficulty 0xd79).
 from repro.consensus.pow import PoWParameters, MiningProcess
 from repro.consensus.miner import MinerIdentity, MinerBehavior, HonestBehavior
 from repro.consensus.rewards import RewardLedger
-from repro.consensus.difficulty import RetargetRule, RetargetSimulation
 
 __all__ = [
     "PoWParameters",
     "MiningProcess",
-    "RetargetRule",
-    "RetargetSimulation",
     "MinerIdentity",
     "MinerBehavior",
     "HonestBehavior",

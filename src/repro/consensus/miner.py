@@ -13,7 +13,7 @@ transactions to pack next. The paper contrasts three behaviors:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
@@ -69,7 +69,7 @@ class MinerBehavior(abc.ABC):
         """
         return None
 
-    def broadcast_targets(self, node_ids: list[str]) -> list[str] | None:
+    def broadcast_targets(self, node_ids: tuple[str, ...]) -> list[str] | None:
         """Who receives this miner's freshly forged blocks.
 
         ``None`` (honest) broadcasts to every node. A withholding
@@ -128,10 +128,6 @@ class AssignedSelectionBehavior(MinerBehavior):
     @property
     def assigned_tx_ids(self) -> list[str]:
         return list(self._assigned)
-
-    def reassign(self, assigned_tx_ids: list[str]) -> None:
-        self._assigned = list(assigned_tx_ids)
-        self._noted_confirmed = 0
 
     def pick_transactions(self, mempool: Mempool, capacity: int) -> list[Transaction]:
         picked = mempool.select_ids(self._assigned)

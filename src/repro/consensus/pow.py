@@ -174,10 +174,6 @@ class MiningCalendar:
         if self._np_times is not None:
             self._np_times[slot] = time
 
-    def next_time(self, miner_id: str) -> float:
-        """The recorded next block time for one miner (inf = none)."""
-        return self._times[self._index[miner_id]]
-
     def _argmin(self) -> int | None:
         times = self._times
         if not times:

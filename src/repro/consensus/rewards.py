@@ -1,8 +1,8 @@
 """Per-miner reward accounting.
 
-Tracks block rewards, transaction fees and shard (merge) rewards so the
-game-theoretic incentives of Sec. IV can be audited after a simulation:
-did merging actually pay, did duplicated selection actually dilute fees?
+Tracks block rewards, transaction fees and empty blocks per miner, so the
+incentives of Sec. III-D can be audited after a simulation: who was paid
+for blocks that validated nothing?
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class RewardLedger:
     policy: FeePolicy = field(default_factory=FeePolicy)
     block_rewards: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     fee_income: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    shard_rewards: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     blocks_mined: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     empty_blocks_mined: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
@@ -33,29 +32,3 @@ class RewardLedger:
         self.blocks_mined[miner] += 1
         if block.is_empty:
             self.empty_blocks_mined[miner] += 1
-
-    def credit_shard_reward(self, miner: str) -> None:
-        """Record the merging incentive ``G`` for one miner."""
-        self.shard_rewards[miner] += self.policy.shard_reward
-
-    def total_income(self, miner: str) -> int:
-        """All coins the miner earned from every source."""
-        return (
-            self.block_rewards.get(miner, 0)
-            + self.fee_income.get(miner, 0)
-            + self.shard_rewards.get(miner, 0)
-        )
-
-    def wasted_power_fraction(self, miner: str) -> float:
-        """Fraction of the miner's blocks that were empty."""
-        mined = self.blocks_mined.get(miner, 0)
-        if mined == 0:
-            return 0.0
-        return self.empty_blocks_mined.get(miner, 0) / mined
-
-    def system_empty_fraction(self) -> float:
-        """Fraction of all mined blocks that were empty."""
-        mined = sum(self.blocks_mined.values())
-        if mined == 0:
-            return 0.0
-        return sum(self.empty_blocks_mined.values()) / mined

@@ -43,10 +43,6 @@ from repro.core.selection import (
 )
 from repro.core.unification import UnificationPacket, UnifiedReplay
 from repro.core.epoch import EpochConfig, EpochManager, EpochPlan
-from repro.core.serialization import (
-    packet_from_json,
-    packet_to_json,
-)
 from repro.core import security, storage
 
 __all__ = [
@@ -71,8 +67,6 @@ __all__ = [
     "EpochConfig",
     "EpochManager",
     "EpochPlan",
-    "packet_to_json",
-    "packet_from_json",
     "security",
     "storage",
 ]

@@ -15,7 +15,7 @@ the property parameter unification depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,6 @@ class MergeOutcome:
     satisfied: bool
     slots_used: int
     converged: bool
-
-    @property
-    def staying_shards(self) -> tuple[int, ...]:
-        merged = set(self.merged_shards)
-        return tuple(p.shard_id for p in self.players if p.shard_id not in merged)
 
 
 class OneTimeMerge:
@@ -194,10 +189,6 @@ class IterativeMergingResult:
     def new_shard_count(self) -> int:
         """The Fig. 3(g) / Fig. 5(a) metric."""
         return sum(1 for outcome in self.new_shards if outcome.satisfied)
-
-    @property
-    def merged_player_count(self) -> int:
-        return sum(len(outcome.merged_shards) for outcome in self.new_shards)
 
     def new_shard_sizes(self) -> list[int]:
         return [outcome.merged_size for outcome in self.new_shards]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import stats
 
 from repro.errors import ReproError
@@ -181,21 +180,3 @@ def minimum_safe_shard_size(
         f"no shard size up to {max_size} reaches safety {target_safety} "
         f"against a {adversary_fraction:.0%} adversary"
     )
-
-
-def empirical_shard_corruption(
-    miners: int,
-    adversary_fraction: float,
-    trials: int = 10_000,
-    threshold: float = POW_THRESHOLD,
-    seed: int | None = None,
-) -> float:
-    """Monte-Carlo cross-check of :func:`shard_corruption_probability`.
-
-    Samples ``trials`` random shard compositions and counts corrupted
-    ones — the validation the property tests run against the closed form.
-    """
-    rng = np.random.default_rng(seed)
-    malicious = rng.binomial(miners, adversary_fraction, size=trials)
-    cutoff = math.floor(threshold * miners)
-    return float(np.mean(malicious > cutoff))

@@ -52,9 +52,6 @@ class SelectionOutcome:
         """How many different transactions at least one miner selected."""
         return int(np.count_nonzero(self.counts()))
 
-    def utilities(self) -> list[float]:
-        return profile_utilities(np.asarray(self.fees), list(self.profile))
-
     def potential(self) -> float:
         return rosenthal_potential(np.asarray(self.fees), self.counts())
 

@@ -41,17 +41,6 @@ class WeightedSelectionOutcome:
     def distinct_transaction_count(self) -> int:
         return len(set(self.choices))
 
-    def utilities(self) -> list[float]:
-        fees = np.asarray(self.fees)
-        weights = np.asarray(self.weights)
-        load = np.zeros(len(fees))
-        for i, j in enumerate(self.choices):
-            load[j] += weights[i]
-        return [
-            float(fees[j] * weights[i] / load[j])
-            for i, j in enumerate(self.choices)
-        ]
-
 
 def weighted_share(fee: float, own_weight: float, load_with_self: float) -> float:
     """Expected fee share for a contender under the block-race model."""

@@ -12,11 +12,10 @@ miner assignment (Sec. III-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chain.callgraph import CallGraph, SenderClass
 from repro.chain.transaction import Transaction
-from repro.errors import ShardAssignmentError
 
 #: The shard that holds every transaction whose sender is *not*
 #: single-contract. Its miners record all system state.
@@ -43,14 +42,6 @@ class ShardMap:
     def shard_count(self) -> int:
         """Total number of shards including the MaxShard."""
         return len(self.contract_to_shard) + 1
-
-    def shard_of_contract(self, contract: str) -> int:
-        try:
-            return self.contract_to_shard[contract]
-        except KeyError:
-            raise ShardAssignmentError(
-                f"contract {contract[:10]} has no shard"
-            ) from None
 
     def shard_of_transaction(self, tx: Transaction, callgraph: CallGraph) -> int:
         """Which shard validates ``tx``, per the Sec. III-A rule.

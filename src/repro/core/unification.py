@@ -20,7 +20,7 @@ is the local re-execution plus the block verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.chain.block import Block
@@ -176,17 +176,6 @@ class UnifiedReplay:
             for shard_id in outcome.merged_shards:
                 mapping[shard_id] = representative
         return mapping
-
-    def merged_with(self, shard_id: int) -> tuple[int, ...]:
-        """All original shards sharing ``shard_id``'s merged shard."""
-        target = self.merged_shard_map.get(shard_id, shard_id)
-        return tuple(
-            sorted(
-                old
-                for old, new in self.merged_shard_map.items()
-                if new == target
-            )
-        )
 
     # ------------------------------------------------------------------
     # Algorithm 2 replay

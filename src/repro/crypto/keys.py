@@ -63,35 +63,5 @@ def verify_signature(public: str, message: str, signature: str) -> bool:
     del expected_tag
     # The witness-free check: recompute from all registered secrets is not
     # available to library users, so we accept any 64-hex-digit string that
-    # is consistent in length and reject obviously malformed input. Full
-    # binding is enforced by `SignedEnvelope` below, which is what protocol
-    # code uses.
+    # is consistent in length and reject obviously malformed input.
     return isinstance(signature, str) and len(signature) == 64
-
-
-@dataclass(frozen=True)
-class SignedEnvelope:
-    """A message bound to a key pair with a verifiable tag.
-
-    Protocol code signs with :meth:`seal` and verifies with
-    :meth:`verify`, which re-derives the tag from the public key and the
-    deterministic secret-derivation rule. Because secrets are derived as
-    ``H(secret-key, seed)`` and publics as ``H(public-key, secret)``, the
-    envelope carries the seed commitment needed for verification without
-    revealing the secret.
-    """
-
-    public: str
-    message: str
-    tag: str
-
-    @classmethod
-    def seal(cls, keypair: KeyPair, message: str) -> "SignedEnvelope":
-        tag = sign(keypair, message)
-        return cls(public=keypair.public, message=message, tag=tag)
-
-    def verify(self, keypair: KeyPair) -> bool:
-        """Verify against a known key pair (simulator-side check)."""
-        if keypair.public != self.public:
-            return False
-        return sign(keypair, self.message) == self.tag

@@ -42,10 +42,6 @@ class FaultDecision:
     extra_delay: float = 0.0
     duplicate_delay: float | None = None
 
-    @property
-    def duplicated(self) -> bool:
-        return self.duplicate_delay is not None
-
 
 _DROPPED = FaultDecision(dropped=True)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -153,6 +153,9 @@ class Network:
         # broadcast slices its recipients out of the list.
         self._nodes: list["Node"] = []
         self._positions: dict[str, int] = {}
+        # The ids in registration order, built on first read after a
+        # register: every forge and leader broadcast reads them.
+        self._ids: tuple[str, ...] | None = None
         self.cross_shard_messages = 0
 
     @property
@@ -167,6 +170,7 @@ class Network:
             raise NetworkError(f"node {node.node_id} already registered")
         self._positions[node.node_id] = len(self._nodes)
         self._nodes.append(node)
+        self._ids = None
 
     def node(self, node_id: str) -> "Node":
         try:
@@ -175,8 +179,11 @@ class Network:
             raise NetworkError(f"unknown node {node_id}") from None
 
     @property
-    def node_ids(self) -> list[str]:
-        return list(self._positions)
+    def node_ids(self) -> tuple[str, ...]:
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = tuple(self._positions)
+        return ids
 
     # ------------------------------------------------------------------
     # delivery
@@ -206,7 +213,7 @@ class Network:
         )
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
-                  recipients: list[str], shard_id: int | None = None) -> int:
+                  recipients: Iterable[str], shard_id: int | None = None) -> int:
         """Send a payload to an explicit recipient list; returns sends made.
 
         The sender is skipped and does not count toward the fan-out.

@@ -545,9 +545,6 @@ class FullNode(Node):
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def confirmed_tx_count(self) -> int:
-        return len(self.ledger.confirmed_tx_ids())
-
     def canonical_tip_blocks(self, count: int) -> list[Block]:
         """The last ``count`` canonical blocks, genesis excluded.
 

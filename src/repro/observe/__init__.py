@@ -57,7 +57,6 @@ from repro.observe.tracer import (
     Tracer,
     get_tracer,
     resolve_tracer,
-    set_tracer,
     use_tracer,
 )
 from repro.observe.report import RunReport
@@ -85,7 +84,6 @@ __all__ = [
     "render_diff",
     "resolve_telemetry",
     "resolve_tracer",
-    "set_tracer",
     "shard_latency_histograms",
     "trace_digest",
     "use_telemetry",

@@ -218,18 +218,6 @@ class ShardLoad:
     mempool_peak: int = 0
     evictions: int = 0
 
-    @property
-    def empty_block_rate(self) -> float:
-        """Fraction of forged blocks that carried no transactions.
-
-        The paper's merging game (Sec. III-C) exists to price exactly
-        this waste: an over-sharded system forges blocks faster than
-        transactions arrive.
-        """
-        if self.blocks_forged == 0:
-            return 0.0
-        return self.blocks_empty / self.blocks_forged
-
     def as_dict(self) -> dict[str, object]:
         return asdict(self)
 
@@ -267,15 +255,6 @@ class ShardStats:
     @property
     def total_confirmed(self) -> int:
         return sum(entry.txs_confirmed for entry in self.loads.values())
-
-    @property
-    def total_evictions(self) -> int:
-        return sum(entry.evictions for entry in self.loads.values())
-
-    @property
-    def total_routed(self) -> int:
-        """Every transaction the traffic matrix classified."""
-        return sum(sum(row.values()) for row in self.traffic.values())
 
     @property
     def maxshard_serialized(self) -> int:

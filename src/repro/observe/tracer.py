@@ -300,18 +300,11 @@ class Tracer:
 _ACTIVE: Tracer | None = None
 
 
-def set_tracer(tracer: Tracer | None) -> None:
-    """Install (or clear) the process-wide active tracer."""
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
 def get_tracer() -> Tracer | None:
     """The tracer instrumentation sites should emit into, or ``None``.
 
-    That is the tracer installed via :func:`set_tracer` /
-    :func:`use_tracer` or by a running simulation's ``trace=`` hook;
-    with none installed, tracing is off.
+    That is the tracer installed via :func:`use_tracer` or by a running
+    simulation's ``trace=`` hook; with none installed, tracing is off.
     """
     return _ACTIVE
 

@@ -31,8 +31,6 @@ from repro.runtime.executor import (
     effective_cpu_count,
     executor_from_env,
     get_default_executor,
-    parallel_map,
-    set_default_executor,
     use_executor,
 )
 
@@ -44,7 +42,5 @@ __all__ = [
     "effective_cpu_count",
     "executor_from_env",
     "get_default_executor",
-    "parallel_map",
-    "set_default_executor",
     "use_executor",
 ]

@@ -254,12 +254,6 @@ def get_default_executor() -> Executor:
     return _DEFAULT
 
 
-def set_default_executor(executor: Executor | None) -> None:
-    """Install a default executor (``None`` re-derives from the env)."""
-    global _DEFAULT
-    _DEFAULT = executor
-
-
 @contextlib.contextmanager
 def use_executor(executor: Executor):
     """Scope a default-executor override (benchmarks, parity tests)."""
@@ -270,13 +264,3 @@ def use_executor(executor: Executor):
         yield executor
     finally:
         _DEFAULT = previous
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    executor: Executor | None = None,
-) -> list[R]:
-    """``map`` through ``executor`` (or the process-wide default)."""
-    chosen = executor if executor is not None else get_default_executor()
-    return chosen.map(fn, items)

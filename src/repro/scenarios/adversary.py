@@ -110,5 +110,5 @@ class WithholdingBehavior(MinerBehavior):
     def claimed_shard(self, true_shard: int) -> int:
         return self._inner.claimed_shard(true_shard)
 
-    def broadcast_targets(self, node_ids: list[str]) -> list[str] | None:
+    def broadcast_targets(self, node_ids: tuple[str, ...]) -> list[str] | None:
         return [node_id for node_id in node_ids if node_id not in self._excluded]

@@ -119,9 +119,6 @@ class Scenario(abc.ABC):
     def detect(self, outcome: ScenarioOutcome) -> DetectionReport:
         """Reduce a finished run to its detection metrics."""
 
-    def describe(self) -> str:
-        return f"{self.name}: {self.summary} [{self.paper_ref}]"
-
 
 def run_scenario(
     scenario: Scenario,

@@ -65,14 +65,6 @@ class DetectionReport:
                 return value
         return default
 
-    @staticmethod
-    def core_keys() -> tuple[str, ...]:
-        """The invariant schema the determinism tests assert."""
-        return tuple(
-            f.name for f in dataclasses.fields(DetectionReport)
-            if f.name != "extras"
-        )
-
 
 def first_event_time(payloads, name: str) -> float | None:
     """Simulated time of the first trace event called ``name``."""

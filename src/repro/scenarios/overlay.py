@@ -2,8 +2,8 @@
 
 :mod:`repro.core.security` gives the closed forms — the probability that
 a coalition with global hashrate fraction ``f`` corrupts an ``m``-miner
-shard is the binomial tail of Eq. 3, plotted as Fig. 1d. The earlier
-``empirical_shard_corruption`` Monte-Carlo samples the *binomial* (no
+shard is the binomial tail of Eq. 3, plotted as Fig. 1d. The Monte-Carlo
+cross-check in ``tests/core/test_security.py`` samples the *binomial* (no
 protocol at all). This module closes the loop at the protocol level:
 each trial samples coalition membership i.i.d. Bernoulli(f), then runs
 the actual takeover attack — censorship fork, real network, real fork

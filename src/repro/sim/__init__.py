@@ -22,7 +22,7 @@ from repro.sim.simulator import (
     SimulationResult,
     ShardOutcome,
 )
-from repro.sim.metrics import throughput_improvement, summarize_empty_blocks
+from repro.sim.metrics import throughput_improvement
 from repro.sim.protocol import ProtocolSimulation, ProtocolConfig
 from repro.sim.campaign import Campaign, CampaignResult, EpochOutcome
 
@@ -34,7 +34,6 @@ __all__ = [
     "SimulationResult",
     "ShardOutcome",
     "throughput_improvement",
-    "summarize_empty_blocks",
     "ProtocolSimulation",
     "ProtocolConfig",
     "Campaign",

@@ -45,21 +45,6 @@ class CampaignResult:
     def total_confirmed(self) -> int:
         return sum(e.result.confirmed_transactions for e in self.epochs)
 
-    @property
-    def total_injected(self) -> int:
-        return sum(e.injected for e in self.epochs)
-
-    @property
-    def final_backlog(self) -> int:
-        """Transactions still deferred when the campaign ended."""
-        return self.epochs[-1].deferred_out if self.epochs else 0
-
-    def confirmation_rate(self) -> float:
-        """Confirmed / injected over the campaign (1.0 = no backlog)."""
-        if self.total_injected == 0:
-            return 1.0
-        return self.total_confirmed / self.total_injected
-
 
 class Campaign:
     """Runs an epoch manager against a stream of per-epoch workloads."""

@@ -1,12 +1,8 @@
-"""Metric helpers shared by experiments and benchmarks."""
+"""The paper's headline metric, shared by experiments and benchmarks."""
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-
 from repro.errors import SimulationError
-from repro.sim.simulator import SimulationResult
 
 
 def throughput_improvement(ethereum_time: float, sharded_time: float) -> float:
@@ -18,51 +14,3 @@ def throughput_improvement(ethereum_time: float, sharded_time: float) -> float:
     if ethereum_time <= 0 or sharded_time <= 0:
         raise SimulationError("waiting times must be positive")
     return ethereum_time / sharded_time
-
-
-@dataclass(frozen=True)
-class EmptyBlockSummary:
-    """Aggregated empty-block statistics of one run."""
-
-    total: int
-    per_shard_mean: float
-    per_shard_max: int
-    shard_count: int
-
-
-def summarize_empty_blocks(
-    result: SimulationResult, shard_ids: list[int] | None = None
-) -> EmptyBlockSummary:
-    """Summarize empty blocks, optionally over a subset of shards.
-
-    Fig. 3(c) reports *per-shard* empty blocks over the small shards
-    only; pass their ids to scope the summary.
-    """
-    shards = result.shards
-    if shard_ids is not None:
-        missing = sorted(sid for sid in set(shard_ids) if sid not in shards)
-        if missing:
-            # A silently narrowed scope under-reports the Fig. 3(c)
-            # metric; a wrong id list is a configuration bug, not a
-            # smaller summary.
-            raise SimulationError(
-                f"summarize_empty_blocks: unknown shard ids {missing} "
-                f"(result has shards {sorted(shards)})"
-            )
-        shards = {sid: shards[sid] for sid in shard_ids}
-    if not shards:
-        return EmptyBlockSummary(total=0, per_shard_mean=0.0, per_shard_max=0, shard_count=0)
-    counts = [outcome.empty_blocks for outcome in shards.values()]
-    return EmptyBlockSummary(
-        total=sum(counts),
-        per_shard_mean=statistics.mean(counts),
-        per_shard_max=max(counts),
-        shard_count=len(counts),
-    )
-
-
-def mean_over_runs(values: list[float]) -> float:
-    """Average of repeated-run measurements (the paper repeats 20x)."""
-    if not values:
-        raise SimulationError("no runs to average")
-    return statistics.mean(values)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -173,6 +174,18 @@ class ProtocolConfig:
                 f"engine must be 'fast', the only protocol engine: "
                 f"{self.engine!r}"
             )
+        # Counts slice and compare as integers: a float would construct
+        # and then fail mid-run.
+        for name in (
+            "block_capacity",
+            "retransmit_blocks",
+            "inject_batch",
+            "mempool_limit",
+            "max_events",
+        ):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer: {value!r}")
         if self.block_capacity < 1:
             raise ConfigError(
                 f"block_capacity must be at least 1: {self.block_capacity}"

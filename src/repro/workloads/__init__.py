@@ -31,7 +31,6 @@ from repro.workloads.generators import (
     single_shard_workload,
     small_shard_workload,
     streaming_powerlaw_contract_workload,
-    streaming_single_shard_workload,
     streaming_uniform_contract_workload,
     three_input_workload,
     uniform_contract_workload,
@@ -46,7 +45,6 @@ __all__ = [
     "uniform_contract_workload",
     "streaming_powerlaw_contract_workload",
     "streaming_uniform_contract_workload",
-    "streaming_single_shard_workload",
     "small_shard_workload",
     "three_input_workload",
     "single_shard_workload",

@@ -393,14 +393,6 @@ def _single_shard(
     )
 
 
-def streaming_single_shard_workload(
-    count: int,
-    seed: int | None = None,
-) -> TxStream:
-    """:func:`single_shard_workload` as a bounded-memory stream."""
-    return _single_shard(count, seed)
-
-
 def single_shard_workload(
     count: int,
     fees: list[int] | None = None,

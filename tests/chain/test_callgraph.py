@@ -13,7 +13,6 @@ class TestClassification:
         graph = CallGraph()
         graph.observe(make_call("0xuA", CONTRACT_A))
         assert graph.classify("0xuA") is SenderClass.SINGLE_CONTRACT
-        assert graph.is_single_contract("0xuA")
 
     def test_fig1b_multi_contract(self):
         """User C invokes contracts 1 and 2 — MaxShard."""
@@ -21,7 +20,6 @@ class TestClassification:
         graph.observe(make_call("0xuC", CONTRACT_A))
         graph.observe(make_call("0xuC", CONTRACT_B, nonce=1))
         assert graph.classify("0xuC") is SenderClass.MULTI_CONTRACT
-        assert not graph.is_single_contract("0xuC")
 
     def test_fig1c_direct_sender(self):
         """User F invokes contract 1 AND pays user H directly — MaxShard."""
@@ -43,20 +41,6 @@ class TestClassification:
 
 
 class TestQueries:
-    def test_contracts_of(self):
-        graph = CallGraph()
-        graph.observe(make_call("0xuC", CONTRACT_A))
-        graph.observe(make_call("0xuC", CONTRACT_B, nonce=1))
-        assert graph.contracts_of("0xuC") == {CONTRACT_A, CONTRACT_B}
-
-    def test_contracts_of_unknown(self):
-        assert CallGraph().contracts_of("0xghost") == set()
-
-    def test_direct_peers_of(self):
-        graph = CallGraph()
-        graph.observe(make_transfer("0xuX", "0xuY"))
-        assert graph.direct_peers_of("0xuX") == {"0xuY"}
-
     def test_sole_contract_of(self):
         graph = CallGraph()
         graph.observe(make_call("0xuA", CONTRACT_A))
@@ -76,21 +60,3 @@ class TestQueries:
         graph.observe(make_transfer("0xuX", "0xuY"))
         assert graph.classify("0xuY") is SenderClass.DIRECT_SENDER
 
-
-class TestStatistics:
-    def test_counts(self):
-        graph = CallGraph()
-        graph.observe(make_call("0xuA", CONTRACT_A))
-        graph.observe(make_call("0xuB", CONTRACT_B))
-        graph.observe(make_transfer("0xuX", "0xuY"))
-        assert graph.contract_count() == 2
-        assert graph.user_count() == 4
-
-    def test_histogram(self):
-        graph = CallGraph()
-        graph.observe(make_call("0xuA", CONTRACT_A))
-        graph.observe(make_call("0xuC", CONTRACT_A))
-        graph.observe(make_call("0xuC", CONTRACT_B, nonce=1))
-        histogram = graph.classification_histogram()
-        assert histogram[SenderClass.SINGLE_CONTRACT] == 1
-        assert histogram[SenderClass.MULTI_CONTRACT] == 1

@@ -4,7 +4,16 @@ import pytest
 
 from repro.chain.block import Block
 from repro.chain.fees import FeePolicy
+from repro.consensus.rewards import RewardLedger
 from tests.conftest import make_call
+
+
+def payout(policy, block):
+    """What the packing miner earns for one appended block."""
+    ledger = RewardLedger(policy=policy)
+    ledger.credit_block(block)
+    miner = block.header.miner
+    return ledger.block_rewards[miner] + ledger.fee_income[miner]
 
 
 def block_with(txs):
@@ -28,19 +37,14 @@ class TestFeePolicy:
     def test_block_payout_includes_fees(self):
         policy = FeePolicy(block_reward=100)
         block = block_with([make_call("0xua", fee=3), make_call("0xub", fee=4)])
-        assert policy.block_payout(block) == 107
+        assert payout(policy, block) == 107
 
     def test_empty_block_still_pays_block_reward(self):
         """Sec. III-D: 'even if the block does not contain any
         transactions, that miner can still get the block reward' — the
         incentive that makes empty blocks rational."""
         policy = FeePolicy(block_reward=100)
-        assert policy.block_payout(block_with([])) == 100
-
-    def test_merge_payout_respects_constraint(self):
-        policy = FeePolicy(shard_reward=42)
-        assert policy.merge_payout(merged_size=10, lower_bound=10) == 42
-        assert policy.merge_payout(merged_size=9, lower_bound=10) == 0
+        assert payout(policy, block_with([])) == 100
 
     def test_invalid_gas_per_tx(self):
         policy = FeePolicy(gas_per_tx=0)

@@ -1,11 +1,11 @@
-"""Tests for repro.chain.history, incl. differential testing vs CallGraph."""
+"""Tests for the full-history classifier, incl. differential testing vs CallGraph."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.callgraph import CallGraph, SenderClass
-from repro.chain.history import TransactionHistory
 from repro.workloads.generators import WorkloadBuilder
+from tests.chain.history import TransactionHistory
 from tests.conftest import CONTRACT_A, CONTRACT_B, make_call, make_transfer
 
 

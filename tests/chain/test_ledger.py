@@ -8,6 +8,11 @@ from repro.errors import LedgerError
 from tests.conftest import confirmed_ids_scan, make_call
 
 
+def count_empty(blocks) -> int:
+    """Empty non-genesis blocks: the wasted-power metric."""
+    return sum(1 for b in blocks if b.is_empty and b.header.height > 0)
+
+
 def extend(ledger: Ledger, parent_hash: str, height: int, txs=(), miner="pk"):
     block = Block.build(
         parent_hash=parent_hash,
@@ -25,7 +30,7 @@ class TestAppend:
     def test_fresh_ledger_is_at_genesis(self):
         ledger = Ledger(shard_id=1)
         assert ledger.height == 0
-        assert ledger.head.header.height == 0
+        assert ledger.head_hash == ledger.genesis_hash
 
     def test_simple_chain(self):
         ledger = Ledger()
@@ -104,18 +109,18 @@ class TestStatistics:
 
     def test_count_empty_blocks_excludes_genesis(self):
         ledger = Ledger()
-        assert ledger.count_empty_blocks() == 0
+        assert count_empty(ledger.canonical_chain()) == 0
         b1 = extend(ledger, ledger.head_hash, 1)  # empty
         extend(ledger, b1.block_hash, 2, txs=[make_call("0xua")])
-        assert ledger.count_empty_blocks() == 1
+        assert count_empty(ledger.canonical_chain()) == 1
 
     def test_count_empty_blocks_all_vs_canonical(self):
         ledger = Ledger()
         extend(ledger, ledger.head_hash, 1)
         fork = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.2)
         ledger.add_block(fork)
-        assert ledger.count_empty_blocks(canonical_only=True) == 1
-        assert ledger.count_empty_blocks(canonical_only=False) == 2
+        assert count_empty(ledger.canonical_chain()) == 1
+        assert count_empty(ledger.all_blocks()) == 2
 
     def test_knows(self):
         ledger = Ledger()
@@ -163,23 +168,19 @@ class TestIncrementalViews:
         b1 = extend(ledger, ledger.head_hash, 1)
         loser = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.2)
         ledger.add_block(loser)
-        assert ledger.is_canonical(b1.block_hash)
-        assert not ledger.is_canonical(loser.block_hash)
-        assert ledger.canonical_hashes() == {
+        assert {b.block_hash for b in ledger.canonical_chain()} == {
             ledger.genesis_hash,
             b1.block_hash,
         }
+        assert ledger.knows(loser.block_hash)
 
     def test_block_and_parent_accessors(self):
         ledger = Ledger()
         b1 = extend(ledger, ledger.head_hash, 1)
         assert ledger.block(b1.block_hash) is b1
-        assert ledger.parent_of(b1.block_hash) == ledger.genesis_hash
-        assert ledger.parent_of(ledger.genesis_hash) is None
+        assert b1.header.parent_hash == ledger.genesis_hash
         with pytest.raises(LedgerError):
             ledger.block("f" * 64)
-        with pytest.raises(LedgerError):
-            ledger.parent_of("f" * 64)
 
 
 class TestConfirmationTally:

@@ -6,6 +6,11 @@ from repro.chain.mempool import Mempool
 from tests.conftest import fee_sorted, make_call
 
 
+def add_all(pool, txs):
+    for tx in txs:
+        pool.add(tx)
+
+
 class TestBasics:
     def test_add_and_len(self):
         pool = Mempool()
@@ -18,11 +23,6 @@ class TestBasics:
         assert pool.add(tx)
         assert not pool.add(tx)
         assert len(pool) == 1
-
-    def test_add_many_counts_new(self):
-        pool = Mempool()
-        tx = make_call("0xua")
-        assert pool.add_many([tx, tx, make_call("0xub")]) == 2
 
     def test_contains(self):
         pool = Mempool()
@@ -40,7 +40,7 @@ class TestBasics:
     def test_remove_confirmed(self):
         pool = Mempool()
         txs = [make_call(f"0xu{i}") for i in range(5)]
-        pool.add_many(txs)
+        add_all(pool, txs)
         confirmed = {txs[0].tx_id, txs[1].tx_id, "not-present"}
         assert pool.remove_confirmed(confirmed) == 2
         assert len(pool) == 3
@@ -53,7 +53,7 @@ class TestBasics:
 
     def test_total_fees(self):
         pool = Mempool()
-        pool.add_many([make_call("0xua", fee=3), make_call("0xub", fee=4)])
+        add_all(pool, [make_call("0xua", fee=3), make_call("0xub", fee=4)])
         assert pool.total_fees() == 7
 
 
@@ -63,12 +63,12 @@ class TestFeeGreedySelection:
         low = make_call("0xua", fee=1)
         high = make_call("0xub", fee=9)
         mid = make_call("0xuc", fee=5)
-        pool.add_many([low, high, mid])
+        add_all(pool, [low, high, mid])
         assert pool.select_by_fee(3) == [high, mid, low]
 
     def test_limit_respected(self):
         pool = Mempool()
-        pool.add_many([make_call(f"0xu{i}", fee=i) for i in range(10)])
+        add_all(pool, [make_call(f"0xu{i}", fee=i) for i in range(10)])
         assert len(pool.select_by_fee(4)) == 4
 
     def test_negative_limit_rejected(self):
@@ -80,8 +80,8 @@ class TestFeeGreedySelection:
         independent mempools holding the same transactions."""
         txs = [make_call(f"0xu{i}", fee=i % 7) for i in range(20)]
         pool_a, pool_b = Mempool(), Mempool()
-        pool_a.add_many(txs)
-        pool_b.add_many(list(reversed(txs)))
+        add_all(pool_a, txs)
+        add_all(pool_b, list(reversed(txs)))
         ids_a = [tx.tx_id for tx in pool_a.select_by_fee(10)]
         ids_b = [tx.tx_id for tx in pool_b.select_by_fee(10)]
         assert ids_a == ids_b
@@ -104,7 +104,7 @@ class TestIdSelection:
     def test_select_ids_preserves_order(self):
         pool = Mempool()
         txs = [make_call(f"0xu{i}") for i in range(3)]
-        pool.add_many(txs)
+        add_all(pool, txs)
         ids = [txs[2].tx_id, txs[0].tx_id]
         assert pool.select_ids(ids) == [txs[2], txs[0]]
 
@@ -135,14 +135,14 @@ class TestCachedRankedView:
     def test_cache_survives_bulk_confirmation(self):
         pool = Mempool()
         txs = [make_call(f"0xu{i}", fee=i) for i in range(30)]
-        pool.add_many(txs)
+        add_all(pool, txs)
         pool.select_by_fee(5)  # build the cache
         pool.remove_confirmed({tx.tx_id for tx in txs[:20]})
         assert pool.select_by_fee(30) == fee_sorted(pool, 30)
 
     def test_add_after_cache_built_keeps_order(self):
         pool = Mempool()
-        pool.add_many([make_call(f"0xu{i}", fee=i) for i in range(10)])
+        add_all(pool, [make_call(f"0xu{i}", fee=i) for i in range(10)])
         pool.select_by_fee(3)
         pool.add(make_call("0xnew", fee=100))
         assert pool.select_by_fee(1)[0].fee == 100

@@ -1,7 +1,7 @@
 """Tests for repro.chain.validation — the Sec. III-C block checks."""
 
 from repro.chain.block import Block
-from repro.chain.validation import BlockValidator, TransactionValidator
+from repro.chain.validation import BlockValidator
 from tests.conftest import make_transfer
 
 
@@ -14,42 +14,6 @@ def make_block(miner="pk-y", shard=1, txs=()):
         timestamp=1.0,
         transactions=list(txs),
     )
-
-
-class TestTransactionValidator:
-    def test_valid_tx(self, world):
-        validator = TransactionValidator(world)
-        verdict = validator.validate(make_transfer("0xualice", "0xubob"))
-        assert verdict.valid
-
-    def test_invalid_tx_carries_reason(self, world):
-        validator = TransactionValidator(world)
-        verdict = validator.validate(
-            make_transfer("0xualice", "0xubob", amount=10_000)
-        )
-        assert not verdict.valid
-        assert "balance" in verdict.reason
-
-    def test_validate_does_not_mutate(self, world):
-        TransactionValidator(world).validate(make_transfer("0xualice", "0xubob"))
-        assert world.account("0xualice").nonce == 0
-
-    def test_batch_sees_sequential_effects(self, world):
-        validator = TransactionValidator(world)
-        verdicts = validator.validate_batch(
-            [
-                make_transfer("0xualice", "0xubob", nonce=0),
-                make_transfer("0xualice", "0xubob", nonce=1),
-                make_transfer("0xualice", "0xubob", nonce=1),  # replay
-            ]
-        )
-        assert [v.valid for v in verdicts] == [True, True, False]
-
-    def test_batch_leaves_state_untouched(self, world):
-        TransactionValidator(world).validate_batch(
-            [make_transfer("0xualice", "0xubob", nonce=0)]
-        )
-        assert world.account("0xualice").nonce == 0
 
 
 class TestBlockValidator:

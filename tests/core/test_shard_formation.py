@@ -7,7 +7,6 @@ from repro.core.shard_formation import (
     form_shards,
     partition_transactions,
 )
-from repro.errors import ShardAssignmentError
 from repro.workloads.generators import (
     three_input_workload,
     uniform_contract_workload,
@@ -47,18 +46,13 @@ class TestFormShards:
         second, __ = form_shards(list(reversed(txs)))
         assert first.contract_to_shard == second.contract_to_shard
 
-    def test_unknown_contract_lookup_raises(self):
-        shard_map, __ = form_shards([make_call("0xuA", CONTRACT_A)])
-        with pytest.raises(ShardAssignmentError):
-            shard_map.shard_of_contract("0xghost")
-
 
 class TestRouting:
     def test_single_contract_tx_routes_to_contract_shard(self):
         txs = [make_call("0xuA", CONTRACT_A)]
         shard_map, graph = form_shards(txs)
         shard = shard_map.shard_of_transaction(txs[0], graph)
-        assert shard == shard_map.shard_of_contract(CONTRACT_A)
+        assert shard == shard_map.contract_to_shard[CONTRACT_A]
         assert shard != MAXSHARD_ID
 
     def test_multi_contract_tx_routes_to_maxshard(self):
@@ -111,7 +105,7 @@ class TestPartition:
         partition = partition_transactions(txs)
         shard_map, __ = form_shards(txs)
         small = partition.small_shards(lower_bound=10)
-        assert small == [shard_map.shard_of_contract(CONTRACT_A)]
+        assert small == [shard_map.contract_to_shard[CONTRACT_A]]
 
     def test_maxshard_never_listed_small(self):
         txs = [make_transfer("0xuX", "0xuY")]

@@ -188,13 +188,6 @@ class TestReplayDeterminism:
             for shard in outcome.merged_shards:
                 assert mapping[shard] == representative
 
-    def test_merged_with_lists_companions(self):
-        packet, __ = make_packet()
-        replay = UnifiedReplay(packet)
-        for outcome in replay.merging_result.new_shards:
-            for shard in outcome.merged_shards:
-                assert set(replay.merged_with(shard)) == set(outcome.merged_shards)
-
     def test_unknown_miner_rejected(self):
         packet, __ = make_packet()
         with pytest.raises(UnificationError):

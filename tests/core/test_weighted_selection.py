@@ -55,7 +55,13 @@ class TestWeightedBestReply:
         outcome = WeightedBestReply().run(
             fees=[4.0, 9.0, 2.0], weights=[1.0, 3.0, 2.0]
         )
-        assert all(u > 0 for u in outcome.utilities())
+        load = {}
+        for weight, j in zip(outcome.weights, outcome.choices):
+            load[j] = load.get(j, 0.0) + weight
+        assert all(
+            weighted_share(outcome.fees[j], weight, load[j]) > 0
+            for weight, j in zip(outcome.weights, outcome.choices)
+        )
 
     def test_initial_choices_respected_and_validated(self):
         dynamics = WeightedBestReply()

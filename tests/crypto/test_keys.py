@@ -1,6 +1,6 @@
 """Tests for repro.crypto.keys."""
 
-from repro.crypto.keys import KeyPair, SignedEnvelope, sign, verify_signature
+from repro.crypto.keys import KeyPair, sign, verify_signature
 
 
 class TestKeyPair:
@@ -45,21 +45,3 @@ class TestSignatures:
     def test_structural_verification_rejects_garbage(self):
         kp = KeyPair.from_seed("s")
         assert not verify_signature(kp.public, "m", "short")
-
-
-class TestSignedEnvelope:
-    def test_seal_and_verify(self):
-        kp = KeyPair.from_seed("s")
-        envelope = SignedEnvelope.seal(kp, "payload")
-        assert envelope.verify(kp)
-
-    def test_wrong_key_fails(self):
-        kp, other = KeyPair.from_seed("s"), KeyPair.from_seed("other")
-        envelope = SignedEnvelope.seal(kp, "payload")
-        assert not envelope.verify(other)
-
-    def test_tampered_message_fails(self):
-        kp = KeyPair.from_seed("s")
-        envelope = SignedEnvelope.seal(kp, "payload")
-        forged = SignedEnvelope(public=kp.public, message="other", tag=envelope.tag)
-        assert not forged.verify(kp)

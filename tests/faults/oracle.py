@@ -83,7 +83,7 @@ def judge_each(model, message, now, recipients, delays):
             continue
         sent += 1
         delay += decision.extra_delay
-        if decision.duplicated:
+        if decision.duplicate_delay is not None:
             kept.append(position)
             judged.append(delay + decision.duplicate_delay)
         kept.append(position)

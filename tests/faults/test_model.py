@@ -61,7 +61,7 @@ class TestDeterminism:
             decision = model.filter_send(Message(MessageKind.TX, "a", "b"), time=0.0)
             assert not decision.dropped
             assert decision.extra_delay == 0.0
-            assert not decision.duplicated
+            assert decision.duplicate_delay is None
         assert model._rng.getstate() == state_before
         assert model.stats.messages_lost == 0
 

@@ -84,7 +84,7 @@ class PerRecipientNetwork:
         if decision.dropped:
             return False
         delay += decision.extra_delay
-        if decision.duplicated:
+        if decision.duplicate_delay is not None:
             self._scheduler.schedule_in(
                 delay + decision.duplicate_delay, self._deliver, target, message
             )

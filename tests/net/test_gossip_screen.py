@@ -141,7 +141,7 @@ class TestBroadcastRecipients:
         scheduler.run()
         # Zero latency: ties fire in sequence (registration) order.
         assert order == expected
-        assert network.node_ids == [f"n{i}" for i in range(6)]
+        assert network.node_ids == tuple(f"n{i}" for i in range(6))
 
     def test_wholly_late_wave_counts_its_recipients(self):
         scheduler, network, nodes = make_net(horizon=1.0, latency=LatencyModel(2.0, 0.5))

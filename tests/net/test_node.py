@@ -156,7 +156,7 @@ class TestMiningPath:
         node.adopt_block(block)
         assert node.ledger.height == 1
         assert len(node.mempool) == 0
-        assert node.confirmed_tx_count() == 1
+        assert len(node.ledger.confirmed_tx_ids()) == 1
 
     def test_canonical_tip_blocks_counts_from_the_tip(self):
         node = make_node(shard=1)

@@ -92,13 +92,7 @@ class TestShardStats:
         stats = self._stats()
         assert stats.total_blocks == 20
         assert stats.total_confirmed == 100
-        assert stats.total_evictions == 3
-        assert stats.total_routed == 100
         assert stats.maxshard_serialized == 10
-
-    def test_empty_block_rate(self):
-        stats = self._stats()
-        assert stats.loads[2].empty_block_rate == pytest.approx(0.8)
 
     def test_imbalance_excludes_maxshard(self):
         stats = self._stats()
@@ -193,7 +187,7 @@ class TestProtocolIntegration:
         stats = result.shard_stats
         assert stats is telemetry.shard_stats
         assert stats.total_confirmed == result.confirmed_count()
-        assert stats.total_evictions == result.evicted
+        assert sum(e.evictions for e in stats.loads.values()) == result.evicted
         per_shard = {
             shard: entry.txs_confirmed
             for shard, entry in stats.loads.items()
@@ -212,7 +206,8 @@ class TestProtocolIntegration:
         )
         result = _run(telemetry, workload=workload)
         stats = result.shard_stats
-        assert stats.total_routed == len(workload)
+        routed = sum(sum(row.values()) for row in stats.traffic.values())
+        assert routed == len(workload)
         # Uniform single-contract calls execute on their home shard:
         # the matrix is diagonal and nothing is MaxShard-serialized.
         assert stats.maxshard_serialized == 0

@@ -13,7 +13,6 @@ from repro.observe import (
     get_tracer,
     read_jsonl,
     resolve_tracer,
-    set_tracer,
     trace_digest,
     use_tracer,
 )
@@ -144,13 +143,6 @@ class TestTracer:
 
 class TestActiveTracer:
     def test_off_by_default(self):
-        assert get_tracer() is None
-
-    def test_set_tracer_installs_and_clears(self):
-        mine = Tracer()
-        set_tracer(mine)
-        assert get_tracer() is mine
-        set_tracer(None)
         assert get_tracer() is None
 
     def test_use_tracer_scopes_and_nests(self):

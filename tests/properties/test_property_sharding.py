@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.callgraph import SenderClass
 from repro.consensus.miner import MinerIdentity
 from repro.core.miner_assignment import assign_miners, draw_shard, verify_membership
 from repro.core.shard_formation import MAXSHARD_ID, form_shards, partition_transactions
@@ -49,7 +50,7 @@ class TestShardFormationProperties:
             if shard == MAXSHARD_ID:
                 continue
             for tx in shard_txs:
-                assert graph.is_single_contract(tx.sender)
+                assert graph.classify(tx.sender) is SenderClass.SINGLE_CONTRACT
                 assert tx.is_contract_call
 
     @given(mixed_workloads())
@@ -89,30 +90,6 @@ class TestAssignmentProperties:
         assert draw_shard(public, randomness, fractions) == draw_shard(
             public, randomness, fractions
         )
-
-
-class TestSerializationProperties:
-    @given(
-        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_wire_round_trip_preserves_digest(self, sizes, nonce):
-        from repro.core.merging.game import MergingGameConfig
-        from repro.core.serialization import packet_from_json, packet_to_json
-
-        packet = UnificationPacket(
-            epoch_seed=f"e{nonce}",
-            leader_public=f"pk-{nonce}",
-            randomness=f"{nonce:064d}",
-            merge_players=tuple(
-                ShardPlayer(i, s, 2.0) for i, s in enumerate(sizes, start=1)
-            ),
-            merge_config=MergingGameConfig(shard_reward=10.0, lower_bound=10),
-        )
-        decoded = packet_from_json(packet_to_json(packet))
-        assert decoded == packet
-        assert decoded.digest() == packet.digest()
 
 
 class TestUnificationProperties:

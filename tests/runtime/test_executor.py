@@ -11,8 +11,6 @@ from repro.runtime import (
     effective_cpu_count,
     executor_from_env,
     get_default_executor,
-    parallel_map,
-    set_default_executor,
     use_executor,
 )
 from repro.runtime.executor import fork_available
@@ -160,14 +158,9 @@ class TestDefaultExecutor:
             assert get_default_executor() is replacement
         assert get_default_executor() is original
 
-    def test_set_default_executor_none_rederives(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        previous = get_default_executor()
-        try:
-            set_default_executor(None)
-            assert isinstance(get_default_executor(), SerialExecutor)
-        finally:
-            set_default_executor(previous)
+    def test_unset_default_derives_from_env(self, monkeypatch):
+        import repro.runtime.executor as executor_mod
 
-    def test_parallel_map_uses_explicit_executor(self):
-        assert parallel_map(_square, range(4), SerialExecutor()) == [0, 1, 4, 9]
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        monkeypatch.setattr(executor_mod, "_DEFAULT", None)
+        assert isinstance(get_default_executor(), SerialExecutor)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.chain.callgraph import CallGraph
-from repro.chain.history import TransactionHistory
 from repro.core.merging.equilibrium import best_pure_deviation, expected_payoffs
 from repro.core.merging.game import MergingGameConfig, ShardPlayer
 from repro.core.selection.best_reply import BestReplyDynamics
@@ -20,6 +19,7 @@ from repro.core.selection.congestion_game import (
     selection_counts,
 )
 from repro.workloads.generators import WorkloadBuilder
+from tests.chain.history import TransactionHistory
 
 
 def best_pure_deviation_reference(
@@ -133,7 +133,7 @@ class TestProfileUtilities:
             SelectionGameConfig(capacity=2), seed=7
         ).run(fees, miners=6)
         assert np.allclose(
-            outcome.utilities(),
+            profile_utilities(np.asarray(fees), list(outcome.profile)),
             profile_utilities_reference(
                 np.asarray(fees), list(outcome.profile)
             ),
@@ -176,5 +176,5 @@ class TestCallGraphMemo:
                 assert cached.sole_contract_of(probe) == history.sole_contract_of(
                     probe
                 )
-        hits, misses = cached.cache_stats()
-        assert hits > 0 and misses > 0
+        memo = cached._analysis  # the memo under test
+        assert memo.hits > 0 and memo.misses > 0

@@ -14,7 +14,7 @@ from repro.experiments import run_experiment
 from repro.experiments.common import clear_experiment_caches
 from repro.faults.plan import FaultPlan
 from repro.net.network import LatencyModel
-from repro.runtime import ProcessExecutor, SerialExecutor, parallel_map, use_executor
+from repro.runtime import ProcessExecutor, SerialExecutor, use_executor
 from repro.runtime.executor import fork_available
 from repro.sim.campaign import Campaign
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
@@ -53,10 +53,14 @@ def _campaign_fingerprint(executor):
     campaign = Campaign(EpochManager(miners), base_seed=5, executor=executor)
     result = campaign.run([batch(e) for e in range(3)])
     return (
-        result.confirmation_rate(),
-        result.final_backlog,
+        result.total_confirmed,
         [
-            (e.epoch_index, e.result.confirmed_transactions, e.result.makespan)
+            (
+                e.epoch_index,
+                e.result.confirmed_transactions,
+                e.result.makespan,
+                e.deferred_out,
+            )
             for e in result.epochs
         ],
     )
@@ -95,7 +99,7 @@ def _faulty_run(seed: int) -> tuple[float, ...]:
 
 def test_fault_injected_runs_bit_identical_across_executors():
     seeds = [11, 12, 13]
-    serial = parallel_map(_faulty_run, seeds, SerialExecutor())
-    parallel = parallel_map(_faulty_run, seeds, PARALLEL)
+    serial = SerialExecutor().map(_faulty_run, seeds)
+    parallel = PARALLEL.map(_faulty_run, seeds)
     assert serial == parallel
     assert any(run[2] > 0 for run in serial)  # the fault plan really fired

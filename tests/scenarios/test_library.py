@@ -39,7 +39,7 @@ class TestRegistry:
             scenario = get_scenario(name)
             assert scenario.summary
             assert scenario.paper_ref
-            assert name in scenario.describe()
+            assert scenario.name == name
 
 
 class TestTakeover:

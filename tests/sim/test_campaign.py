@@ -48,10 +48,13 @@ class TestCampaign:
             assert current.carried_in == previous.deferred_out
 
     def test_most_traffic_confirms(self, campaign_result):
-        assert campaign_result.confirmation_rate() > 0.8
+        result = campaign_result
+        injected = sum(epoch.injected for epoch in result.epochs)
+        assert result.total_confirmed > 0.8 * injected
 
     def test_backlog_is_bounded(self, campaign_result):
-        assert campaign_result.final_backlog < 45  # one epoch's traffic
+        # At most one epoch's traffic is still deferred at the end.
+        assert campaign_result.epochs[-1].deferred_out < 45
 
     def test_randomness_rotates(self, campaign_result):
         seeds = {e.plan.randomness for e in campaign_result.epochs}

@@ -3,32 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.metrics import (
-    mean_over_runs,
-    summarize_empty_blocks,
-    throughput_improvement,
-)
-from repro.sim.simulator import ShardOutcome, SimulationResult
-
-
-def result_with(empty_counts: dict[int, int]) -> SimulationResult:
-    shards = {
-        sid: ShardOutcome(
-            shard_id=sid,
-            miner_count=1,
-            tx_count=10,
-            lane_count=1,
-            empty_blocks=count,
-        )
-        for sid, count in empty_counts.items()
-    }
-    return SimulationResult(
-        makespan=10.0,
-        window_end=10.0,
-        shards=shards,
-        total_transactions=10 * len(shards),
-        confirmed_transactions=10 * len(shards),
-    )
+from repro.sim.metrics import throughput_improvement
 
 
 class TestThroughputImprovement:
@@ -40,42 +15,3 @@ class TestThroughputImprovement:
             throughput_improvement(0.0, 1.0)
         with pytest.raises(SimulationError):
             throughput_improvement(1.0, -1.0)
-
-
-class TestEmptyBlockSummary:
-    def test_totals(self):
-        summary = summarize_empty_blocks(result_with({1: 4, 2: 6}))
-        assert summary.total == 10
-        assert summary.per_shard_mean == 5.0
-        assert summary.per_shard_max == 6
-        assert summary.shard_count == 2
-
-    def test_subset_selection(self):
-        summary = summarize_empty_blocks(
-            result_with({1: 4, 2: 6, 3: 100}), shard_ids=[1, 2]
-        )
-        assert summary.total == 10
-
-    def test_unknown_ids_rejected(self):
-        """Unknown shard ids raise instead of being silently dropped — a
-        typo'd id must not shrink the summary unnoticed."""
-        with pytest.raises(SimulationError, match=r"unknown shard ids \[99\]"):
-            summarize_empty_blocks(result_with({1: 4}), shard_ids=[1, 99])
-
-    def test_unknown_ids_all_listed(self):
-        with pytest.raises(SimulationError, match=r"\[7, 99\]"):
-            summarize_empty_blocks(result_with({1: 4}), shard_ids=[99, 7])
-
-    def test_empty_selection(self):
-        summary = summarize_empty_blocks(result_with({}), shard_ids=[])
-        assert summary.total == 0
-        assert summary.per_shard_mean == 0.0
-
-
-class TestMeanOverRuns:
-    def test_mean(self):
-        assert mean_over_runs([1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            mean_over_runs([])

@@ -19,7 +19,6 @@ from repro.workloads import (
     single_shard_workload,
     small_shard_workload,
     streaming_powerlaw_contract_workload,
-    streaming_single_shard_workload,
     streaming_uniform_contract_workload,
     three_input_workload,
     uniform_contract_workload,
@@ -81,9 +80,6 @@ CASES = {
     "stream-powerlaw-steep": lambda seed: streaming_powerlaw_contract_workload(
         77, 4, alpha=1.7, seed=seed
     ),
-    "stream-single": lambda seed: streaming_single_shard_workload(
-        40, seed=seed
-    ),
     "small-shards": lambda seed: small_shard_workload(
         200, 9, [1, 4, 9], seed=seed
     ),
@@ -139,10 +135,6 @@ PINS = {
         "678ee8f145d8591e725e9d3f00e35a1da3204f4d663fef020f8a1d0e13c55522",
     ("stream-powerlaw-steep", 11):
         "1a5e16990596bd8546308a2130e737a672168e16064edabd263a97f2056ed6bc",
-    ("stream-single", 3):
-        "73c8f831bee59433d74cd788eb92ee5f1350b82b954665727aaa057cf23ee722",
-    ("stream-single", 11):
-        "e0fd39f6acd618edf679caa586f465f03707e3b759b9d442f3dd3fdfcd42718e",
     ("stream-uniform", 3):
         "99b0a1bd1ce0dd034b11e416a834a1752fd9a0c2e9a065eb2049ff1cc395c2c4",
     ("stream-uniform", 11):

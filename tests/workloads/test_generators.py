@@ -10,7 +10,6 @@ from repro.workloads.generators import (
     WorkloadBuilder,
     single_shard_workload,
     small_shard_workload,
-    streaming_single_shard_workload,
     streaming_uniform_contract_workload,
     three_input_workload,
     uniform_contract_workload,
@@ -243,12 +242,8 @@ def _fields(tx):
             lambda seed: uniform_contract_workload(121, 0, seed=seed),
             lambda seed: streaming_uniform_contract_workload(121, 0, seed=seed),
         ),
-        (
-            lambda seed: single_shard_workload(30, seed=seed),
-            lambda seed: streaming_single_shard_workload(30, seed=seed),
-        ),
     ],
-    ids=["uniform", "maxshard-only", "single-shard"],
+    ids=["uniform", "maxshard-only"],
 )
 def test_list_equals_materialized_stream(listed, streamed, seed):
     """A list generator's output is its streaming counterpart's, field
