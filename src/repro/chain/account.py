@@ -9,7 +9,7 @@ Contract accounts additionally carry contract code (see
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import InsufficientBalanceError
 
@@ -21,7 +21,7 @@ class AccountKind(enum.Enum):
     CONTRACT = "contract"
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     """A mutable account record inside the world state."""
 

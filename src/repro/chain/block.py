@@ -10,7 +10,7 @@ transactions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.chain.transaction import Transaction

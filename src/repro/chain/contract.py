@@ -15,7 +15,7 @@ destination"), which :meth:`SmartContract.unconditional` builds directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.chain.state import WorldState

@@ -93,6 +93,39 @@ class Mempool:
             self._insert_ranked(tx)
         return True
 
+    def admit(self, txs: list[Transaction]) -> list[Transaction]:
+        """Batch :meth:`add`: the same pool, counters and ranked order
+        as adding ``txs`` one by one; returns the admitted ones in order.
+
+        The fresh transactions that fit under the limit go in as one
+        dict update and one merge into the ranked view; every one past
+        the limit goes through :meth:`add` and its eviction rule.
+        """
+        pool = self._pool
+        room = len(txs) if self._limit is None else self._limit - len(pool)
+        fresh: dict[str, Transaction] = {}
+        cut = len(txs)
+        for i, tx in enumerate(txs):
+            if len(fresh) == room:
+                cut = i
+                break
+            if tx.tx_id not in pool:
+                fresh.setdefault(tx.tx_id, tx)
+        ranked = self._ranked
+        if fresh and ranked is not None:
+            if self._ranked_stale:
+                # A stale entry may be a fresh tx's old copy: drop them all.
+                ranked = self._ranked = [tx for tx in ranked if tx.tx_id in pool]
+                self._ranked_stale = 0
+            ranked += fresh.values()
+            ranked.sort(key=_fee_rank)
+        pool.update(fresh)
+        if len(pool) > self.peak:
+            self.peak = len(pool)
+        admitted = list(fresh.values())
+        admitted += [tx for tx in txs[cut:] if self.add(tx)]
+        return admitted
+
     def _insert_ranked(self, tx: Transaction) -> None:
         """Ordered insert that revives a stale copy instead of duplicating.
 

@@ -30,7 +30,6 @@ from repro.core.merging.game import MergingGameConfig, ShardPlayer
 from repro.core.miner_assignment import MinerAssignment, assign_miners
 from repro.core.selection.congestion_game import SelectionGameConfig
 from repro.core.shard_formation import (
-    MAXSHARD_ID,
     ShardMap,
     TransactionPartition,
     form_shards,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.consensus.miner import MinerIdentity
-from repro.crypto.keys import KeyPair
 from repro.crypto.randhound import group_draw
 from repro.crypto.vrf import VRFOutput, elect_leader
 from repro.errors import ShardAssignmentError

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.selection.congestion_game import (
     SelectionGameConfig,
-    profile_utilities,
     rosenthal_potential,
     selection_counts,
 )

@@ -9,7 +9,7 @@ remaining reproducible under a seed (see DESIGN.md, substitution table).
 """
 
 from repro.crypto.hashing import sha256_hex, hash_items, uniform_from_hash
-from repro.crypto.keys import KeyPair, sign, verify_signature
+from repro.crypto.keys import KeyPair
 from repro.crypto.vrf import VRFOutput, vrf_prove, vrf_verify, vrf_uniform, elect_leader
 from repro.crypto.randhound import RandHoundBeacon, BeaconRound, group_draw
 from repro.crypto.merkle import MerkleTree, MerkleProof
@@ -19,8 +19,6 @@ __all__ = [
     "hash_items",
     "uniform_from_hash",
     "KeyPair",
-    "sign",
-    "verify_signature",
     "VRFOutput",
     "vrf_prove",
     "vrf_verify",

@@ -1,11 +1,10 @@
-"""Deterministic hash-based key pairs and signatures.
+"""Deterministic hash-based key pairs.
 
 The paper binds shard membership and blocks to miner identities via public
 keys. Real asymmetric crypto is unnecessary for a simulator: what matters
-is that (a) a public key uniquely identifies a party, (b) only the holder
-of the secret can produce a signature, and (c) anyone can verify it. An
-HMAC-style hash construction provides all three properties inside a closed
-simulation where the adversary cannot brute-force digests.
+here is that a public key uniquely identifies a party and is a one-way
+image of its secret. Nothing in a run signs or verifies a message, so the
+module offers no signature scheme.
 """
 
 from __future__ import annotations
@@ -36,32 +35,3 @@ class KeyPair:
     def address(self) -> str:
         """Return a short account address derived from the public key."""
         return "0x" + self.public[:40]
-
-
-def sign(keypair: KeyPair, message: str) -> str:
-    """Sign ``message`` with the secret key (HMAC-style construction)."""
-    return sha256_hex(f"signature\x1f{keypair.secret}\x1f{message}")
-
-
-def verify_signature(public: str, message: str, signature: str) -> bool:
-    """Verify a signature given only the public key.
-
-    Verification re-derives the expected signature from the *public* key's
-    pre-image relationship. In a real system this would be an asymmetric
-    check; here the simulator is the only party holding secrets, so we
-    verify by recomputation through a registry-free inverse: the signature
-    embeds a hash of the public key, making forgery require a digest
-    pre-image.
-    """
-    expected_tag = sha256_hex(f"sigtag\x1f{public}\x1f{message}\x1f{signature}")
-    # A signature is valid iff it was produced by `sign` for the secret
-    # whose hash is `public`. We cannot invert the hash, so validity is
-    # checked via the deterministic witness below: honest code paths carry
-    # the witness alongside; dishonest paths fail with overwhelming
-    # probability because they cannot find `secret` with
-    # sha256(public-key, secret) == public.
-    del expected_tag
-    # The witness-free check: recompute from all registered secrets is not
-    # available to library users, so we accept any 64-hex-digit string that
-    # is consistent in length and reject obviously malformed input.
-    return isinstance(signature, str) and len(signature) == 64

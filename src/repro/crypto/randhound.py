@@ -11,7 +11,7 @@ argument inside the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.hashing import hash_items, int_from_hash, sha256_hex
 from repro.crypto.keys import KeyPair

@@ -7,7 +7,6 @@ behind Fig. 3(h).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +17,7 @@ from repro.core.merging.algorithm import IterativeMerging
 from repro.core.merging.game import MergingGameConfig, ShardPlayer
 from repro.core.selection.best_reply import BestReplyDynamics
 from repro.core.selection.congestion_game import SelectionGameConfig
-from repro.core.shard_formation import MAXSHARD_ID, partition_transactions
+from repro.core.shard_formation import partition_transactions
 from repro.runtime import get_default_executor
 from repro.sim.config import SimulationConfig, TimingModel
 from repro.sim.simulator import ShardGroupSpec, ShardedSimulation, SimulationResult

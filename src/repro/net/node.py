@@ -5,9 +5,8 @@ of one miner. It implements the receive-side protocol exactly as the
 paper describes it:
 
 * on a transaction — check whether the sender belongs to this node's
-  shard (via the classifier it was built with) and pool it so; a
-  transaction already routed to this shard goes straight to
-  :meth:`FullNode.pool`;
+  shard (via the classifier it was built with) and pool it so; a batch
+  already routed to this shard goes straight to :meth:`FullNode.pool`;
 * on a block — run the two verifications (packer really in the claimed
   shard; claimed shard == own shard), then record, apply and de-pool.
 
@@ -206,8 +205,9 @@ class FullNode(Node):
         # The shard's shared block images; None runs every body in full.
         self.images: ImageTable | None = None
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
-        # transaction enters this node's mempool. Installed by the
-        # protocol simulation only when lineage tracing is on, so the
+        # delivered transaction enters this node's mempool (a batch
+        # hand-off through pool() leaves it to its caller). Installed by
+        # the protocol simulation only when lineage tracing is on, so the
         # common path pays a single None check per pooled transaction.
         self.on_pooled: Callable[["FullNode", Transaction], None] | None = None
         # Forensic hook: called as ``on_rejected(node, block, reason)``
@@ -235,48 +235,54 @@ class FullNode(Node):
     # transaction path
     # ------------------------------------------------------------------
     def on_transaction(self, tx: Transaction) -> bool:
-        """Pool a delivered transaction iff it belongs to this node's shard."""
-        if self._tx_classifier(tx) != self.shard_id:
-            return False
-        return self.pool(tx)
+        """Pool a delivered transaction iff it belongs to this node's shard.
 
-    def pool(self, tx: Transaction) -> bool:
-        """Pool a transaction already routed to this shard, unclassified.
-
-        False when the mempool refuses it (duplicate, or outbid when full).
+        False when it does not, or the mempool refuses it (duplicate, or
+        outbid when full).
         """
-        if not self.mempool.add(tx):
+        if self._tx_classifier(tx) != self.shard_id or not self.mempool.add(tx):
             return False
         self.stats.txs_pooled += 1
         if self.on_pooled is not None:
             self.on_pooled(self, tx)
         return True
 
-    def provision(self, tx: Transaction, balance: int) -> None:
-        """Seed what ``tx`` needs here, the only state seeding of a
-        protocol run: grant its sender ``balance`` once, unless genesis
-        holds it, and deploy the testbed contract (Sec. VI-A) it calls
+    def pool(self, txs: list[Transaction]) -> list[Transaction]:
+        """Pool a batch already routed to this shard, unclassified;
+        returns the transactions the mempool admitted, in order. The
+        caller reports them to ``on_pooled``."""
+        admitted = self.mempool.admit(txs)
+        self.stats.txs_pooled += len(admitted)
+        return admitted
+
+    def provision(self, txs: list[Transaction], balance: int) -> None:
+        """Seed what ``txs`` need here, the only state seeding of a
+        protocol run: grant each sender ``balance`` once, unless genesis
+        holds it, and deploy each testbed contract (Sec. VI-A) called
         unless present. The oracle seeds both pre-genesis (no block can
         carry a transaction before its replicas are provisioned):
         contracts are few, so one is deployed into its base too; a grant
         is recorded by address. A sender already paid here is credited,
         and its journaled priors rebased, as a pre-genesis grant would."""
         state = self.state
-        sender = tx.sender
-        if sender not in self._funded and sender not in self._pristine_state.accounts:
-            self._funded[sender] = balance
-            account = state.accounts.get(sender)
-            if account is None:
-                state.create_account(sender, balance=balance)
-            else:
-                account.credit(balance)
-                self._rebase_undos(sender, balance)
-        contract = tx.contract
-        if contract is not None and contract not in state.contracts:
-            for seeded in (state, self._pristine_state):
-                seeded.deploy_contract(
-                    SmartContract.unconditional(contract, f"sink-{contract[:8]}")
-                )
+        accounts, contracts = state.accounts, state.contracts
+        funded, genesis = self._funded, self._pristine_state.accounts
+        for tx in txs:
+            sender = tx.sender
+            if sender not in funded and sender not in genesis:
+                funded[sender] = balance
+                account = accounts.get(sender)
+                if account is None:
+                    state.create_account(sender, balance=balance)
+                else:
+                    account.credit(balance)
+                    self._rebase_undos(sender, balance)
+            contract = tx.contract
+            if contract is not None and contract not in contracts:
+                for seeded in (state, self._pristine_state):
+                    seeded.deploy_contract(
+                        SmartContract.unconditional(contract, f"sink-{contract[:8]}")
+                    )
 
     def _rebase_undos(self, address: str, grant: int) -> None:
         """Add ``grant`` to ``address``'s prior in every journal that

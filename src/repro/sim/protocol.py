@@ -973,19 +973,19 @@ class ProtocolSimulation:
     def _inject_batch(self, batch: list[Transaction]) -> list[str]:
         """The one way a workload enters the network, list or stream.
 
-        Each transaction is classified once, routed for telemetry, and
-        its shard's replicas are provisioned with the state it needs.
-        Fault-free, it is then pooled there directly; under a fault plan
-        its (off-network) user announces it over the lossy network.
+        Each transaction is classified once and routed for telemetry, in
+        batch order. Each replica then gets its shard's slice in one
+        call that provisions the state the slice needs. Fault-free, one
+        more call pools the slice there; under a fault plan each
+        (off-network) user announces its transaction over the lossy
+        network, in batch order.
         Returns the ids of the transactions a populated shard can confirm.
         """
         observe = self._callgraph.observe if self._stream is not None else None
         classify, shard_nodes = self._classify, self._shard_nodes
-        announce = (
-            None if self._fault_model is None else self._network.broadcast
-        )
-        balance = INITIAL_BALANCE
         telemetry = self._telemetry
+        shards: list[int] = []
+        slices: dict[int, list[Transaction]] = {}
         routed: list[str] = []
         for tx in batch:
             if observe is not None:
@@ -993,22 +993,34 @@ class ProtocolSimulation:
                 # rule can classify the sender (observe is idempotent).
                 observe(tx)
             shard = classify(tx)
+            shards.append(shard)
             if telemetry is not None:
                 self._route(tx, shard)
-            replicas = shard_nodes.get(shard, ())
-            if replicas:
+            if shard in shard_nodes:
                 routed.append(tx.tx_id)
-            if announce is None:
-                for node in replicas:
-                    node.provision(tx, balance)
-                    node.pool(tx)
-            else:
-                for node in replicas:
-                    node.provision(tx, balance)
+                slices.setdefault(shard, []).append(tx)
+        faulty = self._fault_model is not None
+        pooled: dict[FullNode, set[str]] = {}
+        for shard, txs in slices.items():
+            for node in shard_nodes[shard]:
+                node.provision(txs, INITIAL_BALANCE)
+                if not faulty:
+                    admitted = node.pool(txs)
+                    if self._lineage:
+                        pooled[node] = {tx.tx_id for tx in admitted}
+        if faulty:
+            announce = self._network.broadcast
+            for tx, shard in zip(batch, shards):
                 announce(
                     MessageKind.TX, sender=f"user:{tx.sender}", payload=tx,
                     shard_id=shard,
                 )
+        elif self._lineage:
+            # tx.seen in per-tx hand-off order: tx-major, replicas in order.
+            for tx, shard in zip(batch, shards):
+                for node in shard_nodes.get(shard, ()):
+                    if tx.tx_id in pooled[node]:
+                        self._note_pooled(node, tx)
         self._injected += len(batch)
         return routed
 

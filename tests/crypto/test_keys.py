@@ -1,6 +1,6 @@
 """Tests for repro.crypto.keys."""
 
-from repro.crypto.keys import KeyPair, sign, verify_signature
+from repro.crypto.keys import KeyPair
 
 
 class TestKeyPair:
@@ -25,23 +25,3 @@ class TestKeyPair:
         assert address.startswith("0x")
         assert len(address) == 42
 
-
-class TestSignatures:
-    def test_sign_is_deterministic(self):
-        kp = KeyPair.from_seed("s")
-        assert sign(kp, "msg") == sign(kp, "msg")
-
-    def test_different_messages_differ(self):
-        kp = KeyPair.from_seed("s")
-        assert sign(kp, "m1") != sign(kp, "m2")
-
-    def test_different_keys_differ(self):
-        assert sign(KeyPair.from_seed("a"), "m") != sign(KeyPair.from_seed("b"), "m")
-
-    def test_structural_verification(self):
-        kp = KeyPair.from_seed("s")
-        assert verify_signature(kp.public, "m", sign(kp, "m"))
-
-    def test_structural_verification_rejects_garbage(self):
-        kp = KeyPair.from_seed("s")
-        assert not verify_signature(kp.public, "m", "short")

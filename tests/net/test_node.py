@@ -85,14 +85,14 @@ class TestTransactionPath:
         # pool() trusts the caller's routing: a MaxShard transfer still
         # lands in a shard-1 pool when handed over directly.
         node = make_node(shard=1)
-        assert node.pool(make_transfer("0xualice", "0xubob"))
+        assert node.pool([make_transfer("0xualice", "0xubob")])
         assert len(node.mempool) == 1
 
     def test_pool_refuses_duplicate(self):
         node = make_node(shard=1)
         tx = make_call("0xualice", CONTRACT_A)
-        assert node.pool(tx)
-        assert not node.pool(tx)
+        assert node.pool([tx]) == [tx]
+        assert node.pool([tx]) == []
         assert not node.on_transaction(tx)
         assert len(node.mempool) == 1
 
@@ -102,12 +102,13 @@ class TestTransactionPath:
         node.on_pooled = lambda pooled_by, tx: seen.append((pooled_by, tx))
         first = make_call("0xualice", CONTRACT_A, nonce=0)
         second = make_call("0xualice", CONTRACT_A, nonce=1)
-        node.pool(first)
-        node.pool(first)
+        assert node.pool([first, first]) == [first]
         node.on_transaction(second)
         node.on_transaction(second)
         assert node.stats.txs_pooled == 2
-        assert seen == [(node, first), (node, second)]
+        # A batch hand-off leaves the hook to its caller, which reports
+        # the admitted transactions in its own order.
+        assert seen == [(node, second)]
 
     def test_receive_routes_tx_messages(self):
         node = make_node(shard=1)
@@ -481,7 +482,7 @@ class TestExecuteOnce:
         table = ImageTable(len(nodes))
         for node in nodes:
             node.images = table
-            node.provision(make_transfer("0xubob", "0xucarol"), 1_000)
+            node.provision([make_transfer("0xubob", "0xucarol")], 1_000)
         return nodes, table
 
     @staticmethod
@@ -583,9 +584,9 @@ class TestExecuteOnce:
         node = make_node(shard=1, name="provisioned")
         transfer = make_transfer("0xubob", "0xucarol", amount=10, fee=2)
         call_b = make_call("0xubob", CONTRACT_B, fee=3, nonce=1)
-        node.provision(transfer, 1_000)
-        node.provision(call_b, 1_000)  # bob exists: only CONTRACT_B is new
-        node.provision(make_call("0xualice", CONTRACT_A), 50)  # no-op
+        node.provision([transfer], 1_000)
+        node.provision([call_b], 1_000)  # bob exists: only CONTRACT_B is new
+        node.provision([make_call("0xualice", CONTRACT_A)], 50)  # no-op
         assert node.state.balance_of("0xualice") == 1_000
         # The genesis contract is kept, not replaced by the testbed form.
         assert node.state.contract(CONTRACT_A).beneficiary == "0xudest"

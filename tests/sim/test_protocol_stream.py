@@ -202,13 +202,13 @@ class TestProvisioning:
         fork = Block.build(genesis, "pkB", MAXSHARD_ID, 1, 1.5, [])
         longer = Block.build(fork.block_hash, "pkB", MAXSHARD_ID, 2, 2.0, [spend])
         for node in replicas:
-            node.provision(pay, 1_000)
+            node.provision([pay], 1_000)
             node.on_block(credit)
         assert replicas[0]._undos[credit.block_hash] is (
             replicas[1]._undos[credit.block_hash]
         )
         for node in replicas:
-            node.provision(spend, 1_000)
+            node.provision([spend], 1_000)
             assert node.state.balance_of("0xub") == 1_000 + pay.amount
             node.on_block(fork)
             node.on_block(longer)

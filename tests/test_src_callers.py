@@ -42,11 +42,6 @@ KEPT: dict[str, str] = {
         "Sec. III-B: a VRF output read as a uniform draw in [0, 1); tests "
         "check its range and determinism"
     ),
-    "verify_signature": (
-        "the public-key signature check; the key tests accept a real "
-        "signature and refuse a malformed one"
-    ),
-    "sign": "the signing half of verify_signature, which its tests need",
     "expected_payoffs": (
         "the Eq. (14) pure-profile payoff table the equilibrium tests pin; "
         "the reference best_pure_deviation is differential-tested against"
@@ -69,6 +64,10 @@ KEPT: dict[str, str] = {
     "replicator_update": (
         "Algorithm 1's discrete replicator step; tests check its direction "
         "and clamping"
+    ),
+    "profile_utilities": (
+        "Sec. IV-B: each miner's expected payoff under a selection "
+        "profile; tests check a best reply raises it"
     ),
     "is_selection_nash": (
         "Sec. IV-B: Algorithm 2 stops at a Nash equilibrium of the "
