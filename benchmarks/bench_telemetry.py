@@ -1,21 +1,24 @@
 """The telemetry layer's perf record: heartbeats must be free when off.
 
-Telemetry instruments three hot paths — per-block load accounting in
-the mining handler, per-transaction traffic classification at
-injection, and the mempool's high-water compare — each behind a single
-``telemetry is None`` (or one-int-compare) guard. This bench prices
-both sides of the switch:
+A run with telemetry off pays two ``telemetry is None`` checks (arming
+the heartbeat, taking the final snapshot) and, inside the run, the
+mempool's one-int high-water compare per admission, which the shard
+stats read. Shard stats themselves are folded after the run
+(``ProtocolSimulation.shard_stats()``), so no hot path carries them.
+This bench prices both sides of the switch:
 
 * **disabled overhead** — two interleaved best-of-N telemetry-off legs
   bound the guard cost plus noise; the ``within_budget`` gate uses the
   *computed* overhead (guard cost per check x guarded operations /
   workload time), which is stable where A/B wall-clock deltas on
   shared runners are not. Budget: ≤2%.
-* **enabled cost** — the same seeded run with heartbeats and shard-load
-  accounting live, gated at ≤10%. The gate is computed the same way
-  (microbenched per-operation accounting cost and per-heartbeat
-  sampling cost, times how many of each the run performs); the
+* **enabled cost** — the same seeded run with heartbeats live, gated
+  at ≤10%. The gate is computed the same way (microbenched
+  per-heartbeat sampling cost times the samples the run takes); the
   measured A/B delta rides along as evidence.
+* **the fold** — the best-of-N post-run ``shard_stats()`` time,
+  reported on its own (``shard_stats_s``): a caller runs it once,
+  after the run, whether telemetry was on or off.
 * **determinism evidence** — the telemetry-on digest must equal the
   telemetry-off digest (the layer's core contract), and two enabled
   legs must agree with each other.
@@ -49,7 +52,8 @@ SHARDS = 4
 HEARTBEAT_INTERVAL = 25.0
 
 
-def _run(telemetry: "Telemetry | bool", seed: int = 7):
+def _simulate(telemetry: "Telemetry | bool", seed: int = 7):
+    """A finished run and its simulation."""
     miners = [MinerIdentity.create(f"bench-tel-{i}") for i in range(MINERS)]
     stream = streaming_uniform_contract_workload(
         total_txs=TXS, contract_shards=SHARDS, seed=3
@@ -64,27 +68,16 @@ def _run(telemetry: "Telemetry | bool", seed: int = 7):
         inject_interval=5.0,
         telemetry=telemetry,
     )
-    return ProtocolSimulation(miners, stream, config=config).run()
+    sim = ProtocolSimulation(miners, stream, config=config)
+    return sim, sim.run()
+
+
+def _run(telemetry: "Telemetry | bool", seed: int = 7):
+    return _simulate(telemetry, seed)[1]
 
 
 def _fresh_telemetry() -> Telemetry:
     return Telemetry(heartbeat_interval=HEARTBEAT_INTERVAL)
-
-
-def _accounting_ns_per_op(ops: int = 200_000) -> float:
-    """Per-operation cost of the enabled-path load accounting.
-
-    One traffic-matrix row update — the dict work the injection and
-    mining hot paths perform per transaction/block when telemetry is
-    live.
-    """
-    traffic: dict = {}
-    start = time.perf_counter()
-    for i in range(ops):
-        row = traffic.setdefault(i % SHARDS, {})
-        key = i % (SHARDS + 1)
-        row[key] = row.get(key, 0) + 1
-    return (time.perf_counter() - start) / ops * 1e9
 
 
 def _heartbeat_ns_per_sample(samples: int = 2_000) -> float:
@@ -109,9 +102,9 @@ def _heartbeat_ns_per_sample(samples: int = 2_000) -> float:
 def _guard_ns_per_check(calls: int = 200_000) -> float:
     """Per-call cost of the disabled fast path.
 
-    :func:`repro.observe.get_telemetry` mirrors the attribute-is-None
-    check the engine hot paths perform, so its disabled cost prices a
-    guarded operation.
+    :func:`repro.observe.get_telemetry` is no cheaper than the
+    attribute-is-None check or the one-int compare a guarded operation
+    performs, so its disabled cost prices one.
     """
     start = time.perf_counter()
     for __ in range(calls):
@@ -136,9 +129,9 @@ def measure_telemetry_overhead(quick: bool = False) -> dict:
 
     # Determinism evidence: telemetry on == telemetry off, bit for bit,
     # and two enabled legs agree with each other.
-    off = _run(telemetry=False)
+    off_sim, off = _simulate(telemetry=False)
     first_telemetry = _fresh_telemetry()
-    first = _run(telemetry=first_telemetry)
+    first_sim, first = _simulate(telemetry=first_telemetry)
     second = _run(telemetry=_fresh_telemetry())
     assert first.trace.digest() == off.trace.digest(), (
         "telemetry on must not move the digest"
@@ -146,31 +139,27 @@ def measure_telemetry_overhead(quick: bool = False) -> dict:
     assert first.trace.digest() == second.trace.digest(), (
         "enabled legs must digest equal"
     )
-    stats = first.shard_stats
-    assert stats is not None
+    shard_stats_s = timed(first_sim.shard_stats, repeats)
+    stats = first_sim.shard_stats()
+    assert stats == off_sim.shard_stats()
     assert stats.total_confirmed == first.confirmed_count()
 
-    # Guarded operations in one run: a mempool high-water compare per
-    # admission (every broadcast reaches every node's pool), a
-    # telemetry check per forged block, and one per injected
-    # transaction for traffic classification.
-    guarded_ops = TXS * MINERS + stats.total_blocks + TXS
+    # Guarded operations in one telemetry-off run: the run's two
+    # telemetry checks, and a mempool high-water compare per admission.
+    # A transaction goes only to its shard's pools, and a batch
+    # admission compares once, so the pooled count bounds the compares.
+    pooled = sum(
+        off_sim.node(miner).stats.txs_pooled for miner in off_sim.assignment.shard_of
+    )
+    guarded_ops = 2 + pooled
     guard_ns = _guard_ns_per_check()
     computed_disabled_pct = guard_ns * guarded_ops / 1e9 / reference_s * 100.0
 
-    # The enabled gate prices the work telemetry actually adds: one
-    # accounting op per injected transaction and per forged block, one
-    # heartbeat per sample taken.
-    accounting_ns = _accounting_ns_per_op()
+    # The enabled gate prices the work heartbeats add: one sample per
+    # beat taken.
     beat_ns = _heartbeat_ns_per_sample()
-    enabled_ops = TXS + stats.total_blocks
     beats = len(first_telemetry.samples)
-    computed_enabled_pct = (
-        (accounting_ns * enabled_ops + beat_ns * beats)
-        / 1e9
-        / reference_s
-        * 100.0
-    )
+    computed_enabled_pct = beat_ns * beats / 1e9 / reference_s * 100.0
 
     return {
         "workload": (
@@ -195,9 +184,9 @@ def measure_telemetry_overhead(quick: bool = False) -> dict:
         ),
         "guard_ns_per_check": round(guard_ns, 1),
         "guarded_ops": guarded_ops,
-        "accounting_ns_per_op": round(accounting_ns, 1),
         "heartbeat_ns_per_sample": round(beat_ns, 1),
-        "heartbeat_samples": len(first_telemetry.samples),
+        "heartbeat_samples": beats,
+        "shard_stats_s": round(shard_stats_s, 6),
         "shard_stats_blocks": stats.total_blocks,
         "trace_records": len(first.trace),
         "trace_digest": first.trace.digest(),
@@ -238,6 +227,7 @@ def main(argv: list[str] | None = None) -> None:
         f"{record['overhead_enabled_computed_pct']:.4f}% of budget "
         f"{record['overhead_enabled_budget_pct']}%), "
         f"{record['heartbeat_samples']} heartbeats, "
+        f"shard_stats() {record['shard_stats_s'] * 1e3:.2f}ms, "
         f"{record['trace_records']} records"
     )
 

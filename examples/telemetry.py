@@ -72,7 +72,8 @@ def main() -> None:
         trace=tracer,
         telemetry=telemetry,
     )
-    result = ProtocolSimulation(miners, stream, config=config).run()
+    sim = ProtocolSimulation(miners, stream, config=config)
+    result = sim.run()
 
     print()
     print(
@@ -83,7 +84,7 @@ def main() -> None:
     print(f"heartbeats sampled: {len(telemetry.samples)}")
     print()
 
-    stats = result.shard_stats
+    stats = sim.shard_stats()
     print(RunReport.from_run(tracer, stats, title="skewed 64-shard run").render())
     print()
 

@@ -117,15 +117,16 @@ def main() -> None:
     reduction = 1.0 - after.total_empty_blocks / max(before.total_empty_blocks, 1)
     print(f"\nEmpty-block reduction: {reduction:.0%} (paper: ~90%)")
 
-    # The incentive ledger: merging pays because of the shard reward.
-    policy = FeePolicy(block_reward=10, shard_reward=50)
+    # The incentive ledger: merging pays because of the shard reward G,
+    # the merging game's own.
+    policy = FeePolicy(block_reward=10)
     lone_income = policy.block_reward  # an empty block per slot
     merged_shard = groups[0] if groups else ()
     merged_txs = sum(sizes[sid] for sid in merged_shard)
-    merged_income = policy.shard_reward + policy.block_reward + merged_txs
+    merged_income = config.shard_reward + policy.block_reward + merged_txs
     print(
         f"Per-miner economics: staying ~{lone_income} coins/slot (empty blocks) "
-        f"vs merging ~{merged_income} coins (shard reward + fees)"
+        f"vs merging ~{merged_income:g} coins (shard reward + fees)"
     )
 
 

@@ -67,10 +67,10 @@ def _run_traced(
 def _progress_scope(enabled: bool):
     """A live-heartbeat telemetry scope (or a no-op when disabled).
 
-    Every protocol run launched inside the scope inherits the
-    telemetry via :func:`repro.observe.resolve_telemetry`, prints a
-    progress line per heartbeat to stderr, and — because heartbeats
-    never touch the tracer or the RNG — leaves digests untouched.
+    Every run launched inside the scope, protocol or lane model,
+    inherits the telemetry, prints a progress line per heartbeat to
+    stderr, and — because heartbeats never touch the tracer or the
+    RNG — leaves digests and results untouched.
     """
     import contextlib
 
@@ -114,8 +114,8 @@ def _trace_record(args) -> int:
     tracer = Tracer(
         lineage=lineage, sink=args.output if args.sink else None
     )
-    # Shard stats are always collected (digest-neutral); heartbeats only
-    # on request.
+    # Heartbeats only on request; the report's shard loads are folded
+    # from the finished run either way.
     interval = args.heartbeat
     if interval is None and args.progress:
         interval = 5.0
@@ -137,12 +137,11 @@ def _trace_record(args) -> int:
         mempool_limit=args.mempool_limit,
         telemetry=telemetry,
     )
-    result = ProtocolSimulation(
-        miners, workload, config=config, unified=args.unified
-    ).run()
+    sim = ProtocolSimulation(miners, workload, config=config, unified=args.unified)
+    result = sim.run()
     trace = result.trace
     target = trace.finish_sink() if args.sink else trace.write_jsonl(args.output)
-    report = RunReport.from_run(trace, result.shard_stats, title=target.name)
+    report = RunReport.from_run(trace, sim.shard_stats(), title=target.name)
     print(report.render())
     if args.report:
         import json

@@ -4,20 +4,19 @@ A :class:`FullNode` owns the local ledger, world-state view and mempool
 of one miner. It implements the receive-side protocol exactly as the
 paper describes it:
 
-* on a transaction — check whether the sender belongs to this node's
-  shard (via the classifier it was built with) and pool it so; a batch
-  already routed to this shard goes straight to :meth:`FullNode.pool`;
+* on a transaction — pool it; a batch already routed to this shard
+  goes straight to :meth:`FullNode.pool`;
 * on a block — run the two verifications (packer really in the claimed
   shard; claimed shard == own shard), then record, apply and de-pool.
 
-Both screens are pure functions of public data, so every receiver of a
-gossiped payload reaches the same verdict on whether it is foreign. The
-protocol coordinator settles that once per wave: it gives a verified
-block or a classified transaction a home shard, and the network never
-calls a node of another shard with it (:attr:`Node.shard_id`). What
-reaches :meth:`FullNode.on_block` and :meth:`FullNode.on_transaction`
-is in-shard gossip, or a payload with no established home (a shard
-liar's block), which takes both checks here as before.
+Whether a gossiped payload is foreign is a pure function of public
+data, so every receiver reaches the same verdict. The protocol
+coordinator settles it once per wave: it gives a verified block or a
+classified transaction a home shard, and the network never calls a node
+of another shard with it (:attr:`Node.shard_id`). So what reaches
+:meth:`FullNode.on_transaction` is in-shard, and what reaches
+:meth:`FullNode.on_block` is in-shard gossip or a block with no
+established home (a shard liar's), which takes both checks here.
 
 The world-state bookkeeping is **tip-delta**: every applied canonical
 block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, and
@@ -55,9 +54,6 @@ from repro.consensus.miner import (
 )
 from repro.errors import LedgerError, UnificationError
 from repro.net.messages import Message, MessageKind
-
-# Which shard does a transaction belong to? (None = not this node's business.)
-TxShardClassifier = Callable[[Transaction], int | None]
 
 #: Cap on one shard's block images, oldest dropped first. It bounds stale
 #: blocks' images (the rest go at their last reuse); a drop costs a full apply.
@@ -143,7 +139,6 @@ class FullNode(Node):
         "stats",
         "_behavior_overridden",
         "_pristine_state",
-        "_tx_classifier",
         "_block_validator",
         "_selection_replay",
         "_packet_commitment",
@@ -164,7 +159,6 @@ class FullNode(Node):
         identity: MinerIdentity,
         shard_id: int,
         membership_verifier: Callable[[str, int], bool],
-        tx_classifier: TxShardClassifier,
         behavior: MinerBehavior | None = None,
         state: WorldState | None = None,
         packet_commitment: str | None = None,
@@ -182,7 +176,6 @@ class FullNode(Node):
         # state_oracle_fingerprint().
         self._pristine_state = self.state.snapshot()
         self.stats = NodeStats()
-        self._tx_classifier = tx_classifier
         self._block_validator = BlockValidator(
             own_shard=shard_id, membership_verifier=membership_verifier
         )
@@ -235,12 +228,11 @@ class FullNode(Node):
     # transaction path
     # ------------------------------------------------------------------
     def on_transaction(self, tx: Transaction) -> bool:
-        """Pool a delivered transaction iff it belongs to this node's shard.
-
-        False when it does not, or the mempool refuses it (duplicate, or
-        outbid when full).
+        """Pool a delivered transaction; False when the mempool refuses
+        it (duplicate, or outbid when full). The network hands a node
+        only transactions classified to its shard.
         """
-        if self._tx_classifier(tx) != self.shard_id or not self.mempool.add(tx):
+        if not self.mempool.add(tx):
             return False
         self.stats.txs_pooled += 1
         if self.on_pooled is not None:

@@ -1,7 +1,8 @@
 """The run report: one schema and one renderer for what a run says.
 
 A :class:`RunReport` is built from a finished run (its tracer plus the
-telemetry's :class:`~repro.observe.telemetry.ShardStats`) or from a
+:class:`~repro.observe.telemetry.ShardStats` that
+``ProtocolSimulation.shard_stats()`` folds from it) or from a
 JSONL trace, saved as JSON and read back. Each section has exactly one
 source and is left out when that source is absent:
 
@@ -191,7 +192,7 @@ class RunReport:
         shard_stats: ShardStats | None = None,
         title: str = "run",
     ) -> RunReport:
-        """The report of a finished run (``result.trace``/``shard_stats``).
+        """The report of a finished run (``result.trace``/``sim.shard_stats()``).
 
         Safe in sink mode: spilled records are read back from the sink
         file, so the counts and windows cover the whole run.

@@ -1,9 +1,11 @@
 """Shard-load telemetry: heartbeats and per-shard stats.
 
-Two measurement surfaces, all digest-neutral by construction:
+Two measurement surfaces, both digest-neutral by construction:
 
 * **Heartbeats** — periodic snapshots taken *during* a run at fixed
-  sim-time intervals. The deterministic fields of a
+  sim-time intervals. :meth:`Telemetry.arm` is the one way either
+  simulator takes them: it starts the wall clock and arms a
+  self-re-arming scheduler event. The deterministic fields of a
   :class:`HeartbeatSample` (sim time, injected/confirmed/evicted
   counts, per-shard mempool depths) are pure functions of simulation
   state, so two same-seed runs produce identical sample sequences.
@@ -12,12 +14,14 @@ Two measurement surfaces, all digest-neutral by construction:
   ``wall`` sidecar, mirroring the trace-record contract. Heartbeats
   never emit trace events and never consume simulation randomness,
   which is what keeps digests bit-identical with telemetry on or off.
-* **Shard load accounting** — :class:`ShardStats` aggregates per-shard
+* **Shard load accounting** — :class:`ShardStats` holds per-shard
   blocks forged, empty-block rates, confirmed transactions, mempool
   high-water marks, evictions, and the cross-shard traffic matrix
   (home shard → executed shard; column 0 is the MaxShard serialization
-  sink from Sec. III-A). Imbalance indices (max/mean, Gini) come from
-  :mod:`repro.observe.analysis` and are the live signals the dynamic
+  sink from Sec. III-A). A protocol run folds it from what it keeps
+  anyway, after the run (``ProtocolSimulation.shard_stats()``), with
+  or without a collector. Imbalance indices (max/mean, Gini) come from
+  :mod:`repro.observe.analysis` and are the signals the dynamic
   re-sharding roadmap item needs.
 
 The module mirrors the tracer's scope plumbing: ``use_telemetry``
@@ -31,10 +35,13 @@ import contextlib
 import sys
 import time as _time
 from dataclasses import asdict, dataclass, field
-from typing import TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from repro.errors import ConfigError
 from repro.observe.analysis import imbalance_indices
+
+if TYPE_CHECKING:
+    from repro.net.events import Scheduler
 
 
 def _maxshard_id() -> int:
@@ -105,12 +112,13 @@ class HeartbeatSample:
 
 
 class Telemetry:
-    """Run-scoped collector for heartbeats and shard stats.
+    """Run-scoped collector of heartbeats.
 
     ``heartbeat_interval`` is in *simulated* seconds; ``None`` disables
-    periodic sampling but still collects shard stats. ``progress=True``
-    prints one live line per heartbeat to ``stream`` (stderr by
-    default), the opt-in campaign monitor for 10^6-tx streamed runs.
+    periodic sampling (a protocol run still takes its end-of-run
+    snapshot). ``progress=True`` prints one live line per heartbeat to
+    ``stream`` (stderr by default), the opt-in campaign monitor for
+    10^6-tx streamed runs.
     """
 
     def __init__(
@@ -128,7 +136,6 @@ class Telemetry:
         self.progress = progress
         self.stream = stream
         self.samples: list[HeartbeatSample] = []
-        self.shard_stats: "ShardStats | None" = None
         self._wall_start: float | None = None
         self._last_wall: float | None = None
         self._last_events: int = 0
@@ -139,6 +146,41 @@ class Telemetry:
         self._wall_start = _time.perf_counter()
         self._last_wall = self._wall_start
         self._last_events = 0
+
+    def arm(
+        self,
+        scheduler: "Scheduler",
+        state: Callable[[], dict[str, object]],
+    ) -> Callable[[], None]:
+        """Start the wall clock and arm the run's heartbeat.
+
+        Every ``heartbeat_interval`` simulated seconds a self-re-arming
+        event on ``scheduler`` records a sample: ``state()`` gives its
+        deterministic fields other than the time, the scheduler its
+        wall-sidecar counters. A beat only reads, so the run does what
+        it would do without it; a re-arm past the scheduler's horizon
+        is dropped there. Returns the sampler, for a final snapshot.
+        """
+        self.start()
+
+        def sample() -> None:
+            self.heartbeat(
+                time=scheduler.now,
+                events_fired=scheduler.events_fired,
+                pending=scheduler.pending,
+                peak_pending=scheduler.peak_pending,
+                **state(),
+            )
+
+        interval = self.heartbeat_interval
+        if interval is not None:
+
+            def beat() -> None:
+                sample()
+                scheduler.schedule_in(interval, beat)
+
+            scheduler.schedule_in(interval, beat)
+        return sample
 
     # -- sampling ------------------------------------------------------
     def heartbeat(
@@ -201,7 +243,10 @@ class Telemetry:
         rss = sample.wall.get("rss_kb")
         if isinstance(rss, int):
             parts.append(f"rss={rss / 1024:.0f}MiB")
-        print("[heartbeat] " + " ".join(parts), file=stream, flush=True)
+        # One write per line: runs in worker processes share stderr, and
+        # print() writes the newline separately, splicing their lines.
+        stream.write("[heartbeat] " + " ".join(parts) + "\n")
+        stream.flush()
 
 
 # ----------------------------------------------------------------------

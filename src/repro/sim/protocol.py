@@ -138,16 +138,17 @@ class ProtocolConfig:
         campaigns with a thousand miners legally fire more events than
         that and raise the budget explicitly.
     telemetry:
-        Shard-load telemetry: a
-        :class:`~repro.observe.telemetry.Telemetry` collector to feed,
-        ``True`` for a fresh collector with the default heartbeat
-        interval, ``False`` to force telemetry off, or ``None``
-        (default) to join an active ``use_telemetry`` scope if one
-        exists. Telemetry is digest-neutral by contract: heartbeats
+        Heartbeats: a :class:`~repro.observe.telemetry.Telemetry`
+        collector to feed, ``True`` for a fresh collector with the
+        default heartbeat interval, ``False`` to force heartbeats off,
+        or ``None`` (default) to join an active ``use_telemetry`` scope
+        if one exists. Heartbeats are digest-neutral by contract: they
         never emit trace events, never consume simulation randomness,
         and keep every wall-clock quantity in the sample's ``wall``
         sidecar, so all recorded digests are bit-identical with
-        telemetry on or off (enforced by tests and CI).
+        heartbeats on or off (enforced by tests and CI). The shard-load
+        picture needs no collector: :meth:`ProtocolSimulation.shard_stats`
+        folds it from any finished run.
     """
 
     pow_params: PoWParameters = field(default_factory=PoWParameters.one_block_per_minute)
@@ -259,9 +260,6 @@ class ProtocolResult:
     evicted: int = 0
     # The run's trace when observability was enabled (None otherwise).
     trace: Tracer | None = None
-    # Per-shard load accounting + cross-shard traffic matrix, built
-    # when telemetry was enabled for the run (None otherwise).
-    shard_stats: ShardStats | None = None
 
     def confirmed_count(self) -> int:
         return len(self.confirmed_tx_ids)
@@ -324,10 +322,6 @@ class ProtocolSimulation:
         self._behaviors = behaviors or {}
         self._tracer = resolve_tracer(self._config.trace)
         self._telemetry = resolve_telemetry(self._config.telemetry)
-        # Per-shard [forged, empty] block counts and the home→executed
-        # traffic matrix, accumulated only when telemetry is on.
-        self._shard_blocks: dict[int, list[int]] = {}
-        self._traffic: dict[int, dict[int, int]] = {}
         # Per-transaction lineage events (tx.seen / tx_idx inclusion
         # lists / tx.confirmed) are opt-in via Tracer(lineage=True):
         # default traces — and every recorded digest baseline — are
@@ -515,7 +509,6 @@ class ProtocolSimulation:
                 identity=miner,
                 shard_id=shard,
                 membership_verifier=verifier,
-                tx_classifier=self._classify,
                 behavior=self._behaviors.get(miner.public),
                 packet_commitment=self._commitment,
                 mempool_limit=self._config.mempool_limit,
@@ -596,11 +589,6 @@ class ProtocolSimulation:
     def tracer(self) -> Tracer | None:
         """The run's resolved tracer (None when tracing is off)."""
         return self._tracer
-
-    @property
-    def telemetry(self) -> Telemetry | None:
-        """The run's resolved telemetry collector (None when off)."""
-        return self._telemetry
 
     def node(self, public: str) -> FullNode:
         return self._nodes[public]
@@ -701,24 +689,12 @@ class ProtocolSimulation:
                 probe()
                 return inner_drained()
 
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.start()
-            interval = telemetry.heartbeat_interval
-            if interval is not None:
-                # A self-re-arming probe event. Digest-neutral: the
-                # callback only *reads* simulation state (stop
-                # conditions are pure reads re-evaluated after every
-                # event, and the lineage probe sees no head movement),
-                # emits no trace events, and draws no randomness. Extra
-                # scheduler entries shift only the wall-sidecar counters
-                # (events_fired, pending, peak_pending). A re-arm past
-                # the horizon is dropped by the scheduler.
-                def beat() -> None:
-                    self._sample_heartbeat(telemetry)
-                    self._scheduler.schedule_in(interval, beat)
-
-                self._scheduler.schedule_in(interval, beat)
+        # Digest-neutral: a beat only reads (the stop condition and the
+        # lineage probe see no change), so its scheduler entries shift
+        # only the wall-sidecar counters.
+        sample = None
+        if self._telemetry is not None:
+            sample = self._telemetry.arm(self._scheduler, self._heartbeat_state)
 
         self._scheduler.run(
             stop_condition=drained,
@@ -773,11 +749,8 @@ class ProtocolSimulation:
                     "peak_pending": self._scheduler.peak_pending,
                 },
             )
-        shard_stats: ShardStats | None = None
-        if telemetry is not None:
-            self._sample_heartbeat(telemetry)  # final snapshot
-            shard_stats = self._build_shard_stats()
-            telemetry.shard_stats = shard_stats
+        if sample is not None:
+            sample()  # final snapshot
         return ProtocolResult(
             duration=self._scheduler.now,
             confirmed_tx_ids=confirmed,
@@ -792,14 +765,13 @@ class ProtocolSimulation:
             fault_stats=stats,
             evicted=evicted,
             trace=tracer,
-            shard_stats=shard_stats,
         )
 
     # ------------------------------------------------------------------
     # telemetry (digest-neutral: pure reads, no trace events, no RNG)
     # ------------------------------------------------------------------
-    def _sample_heartbeat(self, telemetry: Telemetry) -> None:
-        """One heartbeat snapshot of live simulation state."""
+    def _heartbeat_state(self) -> dict[str, object]:
+        """A heartbeat's deterministic fields: live simulation state."""
         pool_depths: dict[int, int] = {}
         evicted = 0
         for node in self._nodes.values():
@@ -808,54 +780,53 @@ class ProtocolSimulation:
             if depth > pool_depths.get(shard, -1):
                 pool_depths[shard] = depth
             evicted += node.mempool.evictions
-        confirmed = sum(self._per_shard_confirmed().values())
-        telemetry.heartbeat(
-            time=self._scheduler.now,
-            injected=self._injected,
-            confirmed=confirmed,
-            evicted=evicted,
-            pool_depths=pool_depths,
-            events_fired=self._scheduler.events_fired,
-            pending=self._scheduler.pending,
-            peak_pending=self._scheduler.peak_pending,
-        )
+        return {
+            "injected": self._injected,
+            "confirmed": sum(self._per_shard_confirmed().values()),
+            "evicted": evicted,
+            "pool_depths": pool_depths,
+        }
 
-    def _build_shard_stats(self) -> ShardStats:
-        """Assemble the per-shard load picture at run end."""
+    def shard_stats(self) -> ShardStats:
+        """The per-shard load picture of the finished run.
+
+        A fold of what the run keeps anyway: blocks forged and empty
+        from the reward ledger, confirmations from the ledgers, mempool
+        peaks and evictions from the nodes, and the home-shard ->
+        executed-shard traffic matrix from the injected workload. A
+        list is classified with the run's call graph, which saw it all
+        up front; a stream's injected prefix is replayed through a
+        fresh call graph, observing then classifying each transaction
+        as injection did.
+        """
         stats = ShardStats()
         per_shard = self._per_shard_confirmed()
-        pool_peaks: dict[int, int] = {}
-        pool_evictions: dict[int, int] = {}
         for node in self._nodes.values():
-            shard = node.shard_id
-            pool_peaks[shard] = max(
-                pool_peaks.get(shard, 0), node.mempool.peak
-            )
-            pool_evictions[shard] = (
-                pool_evictions.get(shard, 0) + node.mempool.evictions
-            )
-        for shard in sorted(
-            set(per_shard) | set(self._shard_blocks) | set(pool_peaks)
-        ):
-            entry = stats.load(shard)
-            forged, empty = self._shard_blocks.get(shard, (0, 0))
-            entry.blocks_forged = forged
-            entry.blocks_empty = empty
-            entry.txs_confirmed = per_shard.get(shard, 0)
-            entry.mempool_peak = pool_peaks.get(shard, 0)
-            entry.evictions = pool_evictions.get(shard, 0)
-        for home, row in self._traffic.items():
-            for executed, count in row.items():
-                stats.record_route(home, executed, count)
+            entry = stats.load(node.shard_id)
+            entry.txs_confirmed = per_shard[node.shard_id]
+            entry.mempool_peak = max(entry.mempool_peak, node.mempool.peak)
+            entry.evictions += node.mempool.evictions
+        shard_of = self._assignment.shard_of
+        rewards = self._rewards
+        for miner, forged in rewards.blocks_mined.items():
+            entry = stats.load(shard_of[miner])
+            entry.blocks_forged += forged
+            entry.blocks_empty += rewards.empty_blocks_mined.get(miner, 0)
+        if self._stream is None:
+            txs, callgraph, observe = self._transactions, self._callgraph, None
+        else:
+            txs = itertools.islice(self._stream, self._injected)
+            callgraph = CallGraph()
+            observe = callgraph.observe
+        shard_map = self._shard_map
+        homes = shard_map.contract_to_shard
+        for tx in txs:
+            if observe is not None:
+                observe(tx)
+            # A direct transfer (no contract) is homed on the MaxShard.
+            home = homes.get(tx.contract, MAXSHARD_ID)
+            stats.record_route(home, shard_map.shard_of_transaction(tx, callgraph))
         return stats
-
-    def _route(self, tx: Transaction, shard: int) -> None:
-        """Count ``tx`` in the home-shard -> executed-shard matrix."""
-        home = MAXSHARD_ID
-        if tx.contract is not None:
-            home = self._shard_map.contract_to_shard.get(tx.contract, MAXSHARD_ID)
-        row = self._traffic.setdefault(home, {})
-        row[shard] = row.get(shard, 0) + 1
 
     def _make_lineage_probe(self):
         """Detector for the confirmation edge of transaction lineages.
@@ -973,8 +944,7 @@ class ProtocolSimulation:
     def _inject_batch(self, batch: list[Transaction]) -> list[str]:
         """The one way a workload enters the network, list or stream.
 
-        Each transaction is classified once and routed for telemetry, in
-        batch order. Each replica then gets its shard's slice in one
+        Each transaction is classified once, in batch order. Each replica then gets its shard's slice in one
         call that provisions the state the slice needs. Fault-free, one
         more call pools the slice there; under a fault plan each
         (off-network) user announces its transaction over the lossy
@@ -983,7 +953,6 @@ class ProtocolSimulation:
         """
         observe = self._callgraph.observe if self._stream is not None else None
         classify, shard_nodes = self._classify, self._shard_nodes
-        telemetry = self._telemetry
         shards: list[int] = []
         slices: dict[int, list[Transaction]] = {}
         routed: list[str] = []
@@ -994,8 +963,6 @@ class ProtocolSimulation:
                 observe(tx)
             shard = classify(tx)
             shards.append(shard)
-            if telemetry is not None:
-                self._route(tx, shard)
             if shard in shard_nodes:
                 routed.append(tx.tx_id)
                 slices.setdefault(shard, []).append(tx)
@@ -1200,11 +1167,6 @@ class ProtocolSimulation:
         # packers compact confirmed ids); honest behaviors no-op.
         node.behavior.note_confirmed(node.ledger.confirmed_tx_ids())
         self._rewards.credit_block(block)
-        if self._telemetry is not None:
-            entry = self._shard_blocks.setdefault(node.shard_id, [0, 0])
-            entry[0] += 1
-            if not block.transactions:
-                entry[1] += 1
         if self._tracer is not None:
             # The per-shard confirmation timeline: every forged block
             # records how far its shard's confirmations have advanced.

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro.chain.transaction import Transaction
 from repro.errors import SimulationError
 from repro.net.events import Scheduler
+from repro.observe.telemetry import get_telemetry
 from repro.sim.config import SimulationConfig
 
 
@@ -280,43 +281,6 @@ class ShardedSimulation:
         if self._confirmed >= self._total_txs:
             self._makespan = now
 
-    def _heartbeat_tap(self):
-        """A progress callback for the event loop's stop-condition hook.
-
-        Returns ``None`` unless a telemetry scope with a heartbeat
-        interval is active. The returned callable always evaluates
-        falsy, so it can double as a ``stop_condition`` without ever
-        stopping the run; it samples (and optionally prints) a
-        heartbeat each time the clock crosses the next interval mark.
-        """
-        from repro.observe.telemetry import get_telemetry
-
-        telemetry = get_telemetry()
-        if telemetry is None or not telemetry.heartbeat_interval:
-            return None
-        telemetry.start()
-        interval = telemetry.heartbeat_interval
-        state = {"next": interval}
-
-        def beat() -> bool:
-            now = self._scheduler.now
-            if now >= state["next"]:
-                while state["next"] <= now:
-                    state["next"] += interval
-                telemetry.heartbeat(
-                    time=now,
-                    injected=self._total_txs,
-                    confirmed=self._confirmed,
-                    evicted=0,
-                    pool_depths={},
-                    events_fired=self._scheduler.events_fired,
-                    pending=self._scheduler.pending,
-                    peak_pending=self._scheduler.peak_pending,
-                )
-            return False
-
-        return beat
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -348,22 +312,27 @@ class ShardedSimulation:
         def drained() -> bool:
             return self._confirmed >= self._total_txs
 
-        # A scoped telemetry (``python -m repro run --progress``) taps
-        # the stop-condition hook the event loop evaluates anyway, so
-        # heartbeats add *zero* scheduler events here — the run fires
-        # the exact same event sequence with progress on or off.
-        beat = self._heartbeat_tap()
+        # A scoped telemetry (``python -m repro run --progress``) arms
+        # its heartbeat here. A beat only reads, so the run's results
+        # are the same with progress on or off.
+        telemetry = get_telemetry()
+        if telemetry is not None:
+            telemetry.arm(
+                self._scheduler,
+                lambda: {
+                    "injected": self._total_txs,
+                    "confirmed": self._confirmed,
+                    "evicted": 0,
+                    "pool_depths": {},
+                },
+            )
 
         if config.window is None:
-            stop = drained if beat is None else (lambda: (beat(), drained())[1])
-            self._scheduler.run(stop_condition=stop)
+            self._scheduler.run(stop_condition=drained)
             self.finished = True
             window_end = self._scheduler.now
         else:
-            self._scheduler.run(
-                until=config.window,
-                stop_condition=beat,
-            )
+            self._scheduler.run(until=config.window)
             self.finished = True
             window_end = config.window
 

@@ -1,7 +1,5 @@
 """Tests for repro.chain.fees."""
 
-import pytest
-
 from repro.chain.block import Block
 from repro.chain.fees import FeePolicy
 from repro.consensus.rewards import RewardLedger
@@ -28,12 +26,6 @@ def block_with(txs):
 
 
 class TestFeePolicy:
-    def test_paper_gas_configuration(self):
-        """0x300000 gas per block holds at most 10 transactions."""
-        policy = FeePolicy()
-        assert policy.gas_limit == 0x300000
-        assert policy.block_capacity == 10
-
     def test_block_payout_includes_fees(self):
         policy = FeePolicy(block_reward=100)
         block = block_with([make_call("0xua", fee=3), make_call("0xub", fee=4)])
@@ -45,8 +37,3 @@ class TestFeePolicy:
         incentive that makes empty blocks rational."""
         policy = FeePolicy(block_reward=100)
         assert payout(policy, block_with([])) == 100
-
-    def test_invalid_gas_per_tx(self):
-        policy = FeePolicy(gas_per_tx=0)
-        with pytest.raises(ValueError):
-            policy.block_capacity

@@ -8,13 +8,16 @@ without a shard (``Node.shard_id`` is ``None``) takes every message.
 
 import pytest
 
+from repro.consensus.miner import MinerIdentity
+from repro.core.shard_formation import MAXSHARD_ID
 from repro.faults.model import FaultModel
 from repro.faults.plan import CrashEvent, FaultPlan
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
-from repro.net.node import Node
+from repro.net.node import FullNode, Node
 from repro.observe import Tracer
+from tests.conftest import make_transfer
 
 
 class Recorder(Node):
@@ -81,6 +84,23 @@ class TestScreen:
         assert receivers(nodes) == ["n2", "n3", "n4"]
         for node in nodes[2:5]:
             assert node.received == [Message(MessageKind.BLOCK, "n0", node.node_id, "b", 2)]
+
+    def test_foreign_shard_tx_ignored(self):
+        # A full node pools whatever it is handed: keeping a foreign
+        # transaction out of its mempool is the screen's job.
+        scheduler, network, nodes = make_net()
+        node = FullNode(
+            identity=MinerIdentity.create("screened-full-node"),
+            shard_id=1,
+            membership_verifier=lambda public, shard: True,
+        )
+        network.register(node)
+        tx = make_transfer("0xualice", "0xubob")
+        network.broadcast(MessageKind.TX, "user:0xualice", payload=tx, shard_id=MAXSHARD_ID)
+        scheduler.run()
+        assert len(node.mempool) == 0
+        assert node.stats.txs_pooled == 0
+        assert receivers(nodes) == ["n4"]
 
     def test_payload_without_home_reaches_everyone(self):
         scheduler, network, nodes = make_net()

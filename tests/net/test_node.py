@@ -18,13 +18,6 @@ from tests.conftest import (
 )
 
 
-def classifier(tx):
-    """Route CONTRACT_A calls to shard 1, everything else to MaxShard."""
-    if tx.is_contract_call and tx.contract == CONTRACT_A:
-        return 1
-    return MAXSHARD_ID
-
-
 def make_node(shard=1, membership=None, behavior=None, balance=1_000,
               packet_commitment=None, name=None):
     identity = MinerIdentity.create(name or f"node-shard{shard}")
@@ -37,7 +30,6 @@ def make_node(shard=1, membership=None, behavior=None, balance=1_000,
         identity=identity,
         shard_id=shard,
         membership_verifier=membership or (lambda public, shard_id: True),
-        tx_classifier=classifier,
         behavior=behavior,
         state=state,
         packet_commitment=packet_commitment,
@@ -50,11 +42,6 @@ class TestTransactionPath:
         assert node.on_transaction(make_call("0xualice", CONTRACT_A))
         assert len(node.mempool) == 1
         assert node.stats.txs_pooled == 1
-
-    def test_foreign_shard_tx_ignored(self):
-        node = make_node(shard=1)
-        assert not node.on_transaction(make_transfer("0xualice", "0xubob"))
-        assert len(node.mempool) == 0
 
     def test_maxshard_node_accepts_direct_transfers(self):
         node = make_node(shard=MAXSHARD_ID)

@@ -42,7 +42,7 @@ def folded_metrics(trace):
     return RunReport.from_run(trace).metrics
 
 
-def traced_protocol_run(trace=True, drop_probability=0.0, seed=5, telemetry=None):
+def traced_protocol_sim(trace=True, drop_probability=0.0, seed=5, telemetry=None):
     miners = [MinerIdentity.create(f"obs-{i}") for i in range(5)]
     txs = uniform_contract_workload(total_txs=16, contract_shards=2, seed=3)
     config = ProtocolConfig(
@@ -55,7 +55,11 @@ def traced_protocol_run(trace=True, drop_probability=0.0, seed=5, telemetry=None
         retransmit_interval=5.0 if drop_probability else None,
         telemetry=telemetry,
     )
-    return ProtocolSimulation(miners, txs, config=config).run()
+    return ProtocolSimulation(miners, txs, config=config)
+
+
+def traced_protocol_run(**options):
+    return traced_protocol_sim(**options).run()
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +127,10 @@ class TestProtocolTrace:
         assert other.trace.digest() != traced_run.trace.digest()
 
     def test_summary_includes_shard_timeline(self, traced_run):
-        result = traced_protocol_run(telemetry=Telemetry(heartbeat_interval=None))
+        sim = traced_protocol_sim(telemetry=Telemetry(heartbeat_interval=None))
+        result = sim.run()
         assert result.trace.digest() == traced_run.trace.digest()
-        report = RunReport.from_run(result.trace, result.shard_stats)
+        report = RunReport.from_run(result.trace, sim.shard_stats())
         loads = {entry["shard"]: entry for entry in report.shards["loads"]}
         assert sum(e["blocks_forged"] for e in loads.values()) == (
             result.trace.count(name="block.forged")

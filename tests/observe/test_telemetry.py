@@ -1,9 +1,10 @@
 """The telemetry layer: heartbeats, shard-load accounting, imbalance.
 
 Covers the pure pieces (gini, imbalance indices, ShardStats round-trip
-through the run report and its rendering) and the integration contract: shard-load totals must
-equal the ``ProtocolResult`` counters, and the traffic matrix's row
-sums must account for every classified transaction.
+through the run report and its rendering) and the integration contract:
+the shard stats a finished run folds must equal the ``ProtocolResult``
+counters, and the traffic matrix's row sums must account for every
+classified transaction.
 """
 
 import io
@@ -165,6 +166,7 @@ class TestScope:
 
 
 def _run(telemetry, workload=None, **overrides):
+    """A finished run and its shard stats."""
     miners = [MinerIdentity.create(f"t{i}") for i in range(6)]
     if workload is None:
         workload = uniform_contract_workload(
@@ -177,15 +179,14 @@ def _run(telemetry, workload=None, **overrides):
         telemetry=telemetry,
         **overrides,
     )
-    return ProtocolSimulation(miners, workload, config=config).run()
+    sim = ProtocolSimulation(miners, workload, config=config)
+    result = sim.run()
+    return result, sim.shard_stats()
 
 
 class TestProtocolIntegration:
     def test_shard_stats_totals_match_result_counters(self):
-        telemetry = Telemetry(heartbeat_interval=100.0)
-        result = _run(telemetry)
-        stats = result.shard_stats
-        assert stats is telemetry.shard_stats
+        result, stats = _run(Telemetry(heartbeat_interval=100.0))
         assert stats.total_confirmed == result.confirmed_count()
         assert sum(e.evictions for e in stats.loads.values()) == result.evicted
         per_shard = {
@@ -204,8 +205,7 @@ class TestProtocolIntegration:
         workload = uniform_contract_workload(
             total_txs=40, contract_shards=3, seed=7
         )
-        result = _run(telemetry, workload=workload)
-        stats = result.shard_stats
+        __, stats = _run(telemetry, workload=workload)
         routed = sum(sum(row.values()) for row in stats.traffic.values())
         assert routed == len(workload)
         # Uniform single-contract calls execute on their home shard:
@@ -219,10 +219,9 @@ class TestProtocolIntegration:
         stream = streaming_powerlaw_contract_workload(
             total_txs=60, contract_shards=4, alpha=1.0, seed=3
         )
-        result = _run(
+        __, stats = _run(
             telemetry, workload=stream, inject_batch=10, inject_interval=1.0
         )
-        stats = result.shard_stats
         row_sums = {
             home: sum(row.values()) for home, row in stats.traffic.items()
         }
@@ -237,7 +236,7 @@ class TestProtocolIntegration:
 
     def test_heartbeats_sampled_on_schedule(self):
         telemetry = Telemetry(heartbeat_interval=25.0)
-        result = _run(telemetry)
+        result, __ = _run(telemetry)
         # Interval beats plus the final snapshot.
         assert len(telemetry.samples) >= 2
         times = [sample.time for sample in telemetry.samples]
@@ -247,5 +246,7 @@ class TestProtocolIntegration:
         assert final.confirmed == result.confirmed_count()
 
     def test_disabled_telemetry_costs_no_result_surface(self):
-        result = _run(False)
-        assert result.shard_stats is None
+        # The result carries no telemetry; the fold needs none.
+        result, stats = _run(False)
+        assert not hasattr(result, "shard_stats")
+        assert stats.total_confirmed == result.confirmed_count()

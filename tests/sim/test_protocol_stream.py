@@ -191,7 +191,6 @@ class TestProvisioning:
                 identity=MinerIdentity.create(name),
                 shard_id=MAXSHARD_ID,
                 membership_verifier=lambda public, shard: True,
-                tx_classifier=lambda tx: MAXSHARD_ID,
             )
             node.images = images
             replicas.append(node)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.observe import Telemetry, use_telemetry
 from repro.sim.config import SimulationConfig, TimingModel
 from repro.sim.simulator import ShardGroupSpec, ShardedSimulation
 from repro.workloads.generators import single_shard_workload
@@ -210,3 +211,19 @@ class TestAssignedRuns:
             [spec], SimulationConfig(timing=FAST, seed=14)
         ).run()
         assert result.shards[1].lane_count == 1
+
+
+class TestHeartbeat:
+    @pytest.mark.parametrize("window", [None, 50.0])
+    def test_beats_land_on_the_marks_and_change_nothing(self, window):
+        config = SimulationConfig(timing=FAST, seed=5, window=window)
+        specs = [greedy_spec(1, 10), greedy_spec(2, 30)]
+        plain = ShardedSimulation(specs, config).run()
+        telemetry = Telemetry(heartbeat_interval=2.0)
+        with use_telemetry(telemetry):
+            beaten = ShardedSimulation(specs, config).run()
+        assert beaten == plain
+        times = [sample.time for sample in telemetry.samples]
+        assert times == [2.0 * k for k in range(1, len(times) + 1)]
+        assert times[-1] > (window or plain.makespan) - 2.0
+        assert telemetry.samples[-1].injected == 40

@@ -1,9 +1,14 @@
 """Tests for the python -m repro command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.observe import RunReport
 
@@ -31,6 +36,28 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestProgress:
+    def test_progress_leaves_stdout_alone_and_beats_on_stderr(self):
+        # A lane-model experiment, run the way a user runs it: the
+        # heartbeat is the scoped telemetry's, printed to stderr.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+
+        def run(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "run", "table1", "--quick", *flags],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+
+        plain, progress = run(), run("--progress")
+        assert progress.stdout == plain.stdout
+        assert plain.stderr == b""
+        beats = progress.stderr.decode().splitlines()
+        assert beats
+        assert all(line.startswith("[heartbeat] t=") for line in beats)
 
 
 class TestMinerOverride:
