@@ -68,9 +68,10 @@ def _progress_scope(enabled: bool):
     """A live-heartbeat telemetry scope (or a no-op when disabled).
 
     Every run launched inside the scope, protocol or lane model,
-    inherits the telemetry, prints a progress line per heartbeat to
-    stderr, and — because heartbeats never touch the tracer or the
-    RNG — leaves digests and results untouched.
+    inherits the telemetry, prints a progress line to stderr (a run's
+    first heartbeat, then at most one a wall second), and — because
+    heartbeats never touch the tracer or the RNG — leaves digests and
+    results untouched.
     """
     import contextlib
 
@@ -91,6 +92,7 @@ def _trace_record(args) -> int:
     from repro.faults.plan import FaultPlan
     from repro.net.network import LatencyModel
     from repro.observe import RunReport, Telemetry, Tracer
+    from repro.runtime.cache import named_cache_stats
     from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
     from repro.workloads import (
         streaming_uniform_contract_workload,
@@ -139,9 +141,13 @@ def _trace_record(args) -> int:
     )
     sim = ProtocolSimulation(miners, workload, config=config, unified=args.unified)
     result = sim.run()
+    # The run's own cache lookups, before the shard-stats fold adds its.
+    caches = named_cache_stats()
     trace = result.trace
     target = trace.finish_sink() if args.sink else trace.write_jsonl(args.output)
-    report = RunReport.from_run(trace, sim.shard_stats(), title=target.name)
+    report = RunReport.from_run(
+        trace, sim.shard_stats(), title=target.name, caches=caches
+    )
     print(report.render())
     if args.report:
         import json
@@ -385,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     record.add_argument(
         "--progress",
         action="store_true",
-        help="print a live heartbeat line per sample to stderr",
+        help="print a live heartbeat line to stderr, at most one a second",
     )
     record.add_argument(
         "--report",

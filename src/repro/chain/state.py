@@ -6,11 +6,15 @@ that per-miner view — a mapping of addresses to accounts and deployed
 contracts, plus the ``apply_transaction`` state-transition function that
 enforces balances, nonces and contract conditions (the double-spending
 checks the sharding argument rests on).
+
+An account is an immutable ``(balance, nonce)`` value: every change
+replaces it, so copying the mapping copies the accounts, a speculative
+overlay never copies one, and a block's image lands as one dict update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.chain.account import Account, AccountKind
 from repro.chain.contract import SmartContract, TransferCondition
@@ -23,6 +27,8 @@ from repro.errors import (
     UnknownContractError,
     ValidationError,
 )
+
+_USER, _CONTRACT = AccountKind.USER.value, AccountKind.CONTRACT.value
 
 
 class BlockUndo:
@@ -46,13 +52,15 @@ class BlockUndo:
 
 @dataclass(slots=True)
 class BlockImage:
-    """One applied block body: pre-block values of all it read (``None``:
-    absent), post-block values of all it mutated, and its undo. The body
-    is a function of its reads, so a state holding them all ends where a
-    full apply would once the writes land. Shared read-only by replicas.
+    """One applied block body: pre-block values of all it read, split
+    into the present ones (``reads``) and the addresses read as absent;
+    post-block values of all it mutated; and its undo. The body is a
+    function of its reads, so a state holding them all ends where a full
+    apply would once the writes land. Shared read-only by replicas.
     """
 
-    reads: dict[str, tuple[int, int] | None]
+    reads: dict[str, tuple[int, int]]
+    absent: tuple[str, ...]
     contract_reads: dict[str, tuple[int, str, TransferCondition] | None]
     writes: dict[str, tuple[int, int]]
     contract_writes: dict[str, int]
@@ -61,35 +69,52 @@ class BlockImage:
 
 @dataclass
 class WorldState:
-    """A mutable account/contract store with a state-transition function."""
+    """An account/contract store with a state-transition function.
 
-    accounts: dict[str, Account] = field(default_factory=dict)
+    ``accounts`` maps an address to its ``(balance, nonce)``; the address
+    is a contract account when ``contracts`` holds its code.
+    """
+
+    accounts: dict[str, tuple[int, int]] = field(default_factory=dict)
     contracts: dict[str, SmartContract] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # account management
     # ------------------------------------------------------------------
-    def create_account(self, address: str, balance: int = 0) -> Account:
-        """Create a user account; idempotent when it already exists."""
-        if address in self.accounts:
-            return self.accounts[address]
-        account = Account(address=address, kind=AccountKind.USER, balance=balance)
-        self.accounts[address] = account
-        return account
+    def create_account(self, address: str, balance: int = 0) -> None:
+        """Create a user account; a no-op when it already exists."""
+        if address not in self.accounts:
+            self.accounts[address] = (balance, 0)
+
+    def credit(
+        self, address: str, amount: int, journal: BlockUndo | None = None
+    ) -> None:
+        """Add ``amount`` to ``address``'s balance, creating the account
+        when absent. With a ``journal``, the prior value is recorded on
+        first touch."""
+        if amount < 0:
+            raise ValueError("credit amount must be non-negative")
+        prior = self._held(address)
+        if journal is not None and address not in journal.accounts:
+            journal.accounts[address] = prior
+        self.accounts[address] = (
+            (amount, 0) if prior is None else (prior[0] + amount, prior[1])
+        )
 
     def deploy_contract(self, contract: SmartContract, balance: int = 0) -> None:
         """Deploy a contract: registers both contract code and its account."""
         self.contracts[contract.address] = contract
-        self.accounts[contract.address] = Account(
-            address=contract.address, kind=AccountKind.CONTRACT, balance=balance
-        )
+        self.accounts[contract.address] = (balance, 0)
 
     def account(self, address: str) -> Account:
-        """Look up an account, raising :class:`UnknownAccountError` if absent."""
-        try:
-            return self.accounts[address]
-        except KeyError:
-            raise UnknownAccountError(address) from None
+        """A read-only view of an account, raising
+        :class:`UnknownAccountError` if absent."""
+        held = self._held(address)
+        if held is None:
+            raise UnknownAccountError(address)
+        deployed = self._deployed(address) is not None
+        kind = AccountKind.CONTRACT if deployed else AccountKind.USER
+        return Account(address, kind, *held)
 
     def contract(self, address: str) -> SmartContract:
         """Look up a contract, raising :class:`UnknownContractError` if absent."""
@@ -100,11 +125,24 @@ class WorldState:
 
     def balance_of(self, address: str) -> int:
         """Balance of ``address`` (0 for unknown accounts, like Ethereum)."""
-        account = self.accounts.get(address)
-        return account.balance if account is not None else 0
+        held = self._held(address)
+        return held[0] if held is not None else 0
 
     def has_account(self, address: str) -> bool:
         return address in self.accounts
+
+    def _held(self, address: str) -> tuple[int, int] | None:
+        """``address``'s ``(balance, nonce)``, or None when absent.
+
+        Split out, with :meth:`_deployed`, so :class:`SpeculativeView`
+        can read through to its base without the base class paying any
+        check.
+        """
+        return self.accounts.get(address)
+
+    def _deployed(self, address: str) -> SmartContract | None:
+        """The contract at ``address`` to read, or None when absent."""
+        return self.contracts.get(address)
 
     # ------------------------------------------------------------------
     # state transition
@@ -117,28 +155,30 @@ class WorldState:
             return False
         return True
 
-    def _check(self, tx: Transaction) -> None:
-        sender = self._resident(tx.sender)
-        if sender is None:
+    def _check(self, tx: Transaction) -> tuple[int, int]:
+        """Validate ``tx``; returns its sender's ``(balance, nonce)``."""
+        held = self._held(tx.sender)
+        if held is None:
             raise ValidationError(f"tx {tx.short_id()}: unknown sender")
-        if tx.nonce != sender.nonce:
+        balance, nonce = held
+        if tx.nonce != nonce:
             raise NonceError(
-                f"tx {tx.short_id()}: nonce {tx.nonce} != account nonce {sender.nonce}"
+                f"tx {tx.short_id()}: nonce {tx.nonce} != account nonce {nonce}"
             )
         total_cost = tx.amount + tx.fee
-        if sender.balance < total_cost:
+        if balance < total_cost:
             raise InsufficientBalanceError(
-                f"tx {tx.short_id()}: sender balance {sender.balance} < {total_cost}"
+                f"tx {tx.short_id()}: sender balance {balance} < {total_cost}"
             )
         if tx.kind is TransactionKind.CONTRACT_CALL:
-            try:
-                contract = self.contract(tx.contract)
-            except UnknownContractError:
-                raise ValidationError(f"tx {tx.short_id()}: no contract") from None
+            contract = self._deployed(tx.contract)
+            if contract is None:
+                raise ValidationError(f"tx {tx.short_id()}: no contract")
             if not contract.can_execute(self):
                 raise ValidationError(
                     f"tx {tx.short_id()}: contract {tx.contract[:10]} condition not met"
                 )
+        return held
 
     def apply_transaction(
         self,
@@ -158,52 +198,24 @@ class WorldState:
         first touch *after* validation passes, so the journal is the
         exact inverse of the mutations actually made.
         """
-        self._check(tx)
-        sender = self.account(tx.sender)
-        if journal is not None and tx.sender not in journal.accounts:
-            journal.accounts[tx.sender] = (sender.balance, sender.nonce)
-        sender.debit(tx.amount + tx.fee)
-        sender.bump_nonce()
+        balance, nonce = self._check(tx)
+        sender = tx.sender
+        if journal is not None and sender not in journal.accounts:
+            journal.accounts[sender] = (balance, nonce)
+        self.accounts[sender] = (balance - tx.amount - tx.fee, nonce + 1)
 
         if tx.kind is TransactionKind.CONTRACT_CALL:
             contract = self.contract(tx.contract)
             if journal is not None and tx.contract not in journal.contracts:
                 journal.contracts[tx.contract] = contract.invocation_count
             contract.record_invocation()
-            beneficiary_addr = contract.beneficiary
+            beneficiary = contract.beneficiary
         else:
-            beneficiary_addr = tx.recipient
-
-        beneficiary = self._resident(beneficiary_addr)
-        if journal is not None and beneficiary_addr not in journal.accounts:
-            journal.accounts[beneficiary_addr] = (
-                None
-                if beneficiary is None
-                else (beneficiary.balance, beneficiary.nonce)
-            )
-        if beneficiary is None:
-            beneficiary = self.create_account(beneficiary_addr)
-        beneficiary.credit(tx.amount)
+            beneficiary = tx.recipient
+        self.credit(beneficiary, tx.amount, journal)
 
         if miner is not None and tx.fee:
-            miner_account = self._resident(miner)
-            if journal is not None and miner not in journal.accounts:
-                journal.accounts[miner] = (
-                    None
-                    if miner_account is None
-                    else (miner_account.balance, miner_account.nonce)
-                )
-            if miner_account is None:
-                miner_account = self.create_account(miner)
-            miner_account.credit(tx.fee)
-
-    def _resident(self, address: str) -> Account | None:
-        """The mutable account at ``address``, or None when absent.
-
-        Split out so :class:`SpeculativeView` can materialize overlay
-        copies on first touch without the base class paying any check.
-        """
-        return self.accounts.get(address)
+            self.credit(miner, tx.fee, journal)
 
     def apply_block_body(
         self,
@@ -230,102 +242,97 @@ class WorldState:
         """Step the state back one block using its :class:`BlockUndo`.
 
         Accounts the block created are deleted; every other touched
-        account gets its prior balance/nonce restored, and invoked
-        contracts their prior invocation counts. Applying a block with a
-        journal and reverting it is an exact round trip — the tip-delta
-        reorg tests hold this against the replay-from-genesis oracle.
+        account gets its prior value back, and invoked contracts their
+        prior invocation counts. Applying a block with a journal and
+        reverting it is an exact round trip — the tip-delta reorg tests
+        hold this against the replay-from-genesis oracle.
         """
+        accounts = self.accounts
         for address, prior in undo.accounts.items():
             if prior is None:
-                self.accounts.pop(address, None)
+                accounts.pop(address, None)
             else:
-                account = self.accounts[address]
-                account.balance, account.nonce = prior
+                accounts[address] = prior
         for address, invocation_count in undo.contracts.items():
             self.contracts[address].invocation_count = invocation_count
-
-    def _held(self, address: str) -> tuple[int, int] | None:
-        account = self.accounts.get(address)
-        return None if account is None else (account.balance, account.nonce)
-
-    def _terms(self, address: str) -> tuple[int, str, TransferCondition] | None:
-        c = self.contracts.get(address)
-        return None if c is None else (c.invocation_count, c.beneficiary, c.condition)
 
     def record_image(
         self, transactions: tuple[Transaction, ...], undo: BlockUndo
     ) -> BlockImage:
         """The image of a body just applied with ``undo``: what it only
         read (a rejected sender, a contract, a condition's subject) still
-        holds its pre-block value."""
-        reads = dict(undo.accounts)
+        holds its pre-block value. On a :class:`SpeculativeView` that
+        applied a block's body, it is the image of that block."""
+        held, deployed, journaled = self._held, self._deployed, undo.accounts
+        reads = {a: prior for a, prior in journaled.items() if prior is not None}
+        absent = [a for a, prior in journaled.items() if prior is None]
+
+        def read(address: str) -> None:
+            if address not in journaled and address not in reads:
+                value = held(address)
+                if value is not None:
+                    reads[address] = value
+                elif address not in absent:
+                    absent.append(address)
+
         contract_reads: dict[str, tuple[int, str, TransferCondition] | None] = {}
         for tx in transactions:
-            reads.setdefault(tx.sender, self._held(tx.sender))
+            read(tx.sender)
             address = tx.contract
             if address is not None and address not in contract_reads:
-                terms = self._terms(address)
-                if terms is not None:
-                    terms = (undo.contracts.get(address, terms[0]),) + terms[1:]
-                    subject = terms[2].subject
-                    if subject is not None:
-                        reads.setdefault(subject, self._held(subject))
-                contract_reads[address] = terms
-        writes = {address: self._held(address) for address in undo.accounts}
-        counts = {a: self.contracts[a].invocation_count for a in undo.contracts}
-        return BlockImage(reads, contract_reads, writes, counts, undo)
+                contract = deployed(address)
+                if contract is None:
+                    contract_reads[address] = None
+                    continue
+                condition = contract.condition
+                count = undo.contracts.get(address, contract.invocation_count)
+                contract_reads[address] = (count, contract.beneficiary, condition)
+                if condition.subject is not None:
+                    read(condition.subject)
+        writes = {address: held(address) for address in journaled}
+        counts = {a: deployed(a).invocation_count for a in undo.contracts}
+        return BlockImage(reads, tuple(absent), contract_reads, writes, counts, undo)
 
     def write_image(self, image: BlockImage) -> bool:
         """Write ``image`` iff this state holds every value it read."""
-        held, terms = self._held, self._terms
-        if any(held(a) != value for a, value in image.reads.items()) or any(
-            terms(a) != value for a, value in image.contract_reads.items()
+        accounts, contracts = self.accounts, self.contracts
+        if not (
+            image.reads.items() <= accounts.items()
+            and accounts.keys().isdisjoint(image.absent)
         ):
             return False
-        accounts = self.accounts
-        for address, (balance, nonce) in image.writes.items():
-            account = accounts.get(address)
-            if account is None:
-                accounts[address] = Account(address, balance=balance, nonce=nonce)
-            else:
-                account.balance, account.nonce = balance, nonce
+        for address, terms in image.contract_reads.items():
+            c = contracts.get(address)
+            if terms != (
+                None if c is None else (c.invocation_count, c.beneficiary, c.condition)
+            ):
+                return False
+        accounts.update(image.writes)
         for address, invocation_count in image.contract_writes.items():
-            self.contracts[address].invocation_count = invocation_count
+            contracts[address].invocation_count = invocation_count
         return True
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> "WorldState":
-        """Deep-copy the state for speculative validation or replays."""
-        clone = WorldState()
-        clone.accounts = {
-            addr: account.snapshot() for addr, account in self.accounts.items()
-        }
-        clone.contracts = {
-            addr: SmartContract(
-                address=c.address,
-                beneficiary=c.beneficiary,
-                condition=c.condition,
-                invocation_count=c.invocation_count,
-            )
-            for addr, c in self.contracts.items()
-        }
-        return clone
+        """Copy the state for speculative validation or replays."""
+        contracts = {addr: replace(c) for addr, c in self.contracts.items()}
+        return WorldState(dict(self.accounts), contracts)
 
     def speculative_view(self) -> "SpeculativeView":
-        """A copy-on-write overlay for speculative transaction packing.
+        """An overlay for speculative transaction packing.
 
         Behaves exactly like :meth:`snapshot` for the check/apply
-        protocol, but copies only the accounts and contracts the
-        speculation actually touches — O(touched) instead of O(state).
-        The base state is never mutated; the view is throwaway.
+        protocol, but holds only what the speculation writes —
+        O(touched) instead of O(state). The base state is never
+        mutated; the view is throwaway.
         """
         return SpeculativeView(self)
 
     def total_supply(self) -> int:
         """Sum of all balances — conserved by fee-recycling transitions."""
-        return sum(account.balance for account in self.accounts.values())
+        return sum(balance for balance, __ in self.accounts.values())
 
     def fingerprint(self) -> str:
         """A stable digest of the full state (order-independent).
@@ -333,32 +340,25 @@ class WorldState:
         Used by the differential tests to compare the tip-delta reorg
         path against the replay-from-genesis oracle.
         """
-        return hash_items(
-            [
-                tuple(
-                    sorted(
-                        (a.address, a.kind.value, a.balance, a.nonce)
-                        for a in self.accounts.values()
-                    )
-                ),
-                tuple(
-                    sorted(
-                        (c.address, c.beneficiary, c.invocation_count)
-                        for c in self.contracts.values()
-                    )
-                ),
-            ],
-            domain="world-state",
+        contracts = self.contracts
+        accounts = sorted(
+            (address, _CONTRACT if address in contracts else _USER, *value)
+            for address, value in self.accounts.items()
         )
+        codes = sorted(
+            (c.address, c.beneficiary, c.invocation_count) for c in contracts.values()
+        )
+        return hash_items([tuple(accounts), tuple(codes)], domain="world-state")
 
 
 class SpeculativeView(WorldState):
-    """Copy-on-write overlay over a base :class:`WorldState`.
+    """Overlay over a base :class:`WorldState`.
 
     ``self.accounts`` / ``self.contracts`` hold only the entries the
-    speculation has touched; every miss falls through to the base and —
-    for mutating lookups — materializes a private copy on first touch.
-    Only the check/apply protocol is supported; whole-state views
+    speculation has written; every read misses through to the base.
+    Account values are immutable, so none is ever copied; a contract is
+    copied on its first mutating lookup. Only the check/apply protocol
+    and :meth:`record_image` are supported; whole-state views
     (``snapshot``, ``fingerprint``, ``total_supply``) stay on the base
     class and would see just the overlay, so don't use them here.
     """
@@ -367,21 +367,12 @@ class SpeculativeView(WorldState):
         super().__init__()
         self._base = base
 
-    def create_account(self, address: str, balance: int = 0) -> Account:
-        existing = self._resident(address)
-        if existing is not None:
-            return existing
-        return super().create_account(address, balance)
+    def create_account(self, address: str, balance: int = 0) -> None:
+        if not self.has_account(address):
+            self.accounts[address] = (balance, 0)
 
-    def account(self, address: str) -> Account:
-        found = self.accounts.get(address)
-        if found is None:
-            shared = self._base.accounts.get(address)
-            if shared is None:
-                raise UnknownAccountError(address)
-            found = shared.snapshot()
-            self.accounts[address] = found
-        return found
+    def has_account(self, address: str) -> bool:
+        return address in self.accounts or address in self._base.accounts
 
     def contract(self, address: str) -> SmartContract:
         found = self.contracts.get(address)
@@ -389,30 +380,13 @@ class SpeculativeView(WorldState):
             shared = self._base.contracts.get(address)
             if shared is None:
                 raise UnknownContractError(address)
-            found = SmartContract(
-                address=shared.address,
-                beneficiary=shared.beneficiary,
-                condition=shared.condition,
-                invocation_count=shared.invocation_count,
-            )
-            self.contracts[address] = found
+            found = self.contracts[address] = replace(shared)
         return found
 
-    def _resident(self, address: str) -> Account | None:
-        found = self.accounts.get(address)
-        if found is None:
-            shared = self._base.accounts.get(address)
-            if shared is None:
-                return None
-            found = shared.snapshot()
-            self.accounts[address] = found
-        return found
+    def _held(self, address: str) -> tuple[int, int] | None:
+        held = self.accounts.get(address)
+        return self._base.accounts.get(address) if held is None else held
 
-    def balance_of(self, address: str) -> int:
-        found = self.accounts.get(address)
-        if found is None:
-            found = self._base.accounts.get(address)
-        return found.balance if found is not None else 0
-
-    def has_account(self, address: str) -> bool:
-        return address in self.accounts or address in self._base.accounts
+    def _deployed(self, address: str) -> SmartContract | None:
+        found = self.contracts.get(address)
+        return self._base.contracts.get(address) if found is None else found

@@ -27,9 +27,10 @@ replay-from-genesis O(chain) rebuild.
 pre-genesis snapshot, so tests can check the journaled state against
 it; the recorded digests in ``tests/sim/seed_digests.json`` pin the
 runs themselves.
-Execute once per shard: the first replica to apply a block records its
-:class:`~repro.chain.state.BlockImage` in the shard's :class:`ImageTable`,
-and a replica whose state holds every value the image read writes it.
+Execute once per shard: a block's forger records its
+:class:`~repro.chain.state.BlockImage` from the speculation that packed
+it, in the shard's :class:`ImageTable`, and a replica whose state holds
+every value the image read, the forger included, writes it.
 """
 
 from __future__ import annotations
@@ -61,14 +62,15 @@ MAX_IMAGES = 64
 
 
 class ImageTable:
-    """The block images one shard's ``replicas`` share."""
+    """The block images one shard's ``replicas`` share: each replica,
+    the forger included, writes an image once."""
 
     __slots__ = ("_entries", "_reuses")
 
     def __init__(self, replicas: int) -> None:
         # block hash -> [image, reuses left before it is dropped]
         self._entries: dict[str, list] = {}
-        self._reuses = replicas - 1
+        self._reuses = replicas
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -195,7 +197,8 @@ class FullNode(Node):
         self._undos: dict[str, BlockUndo] = {}
         # Sender -> the balance provisioning granted it, once per sender.
         self._funded: dict[str, int] = {}
-        # The shard's shared block images; None runs every body in full.
+        # The shard's shared block images, recorded by each block's
+        # forger; None runs every body in full.
         self.images: ImageTable | None = None
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
         # delivered transaction enters this node's mempool (a batch
@@ -254,27 +257,29 @@ class FullNode(Node):
         unless present. The oracle seeds both pre-genesis (no block can
         carry a transaction before its replicas are provisioned):
         contracts are few, so one is deployed into its base too; a grant
-        is recorded by address. A sender already paid here is credited,
-        and its journaled priors rebased, as a pre-genesis grant would."""
+        is recorded by address. New senders land in one update; a sender
+        already paid here is credited, and its journaled priors rebased,
+        as a pre-genesis grant would."""
         state = self.state
         accounts, contracts = state.accounts, state.contracts
         funded, genesis = self._funded, self._pristine_state.accounts
+        grants: dict[str, tuple[int, int]] = {}
         for tx in txs:
             sender = tx.sender
             if sender not in funded and sender not in genesis:
                 funded[sender] = balance
-                account = accounts.get(sender)
-                if account is None:
-                    state.create_account(sender, balance=balance)
-                else:
-                    account.credit(balance)
+                if sender in accounts:
+                    state.credit(sender, balance)
                     self._rebase_undos(sender, balance)
+                else:
+                    grants[sender] = (balance, 0)
             contract = tx.contract
             if contract is not None and contract not in contracts:
                 for seeded in (state, self._pristine_state):
                     seeded.deploy_contract(
                         SmartContract.unconditional(contract, f"sink-{contract[:8]}")
                     )
+        accounts.update(grants)
 
     def _rebase_undos(self, address: str, grant: int) -> None:
         """Add ``grant`` to ``address``'s prior in every journal that
@@ -345,19 +350,17 @@ class FullNode(Node):
     def _execute(self, block: Block) -> BlockUndo:
         """Apply one block body and return its (possibly shared) inverse:
         write the shard's image of it when this state holds its read
-        set, else run the body, recording the image on a first run."""
+        set, else run the body."""
         images = self.images
-        image = images.get(block.block_hash) if images is not None else None
-        if image is not None and self.state.write_image(image):
-            images.reused(block.block_hash)
-            return image.undo
+        if images is not None:
+            image = images.get(block.block_hash)
+            if image is not None and self.state.write_image(image):
+                images.reused(block.block_hash)
+                return image.undo
         undo = BlockUndo()
         self.state.apply_block_body(
             block.transactions, miner=block.header.miner, journal=undo
         )
-        if images is not None and image is None:
-            image = self.state.record_image(block.transactions, undo)
-            images.add(block.block_hash, image)
         return undo
 
     def _move_head(self, move: HeadMove) -> None:
@@ -489,7 +492,10 @@ class FullNode(Node):
 
         The transaction set comes from the miner's behavior (fee-greedy,
         game-assigned, or a cheating variant), filtered to the still
-        sequentially-valid prefix.
+        sequentially-valid prefix. The speculation that packs it runs
+        the body exactly as the block will, fees to this miner and
+        journaled, so its image goes to the shard's table and no
+        replica, this one included, executes the body again.
         """
         # Ask the behavior for a candidate window wider than the block so
         # invalid or nonce-gapped picks can be replaced, then pack the
@@ -510,10 +516,12 @@ class FullNode(Node):
         if fork_parent is not None:
             parent_hash = fork_parent
             height = self.ledger.block(fork_parent).header.height + 1
-        # Copy-on-write overlay: the speculation touches O(packed)
-        # accounts, so deep-copying the whole world per forge is pure
-        # waste — and at streaming scales it dominated the run.
+        # Overlay: the speculation touches O(packed) accounts, so
+        # copying the whole world per forge is pure waste — and at
+        # streaming scales it dominated the run.
         speculative = self.state.speculative_view()
+        miner = self.identity.public
+        undo = BlockUndo()
         packable: list[Transaction] = []
         progress = True
         while progress and len(packable) < capacity and candidates:
@@ -521,20 +529,24 @@ class FullNode(Node):
             remaining: list[Transaction] = []
             for tx in candidates:
                 if len(packable) < capacity and speculative.can_apply(tx):
-                    speculative.apply_transaction(tx)
+                    speculative.apply_transaction(tx, miner=miner, journal=undo)
                     packable.append(tx)
                     progress = True
                 else:
                     remaining.append(tx)
             candidates = remaining
-        return Block.build(
+        block = Block.build(
             parent_hash=parent_hash,
-            miner=self.identity.public,
+            miner=miner,
             shard_id=self.behavior.claimed_shard(self.shard_id),
             height=height,
             timestamp=timestamp,
             transactions=packable,
         )
+        if self.images is not None:
+            image = speculative.record_image(block.transactions, undo)
+            self.images.add(block.block_hash, image)
+        return block
 
     def adopt_block(self, block: Block) -> None:
         """Record this miner's own freshly-mined block locally."""

@@ -191,15 +191,22 @@ class RunReport:
         trace: Tracer | None,
         shard_stats: ShardStats | None = None,
         title: str = "run",
+        caches: dict[str, dict[str, float | int]] | None = None,
     ) -> RunReport:
         """The report of a finished run (``result.trace``/``sim.shard_stats()``).
+
+        ``caches`` is the ``named_cache_stats()`` snapshot taken as the
+        run finished; without one it is taken now, and so also counts
+        lookups made since (such as the ``shard_stats()`` fold's).
 
         Safe in sink mode: spilled records are read back from the sink
         file, so the counts and windows cover the whole run.
         """
-        # Imported lazily: observe must stay import-cycle-free below runtime.
-        from repro.runtime.cache import named_cache_stats
+        if caches is None:
+            # Imported lazily: observe must stay import-cycle-free below runtime.
+            from repro.runtime.cache import named_cache_stats
 
+            caches = named_cache_stats()
         if trace is None:
             report = cls(title=title)
         else:
@@ -209,7 +216,7 @@ class RunReport:
             report.digest = trace.digest()
         if shard_stats is not None:
             report.shards = shard_stats.as_dict()
-        report.caches = named_cache_stats() or None
+        report.caches = caches or None
         return report
 
     @classmethod

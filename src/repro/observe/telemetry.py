@@ -65,6 +65,9 @@ except ImportError:  # pragma: no cover
 #: telemetry without choosing an interval (``telemetry=True``).
 DEFAULT_HEARTBEAT_INTERVAL = 50.0
 
+#: Least wall seconds between two progress lines of one run.
+PROGRESS_PERIOD_S = 1.0
+
 
 def peak_rss_kb() -> int | None:
     """This process's peak resident set size in KiB (None off-POSIX)."""
@@ -116,9 +119,11 @@ class Telemetry:
 
     ``heartbeat_interval`` is in *simulated* seconds; ``None`` disables
     periodic sampling (a protocol run still takes its end-of-run
-    snapshot). ``progress=True`` prints one live line per heartbeat to
+    snapshot). ``progress=True`` prints a live heartbeat line to
     ``stream`` (stderr by default), the opt-in campaign monitor for
-    10^6-tx streamed runs.
+    10^6-tx streamed runs: a run's first beat, then at most one a wall
+    second, so a run that beats thousands of times a second stays
+    readable. The samples keep every beat.
     """
 
     def __init__(
@@ -139,6 +144,7 @@ class Telemetry:
         self._wall_start: float | None = None
         self._last_wall: float | None = None
         self._last_events: int = 0
+        self._printed_wall: float | None = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -146,6 +152,7 @@ class Telemetry:
         self._wall_start = _time.perf_counter()
         self._last_wall = self._wall_start
         self._last_events = 0
+        self._printed_wall = None
 
     def arm(
         self,
@@ -223,7 +230,11 @@ class Telemetry:
             wall=wall,
         )
         self.samples.append(sample)
-        if self.progress:
+        if self.progress and (
+            self._printed_wall is None
+            or now - self._printed_wall >= PROGRESS_PERIOD_S
+        ):
+            self._printed_wall = now
             self._print_progress(sample)
         return sample
 

@@ -531,12 +531,11 @@ class ProtocolSimulation:
                 )
             calendar.add(miner.public)
             self._miner_calendar[miner.public] = calendar
-        # Execute once per shard; a lone replica records no images.
+        # Execute once per shard: each block's forger records its image.
         for replicas in self._shard_nodes.values():
-            if len(replicas) > 1:
-                images = ImageTable(len(replicas))
-                for node in replicas:
-                    node.images = images
+            images = ImageTable(len(replicas))
+            for node in replicas:
+                node.images = images
 
     def _note_pooled(self, node: FullNode, tx: Transaction) -> None:
         """Lineage: first-seen gossip — the first pooling of a tx anywhere."""

@@ -26,7 +26,7 @@ class TestTransferCondition:
             kind="balance_below", subject="0xubob", threshold=1
         )
         assert condition.holds(state)
-        state.account("0xubob").credit(2)
+        state.credit("0xubob", 2)
         assert not condition.holds(state)
 
     def test_balance_at_least(self):
@@ -36,7 +36,7 @@ class TestTransferCondition:
             kind="balance_at_least", subject="0xubob", threshold=10
         )
         assert condition.holds(state)
-        state.account("0xubob").debit(1)
+        state.accounts["0xubob"] = (9, 0)
         assert not condition.holds(state)
 
     def test_unknown_subject_treated_as_zero_balance(self):
@@ -64,7 +64,7 @@ class TestSmartContract:
             ),
         )
         assert contract.can_execute(state)
-        state.account("0xubob").credit(5)
+        state.credit("0xubob", 5)
         assert not contract.can_execute(state)
 
     def test_invocation_counter(self):

@@ -1,9 +1,12 @@
 """Tests for repro.chain.state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.contract import SmartContract, TransferCondition
-from repro.chain.state import WorldState
+from repro.chain.state import BlockUndo, WorldState
+from repro.consensus.miner import MinerIdentity
 from repro.errors import (
     InsufficientBalanceError,
     NonceError,
@@ -11,6 +14,7 @@ from repro.errors import (
     UnknownContractError,
     ValidationError,
 )
+from repro.net.node import FullNode, ImageTable
 from tests.conftest import CONTRACT_A, make_call, make_transfer
 
 
@@ -19,8 +23,8 @@ class TestAccounts:
         assert world.balance_of("0xualice") == 1_000
 
     def test_create_is_idempotent(self, world):
-        account = world.create_account("0xualice", balance=5)
-        assert account.balance == 1_000  # existing account untouched
+        world.create_account("0xualice", balance=5)
+        assert world.balance_of("0xualice") == 1_000  # existing account untouched
 
     def test_unknown_account_raises(self, world):
         with pytest.raises(UnknownAccountError):
@@ -97,7 +101,7 @@ class TestValidationFailures:
             )
 
     def test_fee_counts_toward_cost(self, world):
-        world.account("0xualice").balance = 10
+        world.accounts["0xualice"] = (10, 0)
         with pytest.raises(InsufficientBalanceError):
             world.apply_transaction(
                 make_transfer("0xualice", "0xubob", amount=8, fee=3)
@@ -232,7 +236,7 @@ class TestFingerprint:
 
     def test_sensitive_to_balances(self, world):
         before = world.fingerprint()
-        world.account("0xualice").credit(1)
+        world.credit("0xualice", 1)
         assert world.fingerprint() != before
 
 
@@ -265,7 +269,8 @@ class TestUnknownReferencesAreInvalid:
         assert world.balance_of("0xubob") == 1_010
         image = world.record_image((ghost, missing, ok), undo)
         # The ghost sender is read as absent; the undeployed contract too.
-        assert image.reads["0xughost"] is None
+        assert "0xughost" in image.absent
+        assert "0xughost" not in image.reads
         assert image.contract_reads["0xcnowhere"] is None
         assert "0xughost" not in image.writes
 
@@ -299,7 +304,7 @@ class TestBlockImage:
     def test_image_holds_read_and_write_sets(self, world):
         image, __ = self._recorded(world)
         assert image.reads["0xualice"] == (1_000, 0)
-        assert image.reads["0xunew"] is None  # created by the body
+        assert "0xunew" in image.absent  # created by the body
         assert image.writes["0xualice"] == (984, 2)
         assert image.writes["0xunew"] == (3, 0)
         assert image.contract_reads[CONTRACT_A] == (
@@ -312,7 +317,7 @@ class TestBlockImage:
     @pytest.mark.parametrize("address", ["0xualice", "0xubob"])
     def test_differing_read_refuses_write(self, world, address):
         image, replica = self._recorded(world)
-        replica.account(address).credit(1)
+        replica.credit(address, 1)
         before = replica.fingerprint()
         assert not replica.write_image(image)
         assert replica.fingerprint() == before  # nothing written
@@ -360,5 +365,147 @@ class TestBlockImage:
         assert "0xuwatched" not in image.writes
         # The condition would fail on a replica where the subject is
         # rich: the read set must send it to the full apply.
-        replica.account("0xuwatched").credit(100)
+        replica.credit("0xuwatched", 100)
         assert not replica.write_image(image)
+
+
+# ----------------------------------------------------------------------
+# Properties: forge images, image writes and reverts against full applies
+# ----------------------------------------------------------------------
+_FORGER = MinerIdentity.create("property-forger")
+_USERS = ["0xu0", "0xu1", "0xu2", "0xu3", _FORGER.public]
+_CONTRACTS = ["0xc" + c * 39 for c in "123"]
+_UNDEPLOYED = "0xc" + "9" * 39
+_ACCOUNT = st.none() | st.tuples(
+    st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=2)
+)
+
+
+@st.composite
+def _worlds(draw):
+    """A table of present and absent accounts and three contracts, the
+    conditional ones watching an account a block may write."""
+    state = WorldState()
+    for address in _USERS:
+        value = draw(_ACCOUNT)
+        if value is not None:
+            state.accounts[address] = value
+    for address in _CONTRACTS:
+        kind = draw(st.sampled_from(["always", "balance_below", "balance_at_least"]))
+        subject = None if kind == "always" else draw(st.sampled_from(_USERS))
+        threshold = draw(st.integers(min_value=0, max_value=30))
+        state.deploy_contract(
+            SmartContract(
+                address,
+                draw(st.sampled_from(_USERS)),
+                TransferCondition(kind, subject, threshold),
+                draw(st.integers(min_value=0, max_value=3)),
+            )
+        )
+    return state
+
+
+@st.composite
+def _bodies(draw):
+    """Transactions with nonce gaps, overdrafts, unknown senders and
+    undeployed contracts, the forger among the senders."""
+    body = []
+    for __ in range(draw(st.integers(min_value=0, max_value=8))):
+        sender = draw(st.sampled_from(_USERS))
+        amount = draw(st.integers(min_value=0, max_value=20))
+        fee = draw(st.integers(min_value=0, max_value=5))
+        nonce = draw(st.integers(min_value=0, max_value=3))
+        if draw(st.booleans()):
+            contract = draw(st.sampled_from(_CONTRACTS + [_UNDEPLOYED]))
+            body.append(make_call(sender, contract, fee, amount, nonce))
+        else:
+            recipient = draw(st.sampled_from(_USERS + ["0xunew"]))
+            body.append(make_transfer(sender, recipient, fee, amount, nonce))
+    return body
+
+
+def _perturbed(state, draw):
+    """A copy of ``state`` with some accounts changed, added or removed."""
+    copy = state.snapshot()
+    for address in draw(st.lists(st.sampled_from(_USERS + ["0xunew"]), max_size=3)):
+        value = draw(_ACCOUNT)
+        if value is None:
+            copy.accounts.pop(address, None)
+        else:
+            copy.accounts[address] = value
+    return copy
+
+
+def _image_fields(image):
+    return (
+        image.reads,
+        image.absent,
+        image.contract_reads,
+        image.writes,
+        image.contract_writes,
+        image.undo.accounts,
+        image.undo.contracts,
+    )
+
+
+def _counts(state):
+    return {a: c.invocation_count for a, c in state.contracts.items()}
+
+
+def _full_image(state, transactions, miner):
+    """Apply ``transactions`` to ``state`` in full; return the image."""
+    undo = BlockUndo()
+    state.apply_block_body(transactions, miner=miner, journal=undo)
+    return state.record_image(transactions, undo)
+
+
+class TestImageProperties:
+    @given(_worlds(), _bodies())
+    @settings(max_examples=150, deadline=None)
+    def test_forge_image_equals_full_apply_image(self, world, body):
+        node = FullNode(
+            identity=_FORGER,
+            shard_id=1,
+            membership_verifier=lambda public, shard: True,
+            state=world.snapshot(),
+        )
+        node.images = ImageTable(1)
+        node.pool(body)
+        block = node.forge_block(timestamp=1.0, capacity=len(body) + 1)
+        forged = node.images.get(block.block_hash)
+        assert node.state.accounts == world.accounts  # the forge only speculates
+        full = world.snapshot()
+        image = _full_image(full, block.transactions, _FORGER.public)
+        assert _image_fields(forged) == _image_fields(image)
+        node.adopt_block(block)
+        assert node.state.accounts == full.accounts
+        assert _counts(node.state) == _counts(full)
+
+    @given(_worlds(), _bodies(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_replica_with_matching_reads_ends_as_a_full_apply(self, world, body, data):
+        transactions = tuple(body)
+        image = _full_image(world.snapshot(), transactions, _FORGER.public)
+        replica = _perturbed(world, data.draw)
+        expected = replica.snapshot()
+        expected.apply_block_body(transactions, miner=_FORGER.public)
+        before = dict(replica.accounts)
+        matches = all(before.get(a) == v for a, v in image.reads.items()) and all(
+            a not in before for a in image.absent
+        )
+        assert replica.write_image(image) is matches
+        if matches:
+            assert replica.accounts == expected.accounts
+            assert _counts(replica) == _counts(expected)
+            replica.revert_block_body(image.undo)
+        assert replica.accounts == before
+
+    @given(_worlds(), _bodies())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_then_revert_restores_the_dict(self, world, body):
+        state = world.snapshot()
+        undo = BlockUndo()
+        state.apply_block_body(tuple(body), miner=_FORGER.public, journal=undo)
+        state.revert_block_body(undo)
+        assert state.accounts == world.accounts
+        assert _counts(state) == _counts(world)

@@ -457,8 +457,9 @@ class TestTipDeltaReorg:
 
 
 class TestExecuteOnce:
-    """Replicas sharing an ImageTable: one full apply per block, every
-    other replica writes the image once its state proves equal."""
+    """Replicas sharing an ImageTable: the forger records each block's
+    image from the speculation that packed it, and every replica, the
+    forger included, writes it once its state proves equal."""
 
     @staticmethod
     def _replicas(*balances, prefix="once"):
@@ -473,6 +474,14 @@ class TestExecuteOnce:
         return nodes, table
 
     @staticmethod
+    def _forge(node, body, timestamp=1.0):
+        for tx in body:
+            assert node.on_transaction(tx)
+        block = node.forge_block(timestamp=timestamp, capacity=10)
+        assert block.transactions == tuple(body)
+        return block
+
+    @staticmethod
     def _count_full_applies(monkeypatch):
         calls = []
         original = WorldState.apply_block_body
@@ -485,19 +494,20 @@ class TestExecuteOnce:
         return calls
 
     def test_second_replica_writes_image_and_shares_undo(self, monkeypatch):
-        from repro.chain.block import Block
-
         (first, second), table = self._replicas(1_000, 1_000)
         applies = self._count_full_applies(monkeypatch)
-        body = [
-            make_call("0xualice", fee=4),
-            make_transfer("0xubob", "0xucarol", amount=10, fee=2),
-        ]
-        block = Block.build(first.ledger.head_hash, "pkA", 1, 1, 1.0, body)
-        first._record_block(block)
+        block = self._forge(
+            first,
+            [
+                make_call("0xualice", fee=4),
+                make_transfer("0xubob", "0xucarol", amount=10, fee=2),
+            ],
+        )
+        assert len(table) == 1  # recorded by the forge
+        first.adopt_block(block)
         assert len(table) == 1
         second._record_block(block)
-        assert applies == [first.state]
+        assert applies == []  # no replica runs the body, the forger included
         assert second._undos[block.block_hash] is first._undos[block.block_hash]
         assert len(table) == 0  # dropped at its last reuse
         for node in (first, second):
@@ -508,17 +518,12 @@ class TestExecuteOnce:
         """Same parent hash, different pre-state: the replica must run
         the body itself. Writing the image here would leave alice's
         balance 1,000 short of the replica's own replay."""
-        from repro.chain.block import Block
-
         (first, richer), table = self._replicas(1_000, 2_000)
         applies = self._count_full_applies(monkeypatch)
-        block = Block.build(
-            first.ledger.head_hash, "pkA", 1, 1, 1.0,
-            [make_call("0xualice", fee=4)],
-        )
-        first._record_block(block)
+        block = self._forge(first, [make_call("0xualice", fee=4)])
+        first.adopt_block(block)
         richer._record_block(block)
-        assert applies == [first.state, richer.state]
+        assert applies == [richer.state]
         assert richer.state.balance_of("0xualice") == 2_000 - 5
         assert richer.state.fingerprint() == richer.state_oracle_fingerprint()
         assert len(table) == 1  # a refused image is not a reuse
@@ -528,7 +533,7 @@ class TestExecuteOnce:
 
         (first, second, third), __ = self._replicas(1_000, 1_000, 1_000)
         genesis = first.ledger.head_hash
-        a1 = Block.build(genesis, "pkA", 1, 1, 1.0, [make_call("0xualice", fee=4)])
+        a1 = self._forge(first, [make_call("0xualice", fee=4)])
         b1 = Block.build(
             genesis, "pkB", 1, 1, 1.1,
             [make_transfer("0xubob", "0xucarol", amount=7, fee=1)],
@@ -538,7 +543,7 @@ class TestExecuteOnce:
         )
         for node in (first, second, third):
             node._record_block(a1)
-        # Both later replicas hold the first one's undo for a1 ...
+        # All three replicas hold the forge's undo for a1 ...
         shared = first._undos[a1.block_hash]
         assert second._undos[a1.block_hash] is shared
         assert third._undos[a1.block_hash] is shared
@@ -555,11 +560,12 @@ class TestExecuteOnce:
 
         table = ImageTable(replicas=3)
         for i in range(MAX_IMAGES + 5):
-            table.add(f"h{i}", BlockImage({}, {}, {}, {}, BlockUndo()))
+            table.add(f"h{i}", BlockImage({}, (), {}, {}, {}, BlockUndo()))
         assert len(table) == MAX_IMAGES
         assert table.get("h0") is None
         assert table.get(f"h{MAX_IMAGES + 4}") is not None
-        # Two replicas besides the recorder: dropped at the second reuse.
+        # Three replicas, the forger included: dropped at the third reuse.
+        table.reused("h5")
         table.reused("h5")
         assert table.get("h5") is not None
         table.reused("h5")

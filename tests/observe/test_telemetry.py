@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+import repro.observe.telemetry as telemetry_module
+
 from repro.consensus.miner import MinerIdentity
 from repro.core.shard_formation import MAXSHARD_ID
 from repro.errors import ConfigError
@@ -152,6 +154,37 @@ class TestScope:
         assert "injected=100" in line
         assert len(telemetry.samples) == 1
         assert isinstance(telemetry.samples[0], HeartbeatSample)
+
+    def test_progress_prints_first_beat_then_one_line_a_second(self, monkeypatch):
+        clock = [100.0]
+
+        class FakeTime:
+            @staticmethod
+            def perf_counter():
+                return clock[0]
+
+        monkeypatch.setattr(telemetry_module, "_time", FakeTime)
+        sink = io.StringIO()
+        telemetry = Telemetry(progress=True, stream=sink)
+
+        def beats(times):
+            for t in times:
+                clock[0] = t
+                telemetry.heartbeat(
+                    time=t, injected=1, confirmed=0, evicted=0, pool_depths={}
+                )
+
+        telemetry.start()
+        beats([100.0, 100.5, 100.99, 101.0, 101.7, 102.2])
+        # A second run prints its first beat however soon it comes.
+        telemetry.start()
+        beats([102.3, 102.4])
+        printed = [
+            float(line.split("t=")[1].split()[0])
+            for line in sink.getvalue().splitlines()
+        ]
+        assert printed == [100.0, 101.0, 102.2, 102.3]
+        assert len(telemetry.samples) == 8  # every beat is still sampled
 
     def test_heartbeat_wall_fields_stay_in_sidecar(self):
         telemetry = Telemetry()

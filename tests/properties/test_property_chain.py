@@ -64,7 +64,7 @@ class TestStateProperties:
                 state.apply_transaction(tx, miner="pk-m")
             except ValidationError:
                 pass
-        assert all(acc.balance >= 0 for acc in state.accounts.values())
+        assert all(balance >= 0 for balance, __ in state.accounts.values())
 
     @given(transfer_batches())
     @settings(max_examples=50, deadline=None)

@@ -181,9 +181,10 @@ class TestProvisioning:
             assert node.state.fingerprint() == node.state_oracle_fingerprint()
 
     def test_grant_to_a_credited_sender_survives_the_reorg_of_the_credit(self):
-        """Two replicas share block images (and so the credit's undo).
-        A reorg reverts the block that paid ``0xub`` after its grant;
-        each replica must end where a pre-genesis grant would put it."""
+        """Two replicas share block images (and so the credit's undo,
+        journaled by its forge). A reorg reverts the block that paid
+        ``0xub`` after its grant; each replica must end where a
+        pre-genesis grant would put it."""
         images = ImageTable(2)
         replicas = []
         for name in ("prov-a", "prov-b"):
@@ -197,12 +198,16 @@ class TestProvisioning:
         genesis = replicas[0].ledger.head_hash
         pay = make_transfer("0xua", "0xub")
         spend = make_transfer("0xub", "0xuc")
-        credit = Block.build(genesis, "pkA", MAXSHARD_ID, 1, 1.0, [pay])
         fork = Block.build(genesis, "pkB", MAXSHARD_ID, 1, 1.5, [])
         longer = Block.build(fork.block_hash, "pkB", MAXSHARD_ID, 2, 2.0, [spend])
+        forger, other = replicas
         for node in replicas:
             node.provision([pay], 1_000)
-            node.on_block(credit)
+        forger.on_transaction(pay)
+        credit = forger.forge_block(timestamp=1.0, capacity=10)
+        assert credit.transactions == (pay,)
+        forger.adopt_block(credit)
+        other.on_block(credit)
         assert replicas[0]._undos[credit.block_hash] is (
             replicas[1]._undos[credit.block_hash]
         )

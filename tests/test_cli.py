@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +59,25 @@ class TestProgress:
         beats = progress.stderr.decode().splitlines()
         assert beats
         assert all(line.startswith("[heartbeat] t=") for line in beats)
+
+    def test_progress_prints_at_most_a_line_a_second_per_run(self):
+        # fig3a's quick sweep beats thousands of times in about a second.
+        # Every run prints its first beat (at t=5.0, one interval in);
+        # later beats print at most once a wall second per run.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        start = time.perf_counter()
+        progress = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig3a", "--quick", "--progress"],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        elapsed = time.perf_counter() - start
+        beats = progress.stderr.decode().splitlines()
+        assert all(line.startswith("[heartbeat] t=") for line in beats)
+        runs = sum(line.startswith("[heartbeat] t=       5.0 ") for line in beats)
+        assert runs >= 1
+        assert len(beats) <= runs * (1 + int(elapsed))
 
 
 class TestMinerOverride:
@@ -136,6 +156,26 @@ class TestTraceCommands:
         args.extend(extra)
         assert main(args) == 0
         return target
+
+    def test_record_reports_the_runs_own_cache_lookups(self, tmp_path):
+        # In a fresh process the only live named cache is the run's call
+        # graph. The default run looks it up 130 times (100 hits); the
+        # shard-stats fold after the run adds 50 hits the report must
+        # not count.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        saved = tmp_path / "report.json"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro", "trace", "record",
+                str(tmp_path / "run.jsonl"), "--report", str(saved),
+            ],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        caches = json.loads(saved.read_text())["caches"]
+        assert caches["callgraph.analysis"]["hits"] == 100
+        assert caches["callgraph.analysis"]["misses"] == 30
 
     def test_record_then_profile(self, tmp_path, capsys):
         trace = self._record(tmp_path, "run.jsonl")

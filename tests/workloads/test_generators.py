@@ -22,11 +22,8 @@ def assert_workload_validates(txs):
     contracts = {tx.contract for tx in txs if tx.contract}
     for contract in contracts:
         state.deploy_contract(SmartContract.unconditional(contract, "0xsink"))
-    for tx in txs:
-        state.create_account(tx.sender)
-        state.account(tx.sender).balance = max(
-            state.account(tx.sender).balance, 1_000_000
-        )
+    for sender in {tx.sender for tx in txs}:
+        state.accounts[sender] = (max(state.balance_of(sender), 1_000_000), 0)
     by_sender: dict[str, list] = {}
     for tx in txs:
         by_sender.setdefault(tx.sender, []).append(tx)
